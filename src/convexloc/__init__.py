@@ -9,20 +9,20 @@ deterministic instance generators and a benchmark CLI.
 
 from .core import (Aabb, CapExceeded, Containment, ConvexPolygon,
                    ConvexPolyhedron, DegenerateEdge, DegenerateFace,
-                   EulerViolation, InteriorOnPlane, NonPlanarFace, NotConvex,
-                   ReferenceNotInterior, SingularAffine, SLAB_CAP,
+                   EulerViolation, EvalCounter, InteriorOnPlane, NonPlanarFace,
+                   NotConvex, ReferenceNotInterior, SingularAffine, SLAB_CAP,
                    Tolerances, TooFewVertices, ValidationError, WrongWinding,
                    ZeroDirection, centroid, classify_min, halfplane_from_edge,
-                   halfspace_from_face, plane_eval, validate_polygon,
-                   validate_polyhedron)
-from .baselines import (EvalCounter, SortedSlabIndex2, UniformSlabIndex2,
-                        WedgeIndex2, build_sorted_slabs, build_uniform_slabs,
+                   halfspace_from_face, min_signed_distance, plane_eval,
+                   validate_polygon, validate_polyhedron)
+from .baselines import (SortedSlabIndex2, UniformSlabIndex2, WedgeIndex2,
+                        build_sorted_slabs, build_uniform_slabs,
                         build_wedge_index, locate_linear_2d,
                         locate_linear_2d_batch, locate_linear_3d,
                         locate_linear_3d_batch, locate_sorted_slabs,
                         locate_sorted_slabs_batch, locate_uniform_slabs,
                         locate_uniform_slabs_batch, locate_wedge,
-                        locate_wedge_batch, min_signed_distance)
+                        locate_wedge_batch)
 from .polar import (PolarIndex2, boundary_param, boundary_param_batch,
                     build_polar_index, locate_polar, locate_polar_batch)
 from .cubemap import (CubeMapIndex3, FACE_NAMES, build_cubemap_index,

@@ -11,7 +11,8 @@ Four classic strategies, ordered by per-query cost:
 Every method exists in two forms: a scalar path that accepts an optional
 EvalCounter for instrumentation, and a vectorized batch path used by the
 benchmark harness.  Scalar and batch paths share formulas and constants, so
-they classify identically.
+they classify identically.  Uniform y-slabs store their candidate lists in
+the bucket-table format of the buckets module.
 """
 
 from __future__ import annotations
@@ -22,50 +23,14 @@ from functools import cached_property
 
 import numpy as np
 
-import warnings
-
-from .core import (CapExceeded, Containment, ConvexPolygon, ConvexPolyhedron,
-                   SLAB_CAP, classify_min, plane_eval)
-
-# Cap on scratch matrix cells for chunked linear scans (~64 MB of float64).
-_CHUNK_CELLS = 1 << 23
-
-
-@dataclass
-class EvalCounter:
-    """Mutable per-query instrumentation.
-
-    evals       -- boundary half-plane/half-space evaluations (decisions)
-    fan_evals   -- wedge method only: the two fan-entry line evaluations
-    wedge_evals -- wedge method only: bisection line evaluations
-    """
-
-    evals: int = 0
-    fan_evals: int = 0
-    wedge_evals: int = 0
-
-    def total(self) -> int:
-        return self.evals + self.fan_evals + self.wedge_evals
+from .buckets import bucketed_min, clamp_budget, csr_sort, padded_table, run_expand
+from .core import (Containment, ConvexPolygon, ConvexPolyhedron, EvalCounter,
+                   SLAB_CAP, classify_min, min_signed_distance, plane_eval)
 
 
 # ---------------------------------------------------------------------------
 # linear scans
 # ---------------------------------------------------------------------------
-
-def min_signed_distance(shape, points) -> np.ndarray:
-    """Minimal signed boundary distance per point, chunked to bound memory."""
-    planes = shape.halfplanes if hasattr(shape, "halfplanes") else shape.halfspaces
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts.shape[1]
-    out = np.empty(len(pts))
-    step = max(1, _CHUNK_CELLS // max(1, len(planes)))
-    normals_t = planes[:, :d].T
-    offs = planes[:, d]
-    for s in range(0, len(pts), step):
-        e = min(s + step, len(pts))
-        out[s:e] = (pts[s:e] @ normals_t + offs).min(axis=1)
-    return out
-
 
 def locate_linear_2d(poly: ConvexPolygon, p, counter: EvalCounter | None = None) -> Containment:
     """O(N) scan: evaluate every edge half-plane, classify by the minimum."""
@@ -351,35 +316,20 @@ class UniformSlabIndex2:
     mean_occupancy: float
 
     def slab_of(self, y) -> np.ndarray:
-        lo = self.poly.aabb.lo[1]
-        span = self.poly.aabb.hi[1] - lo
-        i = np.floor((np.asarray(y, dtype=float) - lo) / span * self.n_slabs)
-        return np.clip(i, 0, self.n_slabs - 1).astype(np.int64)
+        return _y_slab_of(y, self.poly, self.n_slabs)
 
     def slab_edges(self, i: int) -> np.ndarray:
         return self.edges[self.offsets[i]:self.offsets[i + 1]]
 
     @cached_property
     def padded_edges(self) -> np.ndarray:
-        return _padded_table(self.offsets, self.edges, self.counts)
+        return padded_table(self.offsets, self.edges, self.counts)
 
 
-def _csr_sort(bucket_ids: np.ndarray, item_ids: np.ndarray, n_buckets: int):
-    counts = np.bincount(bucket_ids, minlength=n_buckets)
-    offsets = np.empty(n_buckets + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(bucket_ids, kind="stable")
-    return offsets, item_ids[order].astype(np.int32), counts.astype(np.int32)
-
-
-def _run_expand(starts: np.ndarray, counts: np.ndarray):
-    """Per-run aranges: run j contributes starts[j] + (0..counts[j]-1)."""
-    total = int(counts.sum())
-    first = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=first[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
-    return np.repeat(starts, counts) + within
+def _y_slab_of(y, poly: ConvexPolygon, n_slabs: int) -> np.ndarray:
+    lo = poly.aabb.lo[1]
+    i = np.floor((np.asarray(y, dtype=float) - lo) / (poly.aabb.hi[1] - lo) * n_slabs)
+    return np.clip(i, 0, n_slabs - 1).astype(np.int64)
 
 
 def build_uniform_slabs(poly: ConvexPolygon, n_slabs: int | None = None) -> UniformSlabIndex2:
@@ -391,34 +341,17 @@ def build_uniform_slabs(poly: ConvexPolygon, n_slabs: int | None = None) -> Unif
         gaps = gaps[gaps > poly.tol.eps_len]
         span = float(poly.aabb.hi[1] - poly.aabb.lo[1])
         want = poly.n if len(gaps) == 0 else int(math.ceil(span / float(gaps.min())))
-        if want > SLAB_CAP:
-            warnings.warn(f"uniform slab count {want} clamped to {SLAB_CAP}",
-                          CapExceeded, stacklevel=2)
-        n_slabs = max(poly.n, min(want, SLAB_CAP))
-    else:
-        n_slabs = int(n_slabs)
-        if n_slabs < 1:
-            raise ValueError("n_slabs must be >= 1")
-        if n_slabs > SLAB_CAP:
-            warnings.warn(f"uniform slab count {n_slabs} clamped to {SLAB_CAP}",
-                          CapExceeded, stacklevel=2)
-            n_slabs = SLAB_CAP
+        n_slabs = max(poly.n, want)
+    n_slabs = clamp_budget("uniform slab count", n_slabs, SLAB_CAP)
 
     v = poly.vertices
     nxt = np.roll(np.arange(poly.n), -1)
-    lo = np.asarray(poly.aabb.lo[1], dtype=float)
-    span = float(poly.aabb.hi[1] - poly.aabb.lo[1])
-
-    def slab_of(yv):
-        i = np.floor((yv - lo) / span * n_slabs)
-        return np.clip(i, 0, n_slabs - 1).astype(np.int64)
-
-    y0 = slab_of(np.minimum(v[:, 1], v[nxt, 1]))
-    y1 = slab_of(np.maximum(v[:, 1], v[nxt, 1]))
+    y0 = _y_slab_of(np.minimum(v[:, 1], v[nxt, 1]), poly, n_slabs)
+    y1 = _y_slab_of(np.maximum(v[:, 1], v[nxt, 1]), poly, n_slabs)
     runs = y1 - y0 + 1
-    slab_ids = _run_expand(y0, runs)
+    slab_ids = run_expand(y0, runs)
     edge_ids = np.repeat(np.arange(poly.n, dtype=np.int32), runs)
-    offsets, edges, counts = _csr_sort(slab_ids, edge_ids, n_slabs)
+    offsets, edges, counts = csr_sort(slab_ids, edge_ids, n_slabs)
     if int(counts.min()) < 1:
         raise AssertionError("uniform slab construction produced an empty slab")
 
@@ -439,31 +372,21 @@ def build_uniform_slabs(poly: ConvexPolygon, n_slabs: int | None = None) -> Unif
                              mean_occupancy=float(counts.mean()))
 
 
-def _padded_table(offsets: np.ndarray, items: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(n, occ_max) gather table; short rows repeat their first entry, which
-    leaves min-reductions over the row unchanged."""
-    n = len(counts)
-    occ = int(counts.max())
-    padded = np.repeat(items[offsets[:-1]], occ).reshape(n, occ)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-    cols = np.arange(len(items), dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    padded[rows, cols] = items
-    padded.setflags(write=False)
-    return padded
-
-
 def locate_uniform_slabs(idx: UniformSlabIndex2, p, counter: EvalCounter | None = None) -> Containment:
-    """O(1) query: one floor division, then the slab's candidate edges."""
+    """O(1) query: one floor division, then the slab's candidate edges.
+
+    Points beyond the eps_q band of the y-range, and points with a
+    non-finite coordinate, are Outside without any edge evaluation.
+    """
     poly = idx.poly
     eps_q = poly.tol.eps_q
-    y = float(p[1])
+    x, y = float(p[0]), float(p[1])
     y_lo = float(poly.aabb.lo[1])
     y_hi = float(poly.aabb.hi[1])
-    if y < y_lo - eps_q or y > y_hi + eps_q:
+    if not (y_lo - eps_q <= y <= y_hi + eps_q and math.isfinite(x)):
         return Containment.OUTSIDE
     i = int(idx.slab_of(y))
     h = poly.halfplanes
-    x = float(p[0])
     m = math.inf
     for e in idx.slab_edges(i):
         m = min(m, h[e, 0] * x + h[e, 1] * y + h[e, 2])
@@ -477,11 +400,9 @@ def locate_uniform_slabs_batch(idx: UniformSlabIndex2, points) -> np.ndarray:
     eps_q = poly.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     y = pts[:, 1]
-    outside = (y < poly.aabb.lo[1] - eps_q) | (y > poly.aabb.hi[1] + eps_q)
-    slabs = idx.slab_of(y)
-    cand = idx.padded_edges[slabs]
-    hc = poly.halfplanes[cand]
-    vals = hc[..., 0] * pts[:, None, 0] + hc[..., 1] * pts[:, None, 1] + hc[..., 2]
-    out = classify_min(vals.min(axis=1), eps_q)
-    out[outside] = np.int8(Containment.OUTSIDE)
+    out = np.full(len(pts), np.int8(Containment.OUTSIDE))
+    iny = (y >= poly.aabb.lo[1] - eps_q) & (y <= poly.aabb.hi[1] + eps_q)
+    q = pts[iny]
+    m = bucketed_min(poly.halfplanes, idx.padded_edges, idx.slab_of(q[:, 1]), q)
+    out[iny] = classify_min(m, eps_q)
     return out

@@ -31,8 +31,21 @@ from .polar import build_polar_index, locate_polar_batch
 
 CSV_HEADER = "method,N,M,build_ns,mean_query_ns,p99_query_ns,max_occupancy,mismatches"
 
-METHODS_2D = ("linear", "wedge", "slabs-sorted", "slabs-uniform", "polar")
-METHODS_3D = ("linear", "cubemap")
+
+# (dimension, method name) -> (build(shape, n_slabs, resolution) -> index,
+# locate_batch(index, points) -> int8 codes); a linear scan's index is the shape.
+METHODS = {
+    (2, "linear"): (lambda s, n, r: s, locate_linear_2d_batch),
+    (2, "wedge"): (lambda s, n, r: build_wedge_index(s), locate_wedge_batch),
+    (2, "slabs-sorted"): (lambda s, n, r: build_sorted_slabs(s), locate_sorted_slabs_batch),
+    (2, "slabs-uniform"): (lambda s, n, r: build_uniform_slabs(s, n),
+                           locate_uniform_slabs_batch),
+    (2, "polar"): (lambda s, n, r: build_polar_index(s, n), locate_polar_batch),
+    (3, "linear"): (lambda s, n, r: s, locate_linear_3d_batch),
+    (3, "cubemap"): (lambda s, n, r: build_cubemap_index(s, r), locate_cubemap_batch),
+}
+METHODS_2D = tuple(name for dim, name in METHODS if dim == 2)
+METHODS_3D = tuple(name for dim, name in METHODS if dim == 3)
 
 QUERY_CHUNK = 1024
 
@@ -62,43 +75,22 @@ def make_locator(shape, method: str, n_slabs: int | None = None,
                  resolution: int | None = None):
     """Zero-argument builder for (batch_query_fn, max_occupancy).
 
-    Raises ValueError for an unknown method or one that does not apply to
-    the shape's dimension.
+    max_occupancy is 0 for methods without bucket lists.  Raises ValueError
+    for an unknown method or one that does not apply to the shape's
+    dimension.
     """
-    if isinstance(shape, ConvexPolygon):
-        if method == "linear":
-            return lambda: (lambda pts: locate_linear_2d_batch(shape, pts), 0)
-        if method == "wedge":
-            def build():
-                idx = build_wedge_index(shape)
-                return (lambda pts: locate_wedge_batch(idx, pts)), 0
-            return build
-        if method == "slabs-sorted":
-            def build():
-                idx = build_sorted_slabs(shape)
-                return (lambda pts: locate_sorted_slabs_batch(idx, pts)), 0
-            return build
-        if method == "slabs-uniform":
-            def build():
-                idx = build_uniform_slabs(shape, n_slabs)
-                return (lambda pts: locate_uniform_slabs_batch(idx, pts)), idx.max_occupancy
-            return build
-        if method == "polar":
-            def build():
-                idx = build_polar_index(shape, n_slabs)
-                return (lambda pts: locate_polar_batch(idx, pts)), idx.max_occupancy
-            return build
-        raise ValueError(f"unknown 2D method {method!r}; pick from {METHODS_2D}")
-    if isinstance(shape, ConvexPolyhedron):
-        if method == "linear":
-            return lambda: (lambda pts: locate_linear_3d_batch(shape, pts), 0)
-        if method == "cubemap":
-            def build():
-                idx = build_cubemap_index(shape, resolution)
-                return (lambda pts: locate_cubemap_batch(idx, pts)), idx.max_occupancy
-            return build
-        raise ValueError(f"unknown 3D method {method!r}; pick from {METHODS_3D}")
-    raise ValueError(f"unsupported shape type {type(shape).__name__}")
+    dim = {ConvexPolygon: 2, ConvexPolyhedron: 3}.get(type(shape))
+    if dim is None:
+        raise ValueError(f"unsupported shape type {type(shape).__name__}")
+    if (dim, method) not in METHODS:
+        names = METHODS_2D if dim == 2 else METHODS_3D
+        raise ValueError(f"unknown {dim}D method {method!r}; pick from {names}")
+    build_index, locate_batch = METHODS[(dim, method)]
+
+    def build():
+        idx = build_index(shape, n_slabs, resolution)
+        return (lambda pts: locate_batch(idx, pts)), getattr(idx, "max_occupancy", 0)
+    return build
 
 
 def _size_of(shape) -> int:

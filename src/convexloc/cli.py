@@ -18,8 +18,7 @@ import sys
 
 import numpy as np
 
-from . import bench as bench_mod
-from .bench import BenchRecord, CSV_HEADER, METHODS_2D, METHODS_3D, bench_one, records_to_csv
+from .bench import METHODS_2D, METHODS_3D, bench_one, make_locator, records_to_csv
 from .core import Containment, ValidationError
 from .generators import (GenSpec2, GenSpec3, QuerySpec, compare_methods,
                          gen_convex_polygon, gen_convex_polyhedron,
@@ -109,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _batch_fn(shape, method, n_slabs, resolution):
-    return bench_mod.make_locator(shape, method, n_slabs=n_slabs,
-                                  resolution=resolution)()[0]
-
-
 def cmd_gen(args) -> int:
     if args.polygon:
         poly = gen_convex_polygon(GenSpec2(n=args.n, seed=args.seed,
@@ -136,7 +130,7 @@ def cmd_locate(args) -> int:
         raise ParseError(f"{args.points}: points are {pts.shape[1]}D "
                          f"but the shape is {dim}D")
     method = args.method or ("polar" if dim == 2 else "cubemap")
-    codes = _batch_fn(shape, method, args.n_slabs, args.resolution)(pts)
+    codes = make_locator(shape, method, args.n_slabs, args.resolution)()[0](pts)
     lines = [f"{i} {_CODE_NAMES[int(c)]}" for i, c in enumerate(codes)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -154,7 +148,8 @@ def cmd_verify(args) -> int:
     def run(shape, label, methods):
         nonlocal total_mismatches, checked
         pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + checked))
-        fns = {m: _batch_fn(shape, m, args.n_slabs, args.resolution) for m in methods}
+        fns = {m: make_locator(shape, m, args.n_slabs, args.resolution)()[0]
+               for m in methods}
         rep = compare_methods(shape, pts, fns)
         checked += 1
         total_mismatches += rep.n_mismatches
@@ -185,27 +180,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    records: list[BenchRecord] = []
     if args.dim == "2":
-        methods = args.methods.split(",") if args.methods else list(METHODS_2D)
-        for n in args.sizes:
-            # jitter 0 keeps vertices well separated so derived slab budgets
-            # stay proportional to N even at large sizes
-            shape = gen_convex_polygon(GenSpec2(n=n, seed=args.seed, jitter=0.0))
-            pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + 1))
-            for m in methods:
-                records.append(bench_one(shape, m, pts, reps=args.reps,
-                                         n_slabs=args.n_slabs,
-                                         resolution=args.resolution))
+        # jitter 0 keeps vertices well separated so derived slab budgets
+        # stay proportional to N even at large sizes
+        shapes = (gen_convex_polygon(GenSpec2(n=n, seed=args.seed, jitter=0.0))
+                  for n in args.sizes)
     else:
-        methods = args.methods.split(",") if args.methods else list(METHODS_3D)
-        for level in args.levels:
-            shape = gen_convex_polyhedron(GenSpec3(level=level, seed=args.seed))
-            pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + 1))
-            for m in methods:
-                records.append(bench_one(shape, m, pts, reps=args.reps,
-                                         n_slabs=args.n_slabs,
-                                         resolution=args.resolution))
+        shapes = (gen_convex_polyhedron(GenSpec3(level=level, seed=args.seed))
+                  for level in args.levels)
+    methods = (args.methods.split(",") if args.methods
+               else METHODS_2D if args.dim == "2" else METHODS_3D)
+    records = []
+    for shape in shapes:
+        pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + 1))
+        records += [bench_one(shape, m, pts, reps=args.reps, n_slabs=args.n_slabs,
+                              resolution=args.resolution) for m in methods]
     text = records_to_csv(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

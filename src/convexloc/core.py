@@ -15,12 +15,13 @@ Conventions used throughout the library:
 - Classification is three-valued.  A query is Inside when the minimal signed
   distance over the deciding half-planes exceeds +eps_q, OnBoundary within
   [-eps_q, +eps_q], Outside below.
+- A query with a non-finite coordinate (NaN, +inf or -inf) is Outside in
+  every method, scalar and batch; no locator raises for it.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ LEN_EPS_FACTOR = 1e-12     # degenerate-length threshold, x diagonal
 PLANE_EPS_FACTOR = 1e-9    # planarity / convexity slack, x diagonal
 QUERY_EPS_FACTOR = 1e-9    # boundary classification band, x diagonal
 SLAB_CAP = 1 << 20         # hard upper bound for any subdivision resolution
+_CHUNK_CELLS = 1 << 23     # scratch matrix cells of a chunked scan (~64 MB)
 
 
 class Containment(enum.IntEnum):
@@ -90,7 +92,25 @@ class SingularAffine(ValueError):
 
 
 class CapExceeded(UserWarning):
-    """A derived subdivision resolution hit SLAB_CAP and was clamped."""
+    """A subdivision resolution, derived or requested, hit its cap and was
+    clamped."""
+
+
+@dataclass
+class EvalCounter:
+    """Mutable per-query instrumentation of the scalar locators.
+
+    evals       -- boundary half-plane/half-space evaluations (decisions)
+    fan_evals   -- wedge method only: the two fan-entry line evaluations
+    wedge_evals -- wedge method only: bisection line evaluations
+    """
+
+    evals: int = 0
+    fan_evals: int = 0
+    wedge_evals: int = 0
+
+    def total(self) -> int:
+        return self.evals + self.fan_evals + self.wedge_evals
 
 
 @dataclass(frozen=True)
@@ -171,15 +191,6 @@ def plane_eval(planes, points):
     return vals
 
 
-def _min_plane_eval(planes: np.ndarray, points: np.ndarray) -> float:
-    """min over points x planes, chunked so the matrix stays ~64 MB."""
-    step = max(1, (1 << 23) // max(1, len(planes)))
-    m = math.inf
-    for s in range(0, len(points), step):
-        m = min(m, float(plane_eval(planes, points[s:s + step]).min()))
-    return m
-
-
 def classify_min(min_vals, eps_q: float):
     """Map minimal signed distances to Containment codes (int8)."""
     m = np.asarray(min_vals)
@@ -191,7 +202,8 @@ def classify_min(min_vals, eps_q: float):
     return out.astype(np.int8, copy=False)
 
 
-def _default_scale(*point_sets) -> float:
+def default_scale(*point_sets) -> float:
+    """Coordinate scale of point sets (at least 1), for default epsilons."""
     return max(1.0, *(float(np.max(np.abs(p))) for p in point_sets if np.size(p)))
 
 
@@ -205,7 +217,7 @@ def halfplane_from_edge(p, q, eps_len: float | None = None) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if eps_len is None:
-        eps_len = LEN_EPS_FACTOR * _default_scale(p, q)
+        eps_len = LEN_EPS_FACTOR * default_scale(p, q)
     dx = q[0] - p[0]
     dy = q[1] - p[1]
     length = float(np.hypot(dx, dy))
@@ -274,7 +286,7 @@ def halfspace_from_face(face_vertices, interior,
     InteriorOnPlane when the interior point sits on the plane itself.
     """
     ring = np.asarray(face_vertices, dtype=float)
-    scale = _default_scale(ring, np.asarray(interior, dtype=float))
+    scale = default_scale(ring, np.asarray(interior, dtype=float))
     if eps_len is None:
         eps_len = LEN_EPS_FACTOR * scale
     if eps_plane is None:
@@ -329,6 +341,25 @@ class ConvexPolyhedron:
         return len(self.faces)
 
 
+def min_signed_distance(shape, points) -> np.ndarray:
+    """Minimal signed boundary distance per point over all of a shape's
+    half-planes/half-spaces; shape is a validated shape or a plane array.
+
+    Points go through in chunks so the point x plane matrix stays ~64 MB.
+    """
+    planes = getattr(shape, "halfplanes", getattr(shape, "halfspaces", shape))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    d = pts.shape[1]
+    out = np.empty(len(pts))
+    step = max(1, _CHUNK_CELLS // max(1, len(planes)))
+    normals_t = planes[:, :d].T
+    offs = planes[:, d]
+    for s in range(0, len(pts), step):
+        e = min(s + step, len(pts))
+        out[s:e] = (pts[s:e] @ normals_t + offs).min(axis=1)
+    return out
+
+
 def validate_polygon(vertices) -> ConvexPolygon:
     """Validate raw polygon vertices and return an immutable ConvexPolygon.
 
@@ -369,7 +400,7 @@ def validate_polygon(vertices) -> ConvexPolygon:
         raise NotConvex(f"non-convex or collinear turn at vertex {(bad + 1) % len(v)}")
     # Numeric sanity: every vertex must satisfy every inward half-plane.
     # This also rejects locally-convex but multiply-wound vertex orders.
-    if _min_plane_eval(halfplanes, v) < -tol.eps_plane:
+    if min_signed_distance(halfplanes, v).min() < -tol.eps_plane:
         raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     v.setflags(write=False)
     halfplanes.setflags(write=False)
@@ -422,7 +453,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
         halfspaces[k] = coeffs
         oriented.append(tuple(int(i) for i in (ring[::-1] if flipped else ring)))
 
-    if _min_plane_eval(halfspaces, v) < -tol.eps_plane:
+    if min_signed_distance(halfspaces, v).min() < -tol.eps_plane:
         raise NotConvex("a vertex lies outside a face plane beyond tolerance")
 
     edges = set()

@@ -18,16 +18,15 @@ there, so the deciding boundary plane is still listed.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .baselines import EvalCounter, _csr_sort
-from .core import (CapExceeded, Containment, ConvexPolyhedron,
-                   ReferenceNotInterior, ZeroDirection, _default_scale,
-                   centroid, classify_min, plane_eval)
+from .buckets import clamp_budget, csr_sort, locate_radial_batch, padded_table
+from .core import (Containment, ConvexPolyhedron, EvalCounter,
+                   ReferenceNotInterior, ZeroDirection, centroid, classify_min,
+                   default_scale, plane_eval)
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -54,7 +53,7 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float | None = None):
     x_t = np.asarray(x_t, dtype=float)
     p = np.asarray(p, dtype=float)
     if eps_len is None:
-        eps_len = 1e-12 * _default_scale(x_t, p)
+        eps_len = 1e-12 * default_scale(x_t, p)
     d = p - x_t
     if float(np.linalg.norm(d)) < eps_len:
         raise ZeroDirection("query coincides with the reference point")
@@ -118,7 +117,7 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
     ring = np.asarray(face_vertices, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
     if eps_len is None:
-        eps_len = 1e-12 * _default_scale(ring, x_t)
+        eps_len = 1e-12 * default_scale(ring, x_t)
     base = [tuple(q) for q in (ring - x_t)]
     cells = []
     for face in range(6):
@@ -188,13 +187,12 @@ class CubeMapIndex3:
 
     @cached_property
     def padded_faces(self) -> np.ndarray:
-        from .baselines import _padded_table
-        return _padded_table(self.offsets, self.faces_flat, self.counts)
+        return padded_table(self.offsets, self.faces_flat, self.counts)
 
 
 def default_cubemap_resolution(n_faces: int) -> int:
     want = int(math.ceil(math.sqrt(RES_PER_FACE * n_faces / 6.0)))
-    return max(4, min(want, RES_CAP))
+    return max(4, clamp_budget("cube-map resolution", want, RES_CAP))
 
 
 def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
@@ -211,14 +209,7 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
 
     if resolution is None:
         resolution = default_cubemap_resolution(poly.n_faces)
-    else:
-        resolution = int(resolution)
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
-        if resolution > RES_CAP:
-            warnings.warn(f"cube-map resolution {resolution} clamped to {RES_CAP}",
-                          CapExceeded, stacklevel=2)
-            resolution = RES_CAP
+    resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
 
     cell_ids = []
     face_ids = []
@@ -229,9 +220,9 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
             cell_ids.append((face * resolution + i) * resolution + j)
             face_ids.append(k)
     n_cells = 6 * resolution * resolution
-    offsets, faces_flat, counts = _csr_sort(np.asarray(cell_ids, dtype=np.int64),
-                                            np.asarray(face_ids, dtype=np.int64),
-                                            n_cells)
+    offsets, faces_flat, counts = csr_sort(np.asarray(cell_ids, dtype=np.int64),
+                                           np.asarray(face_ids, dtype=np.int64),
+                                           n_cells)
     if int(counts.min()) < 1:
         raise AssertionError("cube-map construction produced an empty cell")
 
@@ -244,7 +235,11 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
 
 
 def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) -> Containment:
-    """O(1) query: direction cell lookup, then the cell's candidate faces."""
+    """O(1) query: direction cell lookup, then the cell's candidate faces.
+
+    Points outside the bounding box (beyond the eps_q band), and points with
+    a non-finite coordinate, are Outside without any face evaluation.
+    """
     poly = idx.poly
     eps_q = poly.tol.eps_q
     p = np.asarray(p, dtype=float)
@@ -263,37 +258,19 @@ def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) ->
 
 
 def locate_cubemap_batch(idx: CubeMapIndex3, points) -> np.ndarray:
-    poly = idx.poly
-    eps_q = poly.tol.eps_q
+    """Batch form of locate_cubemap: int8 Containment codes, one per point."""
     res = idx.resolution
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.full(len(pts), np.int8(Containment.OUTSIDE))
-    inbox = poly.aabb.contains(pts, pad=eps_q)
-    if not inbox.any():
-        return out
-    sub = pts[inbox]
-    d = sub - idx.x_t
-    near = (d ** 2).sum(axis=1) <= poly.tol.eps_len ** 2
-    codes = np.full(len(sub), np.int8(Containment.INSIDE))
-    far = ~near
-    if far.any():
-        df = d[far]
-        ad = np.abs(df)
-        axis = np.argmax(ad, axis=1)
-        rows = np.arange(len(df))
-        dom = df[rows, axis]
-        face = 2 * axis + (dom < 0.0)
-        uv = np.asarray(_UV, dtype=np.int64)
-        s = df[rows, uv[axis, 0]] / np.abs(dom)
-        t = df[rows, uv[axis, 1]] / np.abs(dom)
-        i = np.clip(np.floor((s + 1.0) * 0.5 * res), 0, res - 1).astype(np.int64)
-        j = np.clip(np.floor((t + 1.0) * 0.5 * res), 0, res - 1).astype(np.int64)
-        flat = (face * res + i) * res + j
-        cand = idx.padded_faces[flat]
-        hc = poly.halfspaces[cand]
-        q = sub[far]
-        vals = (hc[..., 0] * q[:, None, 0] + hc[..., 1] * q[:, None, 1]
-                + hc[..., 2] * q[:, None, 2] + hc[..., 3])
-        codes[far] = classify_min(vals.min(axis=1), eps_q)
-    out[inbox] = codes
-    return out
+    uv = np.asarray(_UV, dtype=np.int64)
+
+    def cells(q):
+        d = q - idx.x_t
+        axis = np.argmax(np.abs(d), axis=1)
+        rows = np.arange(len(d))
+        dom = np.abs(d[rows, axis])
+        face = 2 * axis + (d[rows, axis] < 0.0)
+        i = np.clip(np.floor((d[rows, uv[axis, 0]] / dom + 1.0) * 0.5 * res), 0, res - 1)
+        j = np.clip(np.floor((d[rows, uv[axis, 1]] / dom + 1.0) * 0.5 * res), 0, res - 1)
+        return (face * res + i.astype(np.int64)) * res + j.astype(np.int64)
+
+    return locate_radial_batch(idx.poly, idx.poly.halfspaces, idx.x_t,
+                               idx.padded_faces, points, cells)

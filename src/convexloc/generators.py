@@ -21,9 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import min_signed_distance
 from .core import (Aabb, ConvexPolygon, ConvexPolyhedron, SingularAffine,
-                   validate_polygon, validate_polyhedron)
+                   min_signed_distance, validate_polygon, validate_polyhedron)
 
 MAX_ICOSPHERE_LEVEL = 5
 

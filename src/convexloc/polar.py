@@ -15,14 +15,14 @@ count keeps at most two candidate edges per slab.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .baselines import EvalCounter, _csr_sort, _padded_table, _run_expand
-from .core import (Aabb, CapExceeded, Containment, ConvexPolygon,
+from .buckets import (clamp_budget, csr_sort, locate_radial_batch, padded_table,
+                      run_expand)
+from .core import (Aabb, Containment, ConvexPolygon, EvalCounter,
                    ReferenceNotInterior, SLAB_CAP, ZeroDirection,
                    centroid, classify_min, plane_eval)
 
@@ -107,15 +107,19 @@ class PolarIndex2:
     mean_occupancy: float
 
     def slab_of(self, u) -> np.ndarray:
-        i = np.floor(np.asarray(u, dtype=float) * (self.n_slabs / self.perimeter))
-        return (i.astype(np.int64)) % self.n_slabs
+        return _slab_of(u, self.n_slabs, self.perimeter)
 
     def slab_edges(self, i: int) -> np.ndarray:
         return self.edges[self.offsets[i]:self.offsets[i + 1]]
 
     @cached_property
     def padded_edges(self) -> np.ndarray:
-        return _padded_table(self.offsets, self.edges, self.counts)
+        return padded_table(self.offsets, self.edges, self.counts)
+
+
+def _slab_of(u, n_slabs: int, perimeter: float) -> np.ndarray:
+    i = np.floor(np.asarray(u, dtype=float) * (n_slabs / perimeter))
+    return i.astype(np.int64) % n_slabs
 
 
 def default_polar_slab_count(poly: ConvexPolygon, x_t, perimeter: float) -> int:
@@ -129,8 +133,7 @@ def default_polar_slab_count(poly: ConvexPolygon, x_t, perimeter: float) -> int:
     d_mid = np.linalg.norm(mid - x_t, axis=1)
     d_vert = np.linalg.norm(v - x_t, axis=1)
     ell = float(edge_len.min()) * float(d_mid.min()) / float(d_vert.max())
-    want = max(SLABS_PER_EDGE * poly.n, int(math.ceil(perimeter / ell)))
-    return max(poly.n, min(want, SLAB_CAP))
+    return max(SLABS_PER_EDGE * poly.n, int(math.ceil(perimeter / ell)))
 
 
 def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
@@ -155,22 +158,13 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
 
     if n_slabs is None:
         n_slabs = default_polar_slab_count(poly, x_t, perimeter)
-    else:
-        n_slabs = int(n_slabs)
-        if n_slabs < 1:
-            raise ValueError("n_slabs must be >= 1")
-        if n_slabs > SLAB_CAP:
-            warnings.warn(f"polar slab count {n_slabs} clamped to {SLAB_CAP}",
-                          CapExceeded, stacklevel=2)
-            n_slabs = SLAB_CAP
+    n_slabs = clamp_budget("polar slab count", n_slabs, SLAB_CAP)
 
-    u = boundary_param_batch(box, x_t, poly.vertices)
-    s = np.floor(u * (n_slabs / perimeter)).astype(np.int64) % n_slabs
-    s_next = np.roll(s, -1)
-    runs = (s_next - s) % n_slabs + 1
-    slab_ids = _run_expand(s, runs) % n_slabs
+    s = _slab_of(boundary_param_batch(box, x_t, poly.vertices), n_slabs, perimeter)
+    runs = (np.roll(s, -1) - s) % n_slabs + 1
+    slab_ids = run_expand(s, runs) % n_slabs
     edge_ids = np.repeat(np.arange(poly.n, dtype=np.int32), runs)
-    offsets, edges, counts = _csr_sort(slab_ids, edge_ids, n_slabs)
+    offsets, edges, counts = csr_sort(slab_ids, edge_ids, n_slabs)
     if int(counts.min()) < 1:
         raise AssertionError("polar slab construction produced an empty slab")
 
@@ -185,16 +179,16 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
 def locate_polar(idx: PolarIndex2, p, counter: EvalCounter | None = None) -> Containment:
     """O(1) query: slab lookup by one floor, then the slab's candidate edges.
 
-    Points outside the polygon's bounding box (beyond the eps_q band) are
-    rejected without any edge evaluation; a point within eps_len of x_t is
-    Inside by construction.
+    Points outside the polygon's bounding box (beyond the eps_q band), and
+    points with a non-finite coordinate, are rejected without any edge
+    evaluation; a point within eps_len of x_t is Inside by construction.
     """
     poly = idx.poly
     eps_q = poly.tol.eps_q
     x, y = float(p[0]), float(p[1])
     lo, hi = poly.aabb.lo, poly.aabb.hi
-    if (x < lo[0] - eps_q or x > hi[0] + eps_q
-            or y < lo[1] - eps_q or y > hi[1] + eps_q):
+    if not (lo[0] - eps_q <= x <= hi[0] + eps_q
+            and lo[1] - eps_q <= y <= hi[1] + eps_q):
         return Containment.OUTSIDE
     if math.hypot(x - idx.x_t[0], y - idx.x_t[1]) <= poly.tol.eps_len:
         return Containment.INSIDE
@@ -210,25 +204,7 @@ def locate_polar(idx: PolarIndex2, p, counter: EvalCounter | None = None) -> Con
 
 
 def locate_polar_batch(idx: PolarIndex2, points) -> np.ndarray:
-    poly = idx.poly
-    eps_q = poly.tol.eps_q
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.full(len(pts), np.int8(Containment.OUTSIDE))
-    inbox = poly.aabb.contains(pts, pad=eps_q)
-    if not inbox.any():
-        return out
-    sub = pts[inbox]
-    near = ((sub - idx.x_t) ** 2).sum(axis=1) <= poly.tol.eps_len ** 2
-    codes = np.full(len(sub), np.int8(Containment.INSIDE))
-    far = ~near
-    if far.any():
-        q = sub[far]
-        u = boundary_param_batch(idx.box, idx.x_t, q)
-        slabs = (np.floor(u * (idx.n_slabs / idx.perimeter)).astype(np.int64)
-                 % idx.n_slabs)
-        cand = idx.padded_edges[slabs]
-        hc = poly.halfplanes[cand]
-        vals = hc[..., 0] * q[:, None, 0] + hc[..., 1] * q[:, None, 1] + hc[..., 2]
-        codes[far] = classify_min(vals.min(axis=1), eps_q)
-    out[inbox] = codes
-    return out
+    """Batch form of locate_polar: int8 Containment codes, one per point."""
+    return locate_radial_batch(
+        idx.poly, idx.poly.halfplanes, idx.x_t, idx.padded_edges, points,
+        lambda q: idx.slab_of(boundary_param_batch(idx.box, idx.x_t, q)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from convexloc import (Containment, EvalCounter, GenSpec3, QuerySpec,
+from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpec,
                        ReferenceNotInterior, ZeroDirection,
                        build_cubemap_index, centroid, cubemap_cell,
                        gen_convex_polyhedron, gen_query_points, icosphere,
@@ -80,7 +80,8 @@ def test_cube_cells_list_exactly_one_face():
 def test_resolution_default_formula():
     assert default_cubemap_resolution(320) == 15
     assert default_cubemap_resolution(6) == 4      # floor
-    assert default_cubemap_resolution(10 ** 9) == 1024  # cap
+    with pytest.warns(CapExceeded):
+        assert default_cubemap_resolution(10 ** 9) == 1024  # cap
     ico = gen_convex_polyhedron(GenSpec3(2, 31))
     assert build_cubemap_index(ico).resolution == 15
 

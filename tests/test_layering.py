@@ -1,0 +1,31 @@
+"""Module layering: no module imports a private name from another, and the
+constant-time locators do not depend on the baseline methods."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "convexloc"
+
+
+def _relative_imports(path):
+    """(module, names) of every `from .module import names` in the file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            yield node.module or "", [a.name for a in node.names]
+
+
+def test_no_private_names_imported_across_modules():
+    bad = [f"{path.name}: from .{mod} import {name}"
+           for path in sorted(SRC.glob("*.py"))
+           for mod, names in _relative_imports(path)
+           for name in names if name.startswith("_")]
+    assert not bad, bad
+
+
+def test_radial_locators_do_not_import_baselines():
+    bad = [f"{name}: from .{mod} import {', '.join(names)}"
+           for name in ("polar.py", "cubemap.py")
+           for mod, names in _relative_imports(SRC / name)
+           if mod == "baselines" or (mod == "" and "baselines" in names)]
+    assert not bad, bad

@@ -5,9 +5,10 @@ import collections
 import numpy as np
 import pytest
 
-from convexloc import (Aabb, Containment, EvalCounter, GenSpec2, QuerySpec,
-                       ReferenceNotInterior, ZeroDirection, boundary_param,
-                       boundary_param_batch, build_polar_index, centroid,
+from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
+                       QuerySpec, ReferenceNotInterior, SLAB_CAP,
+                       ZeroDirection, boundary_param, boundary_param_batch,
+                       build_polar_index, centroid,
                        gen_convex_polygon, gen_query_points,
                        locate_linear_2d_batch, locate_polar,
                        locate_polar_batch, validate_polygon)
@@ -104,6 +105,16 @@ def test_default_slab_count_keeps_occupancy_low():
     idx = build_polar_index(poly)
     assert idx.n_slabs >= 4 * poly.n
     assert idx.max_occupancy <= 2
+
+
+def test_slab_count_clamp_warns():
+    """Derived and requested budgets both warn when clamped to SLAB_CAP."""
+    ellipse = gen_convex_polygon(GenSpec2(n=4096, seed=0, jitter=0.9,
+                                          semi_axes=(10, 1)))
+    with pytest.warns(CapExceeded):
+        assert build_polar_index(ellipse).n_slabs == SLAB_CAP
+    with pytest.warns(CapExceeded):
+        assert build_polar_index(SQUARE, n_slabs=SLAB_CAP + 1).n_slabs == SLAB_CAP
 
 
 def test_doubling_slabs_never_increases_candidates():
