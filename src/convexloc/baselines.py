@@ -8,11 +8,11 @@ Four classic strategies, ordered by per-query cost:
 - uniform y-slabs (direct index arithmetic), O(1) per query after an
   O(N + n_slabs) build.
 
-Every method exists in two forms: a scalar path that accepts an optional
-EvalCounter for instrumentation, and a vectorized batch path used by the
-benchmark harness.  Scalar and batch paths share formulas and constants, so
-they classify identically.  Uniform y-slabs store their candidate lists in
-the bucket-table format of the buckets module.
+Every method has a vectorized batch path.  The scalar y-slab locators are
+batches of one; the linear scans and wedge bisection keep scalar loops that
+count evaluations in an optional EvalCounter.  Scalar and batch paths share
+formulas and constants, so they classify identically.  Uniform y-slabs
+store their candidate lists in the bucket-table format of the buckets module.
 """
 
 from __future__ import annotations
@@ -244,26 +244,9 @@ def build_sorted_slabs(poly: ConvexPolygon) -> SortedSlabIndex2:
                             bottom_cap=bottom_cap, top_cap=top_cap)
 
 
-def locate_sorted_slabs(idx: SortedSlabIndex2, p, counter: EvalCounter | None = None) -> Containment:
+def locate_sorted_slabs(idx: SortedSlabIndex2, p) -> Containment:
     """O(log N) query: binary-search the slab, evaluate its two chain edges."""
-    poly = idx.poly
-    eps_q = poly.tol.eps_q
-    ys = idx.ys
-    y = float(p[1])
-    if y < ys[0] - eps_q or y > ys[-1] + eps_q:
-        return Containment.OUTSIDE
-    j = min(max(int(np.searchsorted(ys, y, side="right")) - 1, 0), len(ys) - 2)
-    h = poly.halfplanes
-    edges = [int(idx.left_edges[j]), int(idx.right_edges[j])]
-    if j == 0 and idx.bottom_cap >= 0:
-        edges.append(idx.bottom_cap)
-    if j == len(ys) - 2 and idx.top_cap >= 0:
-        edges.append(idx.top_cap)
-    x = float(p[0])
-    m = min(h[e, 0] * x + h[e, 1] * y + h[e, 2] for e in edges)
-    if counter is not None:
-        counter.evals += len(edges)
-    return classify_min(m, eps_q)
+    return Containment(int(locate_sorted_slabs_batch(idx, p)[0]))
 
 
 def locate_sorted_slabs_batch(idx: SortedSlabIndex2, points) -> np.ndarray:
@@ -372,27 +355,13 @@ def build_uniform_slabs(poly: ConvexPolygon, n_slabs: int | None = None) -> Unif
                              mean_occupancy=float(counts.mean()))
 
 
-def locate_uniform_slabs(idx: UniformSlabIndex2, p, counter: EvalCounter | None = None) -> Containment:
+def locate_uniform_slabs(idx: UniformSlabIndex2, p) -> Containment:
     """O(1) query: one floor division, then the slab's candidate edges.
 
     Points beyond the eps_q band of the y-range, and points with a
-    non-finite coordinate, are Outside without any edge evaluation.
+    non-finite coordinate, are Outside.
     """
-    poly = idx.poly
-    eps_q = poly.tol.eps_q
-    x, y = float(p[0]), float(p[1])
-    y_lo = float(poly.aabb.lo[1])
-    y_hi = float(poly.aabb.hi[1])
-    if not (y_lo - eps_q <= y <= y_hi + eps_q and math.isfinite(x)):
-        return Containment.OUTSIDE
-    i = int(idx.slab_of(y))
-    h = poly.halfplanes
-    m = math.inf
-    for e in idx.slab_edges(i):
-        m = min(m, h[e, 0] * x + h[e, 1] * y + h[e, 2])
-        if counter is not None:
-            counter.evals += 1
-    return classify_min(m, eps_q)
+    return Containment(int(locate_uniform_slabs_batch(idx, p)[0]))
 
 
 def locate_uniform_slabs_batch(idx: UniformSlabIndex2, points) -> np.ndarray:

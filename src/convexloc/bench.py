@@ -101,6 +101,8 @@ def time_queries(query_fn, points, reps: int, chunk: int = QUERY_CHUNK):
     """(mean_query_ns, p99_query_ns) over reps repetitions; one warmup."""
     pts = np.asarray(points, dtype=float)
     m = len(pts)
+    if m == 0:
+        raise ValueError("bench needs a non-empty query point set")
     query_fn(pts[:min(m, chunk)])
     means = []
     chunk_means = []

@@ -31,7 +31,7 @@ _CODE_NAMES = {int(Containment.OUTSIDE): "Outside",
                int(Containment.INSIDE): "Inside"}
 
 # Axis/rotation cycle for verification corpora; modest eccentricity keeps
-# the default polar slab budget at <= 2 candidates per slab.
+# the default polar slab budget far below SLAB_CAP.
 _CORPUS_AXES = ((1.0, 1.0), (1.3, 0.9), (1.5, 1.0), (0.8, 1.2))
 
 

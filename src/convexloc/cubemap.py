@@ -85,34 +85,15 @@ def _clip_halfspace(pts, fvals):
     return out
 
 
-def _rect_overlaps(pts, s0, s1, t0, t1, tol):
-    """Separating-axis test between a convex 2D polygon and a rectangle.
-
-    The rectangle axes are assumed already tested (callers scan only cells
-    in the polygon's bounding rectangle), so only polygon edges remain.
-    """
-    corners = ((s0, t0), (s1, t0), (s1, t1), (s0, t1))
-    n = len(pts)
-    for k in range(n):
-        x1, y1 = pts[k]
-        x2, y2 = pts[(k + 1) % n]
-        nx, ny = y1 - y2, x2 - x1
-        if max(nx * (cx - x1) + ny * (cy - y1) for cx, cy in corners) < -tol:
-            return False
-    return True
-
-
 def project_face_conservative(face_vertices, x_t, resolution: int,
-                              scan_exact: bool = False,
                               eps_len: float | None = None):
     """Cube-map cells that the face can decide queries for, as (face, i, j).
 
     The face ring is clipped against each cube-face frustum (apex x_t); the
     surviving part is projected to (s, t) face coordinates and covered by the
-    rectangle of cells spanning its extent, padded by a small constant.  With
-    scan_exact the rectangle is tightened to cells actually overlapping the
-    footprint.  The clip keeps a margin eps_len in front of the apex, so
-    projection never divides by zero.
+    rectangle of cells spanning its extent, padded by a small constant.  The
+    clip keeps a margin eps_len in front of the apex, so projection never
+    divides by zero.
     """
     ring = np.asarray(face_vertices, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
@@ -143,24 +124,14 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
             area2 += s1 * t2 - s2 * t1
         if abs(area2) < 2.0 * _AREA_DROP:
             continue
-        if area2 < 0.0:
-            proj.reverse()
         ss = [q[0] for q in proj]
         tt = [q[1] for q in proj]
         i0 = _cell_of(min(ss) - _RECT_PAD, resolution)
         i1 = _cell_of(max(ss) + _RECT_PAD, resolution)
         j0 = _cell_of(min(tt) - _RECT_PAD, resolution)
         j1 = _cell_of(max(tt) + _RECT_PAD, resolution)
-        step = 2.0 / resolution
-        for i in range(i0, i1 + 1):
-            cs0 = -1.0 + i * step
-            for j in range(j0, j1 + 1):
-                if scan_exact:
-                    ct0 = -1.0 + j * step
-                    if not _rect_overlaps(proj, cs0, cs0 + step, ct0, ct0 + step,
-                                          1e-12):
-                        continue
-                cells.append((face, i, j))
+        cells += [(face, i, j)
+                  for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
     return cells
 
 
@@ -196,7 +167,7 @@ def default_cubemap_resolution(n_faces: int) -> int:
 
 
 def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
-                        x_t=None, scan_exact: bool = False) -> CubeMapIndex3:
+                        x_t=None) -> CubeMapIndex3:
     """Build the cube-map index; O(F + cells) for bounded footprints.
 
     Raises ReferenceNotInterior when x_t is not strictly inside.
@@ -215,8 +186,7 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
     face_ids = []
     for k, ring in enumerate(poly.faces):
         for face, i, j in project_face_conservative(
-                poly.vertices[list(ring)], x_t, resolution,
-                scan_exact=scan_exact, eps_len=poly.tol.eps_len):
+                poly.vertices[list(ring)], x_t, resolution, eps_len=poly.tol.eps_len):
             cell_ids.append((face * resolution + i) * resolution + j)
             face_ids.append(k)
     n_cells = 6 * resolution * resolution

@@ -47,6 +47,8 @@ def gen_convex_polygon(spec: GenSpec2) -> ConvexPolygon:
         raise ValueError("polygon generator needs n >= 3")
     if not 0.0 <= spec.jitter <= 0.9:
         raise ValueError("jitter must lie in [0, 0.9] to bound angular gaps")
+    if len(spec.semi_axes) != 2:
+        raise ValueError("polygon generator needs exactly two semi-axes")
     a, b = float(spec.semi_axes[0]), float(spec.semi_axes[1])
     if a <= 0.0 or b <= 0.0:
         raise ValueError("semi-axes must be positive")

@@ -8,8 +8,9 @@ listing, per interval, every edge whose angular span touches it yields an
 index with O(1) expected candidates per query: one multiply-and-floor finds
 the slab, and only its few listed edges are evaluated.
 
-Build cost is O(N + n_slabs); with well-separated vertices the default slab
-count keeps at most two candidate edges per slab.
+Build cost is O(N + n_slabs).  The default slab count makes every slab
+narrower than the smallest gap between the vertices' boundary parameters,
+so no slab holds two vertices and none lists more than two candidate edges.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .core import (Aabb, Containment, ConvexPolygon, EvalCounter,
                    centroid, classify_min, plane_eval)
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
-SLABS_PER_EDGE = 4         # default slab budget multiplier
 
 
 def boundary_param(box: Aabb, x_t, p, eps_len: float | None = None) -> float:
@@ -122,20 +122,6 @@ def _slab_of(u, n_slabs: int, perimeter: float) -> np.ndarray:
     return i.astype(np.int64) % n_slabs
 
 
-def default_polar_slab_count(poly: ConvexPolygon, x_t, perimeter: float) -> int:
-    """Slab budget: at least SLABS_PER_EDGE per edge, and fine enough that a
-    slab's arc is shorter than the image of the shortest edge under the most
-    pessimistic angular compression seen from x_t."""
-    v = poly.vertices
-    nxt = np.roll(v, -1, axis=0)
-    edge_len = np.linalg.norm(nxt - v, axis=1)
-    mid = 0.5 * (v + nxt)
-    d_mid = np.linalg.norm(mid - x_t, axis=1)
-    d_vert = np.linalg.norm(v - x_t, axis=1)
-    ell = float(edge_len.min()) * float(d_mid.min()) / float(d_vert.max())
-    return max(SLABS_PER_EDGE * poly.n, int(math.ceil(perimeter / ell)))
-
-
 def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
                       x_t=None) -> PolarIndex2:
     """Build the angular slab index in O(N + n_slabs).
@@ -143,6 +129,8 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
     Vertices are mapped to boundary parameters with the same code path used
     by queries, so an edge's slab interval (closed, endpoints included) is
     guaranteed to cover every slab a query ray hitting that edge can map to.
+    The default n_slabs is ceil(U / g) + 1 for the smallest cyclic gap g
+    between vertex parameters; g == 0 asks for more than SLAB_CAP.
     Raises ReferenceNotInterior when x_t is not strictly inside.
     """
     if x_t is None:
@@ -156,11 +144,14 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
     h = float(box.hi[1] - box.lo[1])
     perimeter = 2.0 * (w + h)
 
+    u = boundary_param_batch(box, x_t, poly.vertices)
     if n_slabs is None:
-        n_slabs = default_polar_slab_count(poly, x_t, perimeter)
+        us = np.sort(u)
+        gap = float(np.diff(us, append=us[0] + perimeter).min())
+        n_slabs = math.ceil(perimeter / gap) + 1 if gap > 0.0 else SLAB_CAP + 1
     n_slabs = clamp_budget("polar slab count", n_slabs, SLAB_CAP)
 
-    s = _slab_of(boundary_param_batch(box, x_t, poly.vertices), n_slabs, perimeter)
+    s = _slab_of(u, n_slabs, perimeter)
     runs = (np.roll(s, -1) - s) % n_slabs + 1
     slab_ids = run_expand(s, runs) % n_slabs
     edge_ids = np.repeat(np.arange(poly.n, dtype=np.int32), runs)

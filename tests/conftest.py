@@ -14,7 +14,7 @@ from convexloc import (GenSpec2, GenSpec3, QuerySpec, build_cubemap_index,
                        gen_convex_polyhedron, gen_query_points)
 
 # Ellipse semi-axes cycled over the corpus; aspect ratios stay modest so the
-# default slab budget keeps per-slab occupancy at the documented bound.
+# default slab budget stays far below SLAB_CAP.
 CORPUS_AXES = ((1.0, 1.0), (1.3, 0.9), (1.5, 1.0), (0.8, 1.2))
 SIZES_2D = (8, 64, 512, 4096)
 SHAPES_PER_SIZE = 25

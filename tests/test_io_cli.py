@@ -161,6 +161,9 @@ def test_cli_locate_center_is_inside(tmp_path, capsys):
     ["locate", "--shape", "/nonexistent", "--points", "/nonexistent"],
     ["locate", "--shape", "/nonexistent"],
     ["gen", "--polygon", "-n", "2", "--seed", "0", "--out", "/tmp/x.txt"],
+    ["gen", "--polygon", "--axes", "2", "--out", "/tmp/x.txt"],
+    ["gen", "--polygon", "--axes", "1,2,3", "--out", "/tmp/x.txt"],
+    ["bench", "--dim", "2", "--sizes", "8", "--points", "0"],
     ["frobnicate"],
     [],
 ])

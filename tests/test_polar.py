@@ -1,6 +1,7 @@
 """Angular slab index: boundary parameterization, build, queries."""
 
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -103,14 +104,26 @@ def test_slabs_cover_all_edges_and_stay_contiguous():
 def test_default_slab_count_keeps_occupancy_low():
     poly = gen_convex_polygon(GenSpec2(1024, 9, jitter=0.0))
     idx = build_polar_index(poly)
-    assert idx.n_slabs >= 4 * poly.n
+    u = boundary_param_batch(idx.box, idx.x_t, poly.vertices)
+    assert len(np.unique(idx.slab_of(u))) == poly.n
     assert idx.max_occupancy <= 2
+
+
+def test_default_slab_count_fits_eccentric_ellipse():
+    """A 10:1 ellipse's default budget stays well under SLAB_CAP."""
+    ellipse = gen_convex_polygon(GenSpec2(n=4096, seed=0, jitter=0.9,
+                                          semi_axes=(10, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CapExceeded)
+        idx = build_polar_index(ellipse)
+    assert idx.max_occupancy <= 2
+    assert idx.n_slabs < 2 ** 18
 
 
 def test_slab_count_clamp_warns():
     """Derived and requested budgets both warn when clamped to SLAB_CAP."""
     ellipse = gen_convex_polygon(GenSpec2(n=4096, seed=0, jitter=0.9,
-                                          semi_axes=(10, 1)))
+                                          semi_axes=(100, 1)))
     with pytest.warns(CapExceeded):
         assert build_polar_index(ellipse).n_slabs == SLAB_CAP
     with pytest.warns(CapExceeded):
