@@ -32,17 +32,17 @@ from .polar import build_polar_index, locate_polar_batch
 CSV_HEADER = "method,N,M,build_ns,mean_query_ns,p99_query_ns,max_occupancy,mismatches"
 
 
-# (dimension, method name) -> (build(shape, n_slabs, resolution) -> index,
-# locate_batch(index, points) -> int8 codes); a linear scan's index is the shape.
+# (dimension, method name) -> (build(shape) -> index, locate_batch(index,
+# points) -> int8 codes); a linear scan's index is the shape.  Every bucket
+# budget is derived from the shape.
 METHODS = {
-    (2, "linear"): (lambda s, n, r: s, locate_linear_2d_batch),
-    (2, "wedge"): (lambda s, n, r: build_wedge_index(s), locate_wedge_batch),
-    (2, "slabs-sorted"): (lambda s, n, r: build_sorted_slabs(s), locate_sorted_slabs_batch),
-    (2, "slabs-uniform"): (lambda s, n, r: build_uniform_slabs(s, n),
-                           locate_uniform_slabs_batch),
-    (2, "polar"): (lambda s, n, r: build_polar_index(s, n), locate_polar_batch),
-    (3, "linear"): (lambda s, n, r: s, locate_linear_3d_batch),
-    (3, "cubemap"): (lambda s, n, r: build_cubemap_index(s, r), locate_cubemap_batch),
+    (2, "linear"): (lambda s: s, locate_linear_2d_batch),
+    (2, "wedge"): (build_wedge_index, locate_wedge_batch),
+    (2, "slabs-sorted"): (build_sorted_slabs, locate_sorted_slabs_batch),
+    (2, "slabs-uniform"): (build_uniform_slabs, locate_uniform_slabs_batch),
+    (2, "polar"): (build_polar_index, locate_polar_batch),
+    (3, "linear"): (lambda s: s, locate_linear_3d_batch),
+    (3, "cubemap"): (build_cubemap_index, locate_cubemap_batch),
 }
 METHODS_2D = tuple(name for dim, name in METHODS if dim == 2)
 METHODS_3D = tuple(name for dim, name in METHODS if dim == 3)
@@ -71,8 +71,7 @@ def records_to_csv(records) -> str:
     return "\n".join([CSV_HEADER, *(r.csv_row() for r in records)]) + "\n"
 
 
-def make_locator(shape, method: str, n_slabs: int | None = None,
-                 resolution: int | None = None):
+def make_locator(shape, method: str):
     """Zero-argument builder for (batch_query_fn, max_occupancy).
 
     max_occupancy is 0 for methods without bucket lists.  Raises ValueError
@@ -88,7 +87,7 @@ def make_locator(shape, method: str, n_slabs: int | None = None,
     build_index, locate_batch = METHODS[(dim, method)]
 
     def build():
-        idx = build_index(shape, n_slabs, resolution)
+        idx = build_index(shape)
         return (lambda pts: locate_batch(idx, pts)), getattr(idx, "max_occupancy", 0)
     return build
 
@@ -119,9 +118,8 @@ def time_queries(query_fn, points, reps: int, chunk: int = QUERY_CHUNK):
     return float(np.median(means)), float(np.percentile(chunk_means, 99))
 
 
-def bench_one(shape, method: str, points, reps: int = 3,
-              n_slabs: int | None = None, resolution: int | None = None) -> BenchRecord:
-    builder = make_locator(shape, method, n_slabs=n_slabs, resolution=resolution)
+def bench_one(shape, method: str, points, reps: int = 3) -> BenchRecord:
+    builder = make_locator(shape, method)
     build_times = []
     query_fn = None
     occ = 0

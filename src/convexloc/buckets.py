@@ -1,21 +1,24 @@
 """Bucket tables, the one format behind polar slabs, the cube map and
-uniform y-slabs.
+uniform y-slabs, and the query path of the direction-bucket indexes.
 
 A bucketed index maps a query to one bucket (a slab or a cube-map cell)
 and evaluates only the planes listed for that bucket.  The lists are kept
 in CSR layout (offsets, items, counts) and, for batch queries, as a padded
 gather table.  This module builds both, clamps bucket budgets to their
 caps, and holds the batch kernel that takes the minimal signed distance
-over a bucket's planes.
+over a bucket's planes.  The polar and cube-map locators answer through
+locate_radial (one point, Python floats) and locate_radial_batch (numpy),
+which apply the same policy with the same plane arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
 
-from .core import CapExceeded, Containment, classify_min
+from .core import CapExceeded, Containment, EvalCounter, classify_min
 
 
 def clamp_budget(what: str, n, cap: int) -> int:
@@ -71,7 +74,7 @@ def bucketed_min(planes: np.ndarray, padded: np.ndarray, bucket_ids, q: np.ndarr
     bucket bucket_ids[k] of the padded table.
 
     Each plane is evaluated as a*x + b*y (+ c*z) + d, summed left to right,
-    the same arithmetic as the scalar locators' loops.
+    the same arithmetic as the candidate loop of locate_radial.
     """
     hc = planes[padded[bucket_ids]]
     dim = q.shape[1]
@@ -82,14 +85,42 @@ def bucketed_min(planes: np.ndarray, padded: np.ndarray, bucket_ids, q: np.ndarr
     return vals.min(axis=1)
 
 
+def locate_radial(shape, planes: np.ndarray, x_t: np.ndarray, p, candidates,
+                  counter: EvalCounter | None = None) -> Containment:
+    """O(1) classification of one point through a direction-bucket index
+    around the strictly interior reference point x_t.
+
+    A point outside the shape's bounding box (beyond the eps_q band), or
+    with a non-finite coordinate, is Outside without any plane evaluation;
+    a point within eps_len of x_t is Inside by construction.  Any other
+    point q (a list of floats) is classified by the minimal signed distance
+    over the planes candidates(q) lists for its bucket; counter.evals grows
+    by their number.  Same policy and arithmetic as locate_radial_batch.
+    """
+    eps_q = shape.tol.eps_q
+    q = [float(c) for c in p]
+    for c, lo, hi in zip(q, shape.aabb.lo.tolist(), shape.aabb.hi.tolist()):
+        if not lo - eps_q <= c <= hi + eps_q:
+            return Containment.OUTSIDE
+    if math.dist(q, x_t.tolist()) <= shape.tol.eps_len:
+        return Containment.INSIDE
+    listed = candidates(q)
+    if counter is not None:
+        counter.evals += len(listed)
+    if len(q) == 2:
+        x, y = q
+        m = min([a * x + b * y + d for a, b, d in planes[listed].tolist()])
+    else:
+        x, y, z = q
+        m = min([a * x + b * y + c * z + d for a, b, c, d in planes[listed].tolist()])
+    return classify_min(m, eps_q)
+
+
 def locate_radial_batch(shape, planes: np.ndarray, x_t: np.ndarray, padded: np.ndarray,
                         points, bucket_of) -> np.ndarray:
-    """Batch classification through a direction-bucket index around x_t.
+    """Batch form of locate_radial: int8 Containment codes, one per point.
 
-    Points outside the shape's bounding box (beyond the eps_q band), and
-    points with a non-finite coordinate, are Outside without any plane
-    evaluation; points within eps_len of x_t are Inside by construction.
-    bucket_of(q) maps the remaining points to their bucket ids.
+    bucket_of(q) maps the points that reach the planes to their bucket ids.
     """
     eps_q = shape.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))

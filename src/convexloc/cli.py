@@ -76,8 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     lo.add_argument("--points", required=True, help="text file of query points")
     lo.add_argument("--method", default=None,
                     help="|".join(sorted(set(METHODS_2D + METHODS_3D))))
-    lo.add_argument("--n-slabs", type=int, default=None)
-    lo.add_argument("--resolution", type=int, default=None)
     lo.add_argument("--out", default=None, help="write results here instead of stdout")
 
     ve = sub.add_parser("verify", help="cross-check methods on a generated corpus")
@@ -90,8 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shapes per size/level")
     ve.add_argument("--points", type=int, default=1000)
     ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--n-slabs", type=int, default=None)
-    ve.add_argument("--resolution", type=int, default=None)
 
     be = sub.add_parser("bench", help="time builds and queries, emit CSV")
     be.add_argument("--dim", choices=["2", "3"], required=True)
@@ -102,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--points", type=int, default=100000)
     be.add_argument("--reps", type=int, default=3)
     be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--n-slabs", type=int, default=None)
-    be.add_argument("--resolution", type=int, default=None)
     be.add_argument("--out", default=None)
     return ap
 
@@ -130,7 +124,7 @@ def cmd_locate(args) -> int:
         raise ParseError(f"{args.points}: points are {pts.shape[1]}D "
                          f"but the shape is {dim}D")
     method = args.method or ("polar" if dim == 2 else "cubemap")
-    codes = make_locator(shape, method, args.n_slabs, args.resolution)()[0](pts)
+    codes = make_locator(shape, method)()[0](pts)
     lines = [f"{i} {_CODE_NAMES[int(c)]}" for i, c in enumerate(codes)]
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -142,40 +136,37 @@ def cmd_locate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    total_mismatches = 0
-    checked = 0
+    if args.points < 1:
+        raise ValueError("verify needs at least one query point per shape")
+    jobs = []   # (shape, label, methods)
+    if args.dim in ("2", "both"):
+        for n in args.sizes:
+            for s in range(args.shape_seeds):
+                k = len(jobs)
+                spec = GenSpec2(n=n, seed=args.seed + 101 * k + s,
+                                semi_axes=_CORPUS_AXES[k % len(_CORPUS_AXES)],
+                                rotation=0.3 * k)
+                jobs.append((gen_convex_polygon(spec), f"polygon n={n} seed={spec.seed}",
+                             METHODS_2D))
+    if args.dim in ("3", "both"):
+        for level in args.levels:
+            for s in range(args.shape_seeds):
+                spec = GenSpec3(level=level, seed=args.seed + 977 * len(jobs) + s)
+                jobs.append((gen_convex_polyhedron(spec),
+                             f"polyhedron level={level} seed={spec.seed}", METHODS_3D))
+    if not jobs:
+        raise ValueError("verify would check no shape")
 
-    def run(shape, label, methods):
-        nonlocal total_mismatches, checked
-        pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + checked))
-        fns = {m: make_locator(shape, m, args.n_slabs, args.resolution)()[0]
-               for m in methods}
-        rep = compare_methods(shape, pts, fns)
-        checked += 1
+    total_mismatches = 0
+    for k, (shape, label, methods) in enumerate(jobs):
+        pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + k))
+        rep = compare_methods(shape, pts, {m: make_locator(shape, m)()[0] for m in methods})
         total_mismatches += rep.n_mismatches
         status = "ok" if rep.n_mismatches == 0 else f"{rep.n_mismatches} MISMATCHES"
         print(f"{label}: {rep.n_points} points x {len(methods)} methods: {status}")
         for ex in rep.examples[:4]:
             print(f"  point {ex[1]} distance {ex[2]:.3e} codes {ex[3]}")
-
-    k = 0
-    if args.dim in ("2", "both"):
-        for n in args.sizes:
-            for s in range(args.shape_seeds):
-                spec = GenSpec2(n=n, seed=args.seed + 101 * k + s,
-                                semi_axes=_CORPUS_AXES[k % len(_CORPUS_AXES)],
-                                rotation=0.3 * k)
-                run(gen_convex_polygon(spec), f"polygon n={n} seed={spec.seed}",
-                    METHODS_2D)
-                k += 1
-    if args.dim in ("3", "both"):
-        for level in args.levels:
-            for s in range(args.shape_seeds):
-                spec = GenSpec3(level=level, seed=args.seed + 977 * k + s)
-                run(gen_convex_polyhedron(spec),
-                    f"polyhedron level={level} seed={spec.seed}", METHODS_3D)
-                k += 1
-    print(f"verified {checked} shapes, {total_mismatches} mismatches")
+    print(f"verified {len(jobs)} shapes, {total_mismatches} mismatches")
     return 1 if total_mismatches else 0
 
 
@@ -193,8 +184,7 @@ def cmd_bench(args) -> int:
     records = []
     for shape in shapes:
         pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + 1))
-        records += [bench_one(shape, m, pts, reps=args.reps, n_slabs=args.n_slabs,
-                              resolution=args.resolution) for m in methods]
+        records += [bench_one(shape, m, pts, reps=args.reps) for m in methods]
     text = records_to_csv(records)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

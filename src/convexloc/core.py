@@ -192,14 +192,16 @@ def plane_eval(planes, points):
 
 
 def classify_min(min_vals, eps_q: float):
-    """Map minimal signed distances to Containment codes (int8)."""
+    """Map minimal signed distances to Containment codes: one Containment
+    for a 0-d input, an int8 array otherwise."""
     m = np.asarray(min_vals)
-    out = np.where(m > eps_q, np.int8(Containment.INSIDE),
-                   np.where(m >= -eps_q, np.int8(Containment.ON_BOUNDARY),
-                            np.int8(Containment.OUTSIDE)))
     if m.ndim == 0:
-        return Containment(int(out))
-    return out.astype(np.int8, copy=False)
+        m = float(m)
+        return (Containment.INSIDE if m > eps_q else
+                Containment.ON_BOUNDARY if m >= -eps_q else Containment.OUTSIDE)
+    return np.where(m > eps_q, np.int8(Containment.INSIDE),
+                    np.where(m >= -eps_q, np.int8(Containment.ON_BOUNDARY),
+                             np.int8(Containment.OUTSIDE))).astype(np.int8, copy=False)
 
 
 def default_scale(*point_sets) -> float:

@@ -13,6 +13,9 @@ constant.  Footprints whose clipped area vanishes are dropped; any direction
 through such a sliver lies on the shared edge of adjacent faces, and the
 neighbouring face that shares that edge has a non-degenerate footprint
 there, so the deciding boundary plane is still listed.
+
+Queries go through buckets.locate_radial (one point, in floats) and
+buckets.locate_radial_batch; this module supplies only a query's cell.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .buckets import clamp_budget, csr_sort, locate_radial_batch, padded_table
+from .buckets import (clamp_budget, csr_sort, locate_radial, locate_radial_batch,
+                      padded_table)
 from .core import (Containment, ConvexPolyhedron, EvalCounter,
-                   ReferenceNotInterior, ZeroDirection, centroid, classify_min,
-                   default_scale, plane_eval)
+                   ReferenceNotInterior, ZeroDirection, centroid, default_scale,
+                   plane_eval)
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -50,21 +54,17 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float | None = None):
     remaining axis (ascending), j the second, each by floor((s+1)/2 * R)
     clamped to [0, R-1].  Raises ZeroDirection when p ~ x_t.
     """
-    x_t = np.asarray(x_t, dtype=float)
-    p = np.asarray(p, dtype=float)
     if eps_len is None:
         eps_len = 1e-12 * default_scale(x_t, p)
-    d = p - x_t
-    if float(np.linalg.norm(d)) < eps_len:
+    d = [float(a) - float(b) for a, b in zip(p, x_t)]
+    if math.hypot(*d) < eps_len:
         raise ZeroDirection("query coincides with the reference point")
-    ad = np.abs(d)
-    axis = int(np.argmax(ad))
-    dom = float(d[axis])
-    face = 2 * axis + (1 if dom < 0.0 else 0)
+    ad = [abs(c) for c in d]
+    axis = ad.index(max(ad))
+    face = 2 * axis + (1 if d[axis] < 0.0 else 0)
     ua, va = _UV[axis]
-    s = float(d[ua]) / abs(dom)
-    t = float(d[va]) / abs(dom)
-    return face, _cell_of(s, resolution), _cell_of(t, resolution)
+    return (face, _cell_of(d[ua] / ad[axis], resolution),
+            _cell_of(d[va] / ad[axis], resolution))
 
 
 def _clip_halfspace(pts, fvals):
@@ -156,6 +156,20 @@ class CubeMapIndex3:
         flat = (face * self.resolution + i) * self.resolution + j
         return self.faces_flat[self.offsets[flat]:self.offsets[flat + 1]]
 
+    def cell_of(self, points) -> np.ndarray:
+        """Flat cell ids of the directions x_t -> points[k] for an (n, 3)
+        array (batch cubemap_cell); callers must mask zero directions."""
+        res = self.resolution
+        uv = np.asarray(_UV, dtype=np.int64)
+        d = np.asarray(points, dtype=float) - self.x_t
+        axis = np.argmax(np.abs(d), axis=1)
+        rows = np.arange(len(d))
+        dom = np.abs(d[rows, axis])
+        face = 2 * axis + (d[rows, axis] < 0.0)
+        i = np.clip(np.floor((d[rows, uv[axis, 0]] / dom + 1.0) * 0.5 * res), 0, res - 1)
+        j = np.clip(np.floor((d[rows, uv[axis, 1]] / dom + 1.0) * 0.5 * res), 0, res - 1)
+        return (face * res + i.astype(np.int64)) * res + j.astype(np.int64)
+
     @cached_property
     def padded_faces(self) -> np.ndarray:
         return padded_table(self.offsets, self.faces_flat, self.counts)
@@ -205,42 +219,15 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
 
 
 def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) -> Containment:
-    """O(1) query: direction cell lookup, then the cell's candidate faces.
-
-    Points outside the bounding box (beyond the eps_q band), and points with
-    a non-finite coordinate, are Outside without any face evaluation.
-    """
-    poly = idx.poly
-    eps_q = poly.tol.eps_q
-    p = np.asarray(p, dtype=float)
-    if not bool(poly.aabb.contains(p, pad=eps_q)):
-        return Containment.OUTSIDE
-    if float(np.linalg.norm(p - idx.x_t)) <= poly.tol.eps_len:
-        return Containment.INSIDE
-    face, i, j = cubemap_cell(idx.x_t, idx.resolution, p, eps_len=poly.tol.eps_len)
-    hs = poly.halfspaces
-    m = math.inf
-    for f in idx.cell_faces(face, i, j):
-        m = min(m, hs[f, 0] * p[0] + hs[f, 1] * p[1] + hs[f, 2] * p[2] + hs[f, 3])
-        if counter is not None:
-            counter.evals += 1
-    return classify_min(m, eps_q)
+    """O(1) query: direction cell lookup, then the cell's candidate faces;
+    buckets.locate_radial applies the policy."""
+    def cell_faces(q):
+        return idx.cell_faces(*cubemap_cell(idx.x_t, idx.resolution, q,
+                                            eps_len=idx.poly.tol.eps_len))
+    return locate_radial(idx.poly, idx.poly.halfspaces, idx.x_t, p, cell_faces, counter)
 
 
 def locate_cubemap_batch(idx: CubeMapIndex3, points) -> np.ndarray:
     """Batch form of locate_cubemap: int8 Containment codes, one per point."""
-    res = idx.resolution
-    uv = np.asarray(_UV, dtype=np.int64)
-
-    def cells(q):
-        d = q - idx.x_t
-        axis = np.argmax(np.abs(d), axis=1)
-        rows = np.arange(len(d))
-        dom = np.abs(d[rows, axis])
-        face = 2 * axis + (d[rows, axis] < 0.0)
-        i = np.clip(np.floor((d[rows, uv[axis, 0]] / dom + 1.0) * 0.5 * res), 0, res - 1)
-        j = np.clip(np.floor((d[rows, uv[axis, 1]] / dom + 1.0) * 0.5 * res), 0, res - 1)
-        return (face * res + i.astype(np.int64)) * res + j.astype(np.int64)
-
     return locate_radial_batch(idx.poly, idx.poly.halfspaces, idx.x_t,
-                               idx.padded_faces, points, cells)
+                               idx.padded_faces, points, idx.cell_of)

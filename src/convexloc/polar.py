@@ -11,6 +11,9 @@ the slab, and only its few listed edges are evaluated.
 Build cost is O(N + n_slabs).  The default slab count makes every slab
 narrower than the smallest gap between the vertices' boundary parameters,
 so no slab holds two vertices and none lists more than two candidate edges.
+
+Queries go through buckets.locate_radial (one point, in floats) and
+buckets.locate_radial_batch; this module supplies only a query's slab.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .buckets import (clamp_budget, csr_sort, locate_radial_batch, padded_table,
-                      run_expand)
+from .buckets import (clamp_budget, csr_sort, locate_radial, locate_radial_batch,
+                      padded_table, run_expand)
 from .core import (Aabb, Containment, ConvexPolygon, EvalCounter,
                    ReferenceNotInterior, SLAB_CAP, ZeroDirection,
-                   centroid, classify_min, plane_eval)
+                   centroid, plane_eval)
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
 
@@ -40,23 +43,22 @@ def boundary_param(box: Aabb, x_t, p, eps_len: float | None = None) -> float:
     """
     if eps_len is None:
         eps_len = 1e-12 * box.diagonal
-    x_t = np.asarray(x_t, dtype=float)
-    p = np.asarray(p, dtype=float)
-    dx = float(p[0] - x_t[0])
-    dy = float(p[1] - x_t[1])
+    xt, yt = float(x_t[0]), float(x_t[1])
+    dx = float(p[0]) - xt
+    dy = float(p[1]) - yt
     if math.hypot(dx, dy) < eps_len:
         raise ZeroDirection("query coincides with the reference point")
-    lox, loy = float(box.lo[0]), float(box.lo[1])
-    hix, hiy = float(box.hi[0]), float(box.hi[1])
+    lox, loy = box.lo.tolist()
+    hix, hiy = box.hi.tolist()
     w = hix - lox
     h = hiy - loy
-    tx = math.inf if dx == 0.0 else ((hix if dx > 0.0 else lox) - float(x_t[0])) / dx
-    ty = math.inf if dy == 0.0 else ((hiy if dy > 0.0 else loy) - float(x_t[1])) / dy
+    tx = math.inf if dx == 0.0 else ((hix if dx > 0.0 else lox) - xt) / dx
+    ty = math.inf if dy == 0.0 else ((hiy if dy > 0.0 else loy) - yt) / dy
     if tx <= ty:
-        ey = min(max(float(x_t[1]) + tx * dy, loy), hiy)
+        ey = min(max(yt + tx * dy, loy), hiy)
         u = (ey - loy) if dx > 0.0 else h + w + (hiy - ey)
     else:
-        ex = min(max(float(x_t[0]) + ty * dx, lox), hix)
+        ex = min(max(xt + ty * dx, lox), hix)
         u = h + (hix - ex) if dy > 0.0 else 2.0 * h + w + (ex - lox)
     total = 2.0 * (w + h)
     return u - total if u >= total else u
@@ -168,30 +170,12 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
 
 
 def locate_polar(idx: PolarIndex2, p, counter: EvalCounter | None = None) -> Containment:
-    """O(1) query: slab lookup by one floor, then the slab's candidate edges.
-
-    Points outside the polygon's bounding box (beyond the eps_q band), and
-    points with a non-finite coordinate, are rejected without any edge
-    evaluation; a point within eps_len of x_t is Inside by construction.
-    """
-    poly = idx.poly
-    eps_q = poly.tol.eps_q
-    x, y = float(p[0]), float(p[1])
-    lo, hi = poly.aabb.lo, poly.aabb.hi
-    if not (lo[0] - eps_q <= x <= hi[0] + eps_q
-            and lo[1] - eps_q <= y <= hi[1] + eps_q):
-        return Containment.OUTSIDE
-    if math.hypot(x - idx.x_t[0], y - idx.x_t[1]) <= poly.tol.eps_len:
-        return Containment.INSIDE
-    u = boundary_param(idx.box, idx.x_t, (x, y), eps_len=poly.tol.eps_len)
-    i = int(u * (idx.n_slabs / idx.perimeter)) % idx.n_slabs
-    hp = poly.halfplanes
-    m = math.inf
-    for e in idx.slab_edges(i):
-        m = min(m, hp[e, 0] * x + hp[e, 1] * y + hp[e, 2])
-        if counter is not None:
-            counter.evals += 1
-    return classify_min(m, eps_q)
+    """O(1) query: slab lookup by one floor, then the slab's candidate edges;
+    buckets.locate_radial applies the policy."""
+    def slab_edges(q):
+        u = boundary_param(idx.box, idx.x_t, q, eps_len=idx.poly.tol.eps_len)
+        return idx.slab_edges(int(u * (idx.n_slabs / idx.perimeter)) % idx.n_slabs)
+    return locate_radial(idx.poly, idx.poly.halfplanes, idx.x_t, p, slab_edges, counter)
 
 
 def locate_polar_batch(idx: PolarIndex2, points) -> np.ndarray:

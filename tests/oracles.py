@@ -71,3 +71,36 @@ def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):
 def regular_polygon(n, radius=1.0):
     th = np.arange(n) * (2.0 * np.pi / n)
     return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
+
+
+def policy_edge_points(shape, x_t):
+    """Points on the edges of the direction-bucket query policy: exactly
+    eps_q and 2*eps_q beyond each bounding-box face (moved out from x_t and
+    from the vertex that attains the face), x_t itself, and x_t +- eps_len/2
+    and x_t +- eps_len along each axis."""
+    tol, lo, hi = shape.tol, shape.aabb.lo, shape.aabb.hi
+    x_t = np.asarray(x_t, dtype=float)
+    out = [x_t]
+    for k in range(len(x_t)):
+        for face, side, vertex in ((hi[k], 1.0, shape.vertices[:, k].argmax()),
+                                   (lo[k], -1.0, shape.vertices[:, k].argmin())):
+            for base in (x_t, shape.vertices[vertex]):
+                for f in (1.0, 2.0):
+                    p = np.array(base, dtype=float)
+                    p[k] = face + side * f * tol.eps_q
+                    out.append(p)
+        for step in (0.5, -0.5, 1.0, -1.0):
+            p = x_t.copy()
+            p[k] += step * tol.eps_len
+            out.append(p)
+    return np.array(out)
+
+
+def reaches_planes(shape, x_t, points):
+    """Mask of the points a direction-bucket locator must evaluate planes
+    for: inside the bounding box grown by eps_q and farther than eps_len
+    from x_t."""
+    pts = np.asarray(points, dtype=float)
+    pad = shape.tol.eps_q
+    inbox = ((pts >= shape.aabb.lo - pad) & (pts <= shape.aabb.hi + pad)).all(axis=1)
+    return inbox & (np.linalg.norm(pts - x_t, axis=1) > shape.tol.eps_len)

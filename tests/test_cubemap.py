@@ -12,7 +12,7 @@ from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpe
                        validate_polyhedron)
 from convexloc.cubemap import default_cubemap_resolution
 
-from oracles import brute_exit_edges
+from oracles import brute_exit_edges, policy_edge_points, reaches_planes
 
 CUBE = validate_polyhedron(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -141,13 +141,21 @@ def test_cubemap_matches_linear():
 
 
 def test_cubemap_scalar_equals_batch():
+    """Same codes on both paths, also at the edges of the shared policy, and
+    the scalar path evaluates exactly the cell the batch path picks."""
     poly = gen_convex_polyhedron(GenSpec3(1, 55))
     idx = build_cubemap_index(poly)
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(400, 56)),
-                     poly.vertices, [idx.x_t]])
+                     poly.vertices, policy_edge_points(poly, idx.x_t)])
     batch = locate_cubemap_batch(idx, pts)
-    scalar = [int(locate_cubemap(idx, p)) for p in pts]
+    counters = [EvalCounter() for _ in pts]
+    scalar = [int(locate_cubemap(idx, p, c)) for p, c in zip(pts, counters)]
     np.testing.assert_array_equal(batch, scalar)
+    reached = reaches_planes(poly, idx.x_t, pts)
+    want = np.zeros(len(pts), dtype=np.int64)
+    want[reached] = idx.counts[idx.cell_of(pts[reached])]
+    np.testing.assert_array_equal([c.evals for c in counters], want)
+    assert 0 < reached.sum() < len(pts)
 
 
 def test_reference_point_checked():

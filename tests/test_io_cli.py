@@ -164,6 +164,9 @@ def test_cli_locate_center_is_inside(tmp_path, capsys):
     ["gen", "--polygon", "--axes", "2", "--out", "/tmp/x.txt"],
     ["gen", "--polygon", "--axes", "1,2,3", "--out", "/tmp/x.txt"],
     ["bench", "--dim", "2", "--sizes", "8", "--points", "0"],
+    ["verify", "--dim", "2", "--sizes", "8", "--shape-seeds", "1", "--points", "0"],
+    ["verify", "--dim", "2", "--shape-seeds", "0"],
+    ["verify", "--dim", "3", "--levels", ","],
     ["frobnicate"],
     [],
 ])

@@ -14,7 +14,7 @@ from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
                        locate_linear_2d_batch, locate_polar,
                        locate_polar_batch, validate_polygon)
 
-from oracles import brute_exit_edges
+from oracles import brute_exit_edges, policy_edge_points, reaches_planes
 
 UNIT_BOX = Aabb(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -191,13 +191,22 @@ def test_polar_matches_linear():
 
 
 def test_polar_scalar_equals_batch():
+    """Same codes on both paths, also at the edges of the shared policy, and
+    the scalar path evaluates exactly the slab the batch path picks."""
     poly = gen_convex_polygon(GenSpec2(21, 17))
     idx = build_polar_index(poly)
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(300, 18)),
-                     poly.vertices, [idx.x_t]])
+                     poly.vertices, policy_edge_points(poly, idx.x_t)])
     batch = locate_polar_batch(idx, pts)
-    scalar = [int(locate_polar(idx, p)) for p in pts]
+    counters = [EvalCounter() for _ in pts]
+    scalar = [int(locate_polar(idx, p, c)) for p, c in zip(pts, counters)]
     np.testing.assert_array_equal(batch, scalar)
+    reached = reaches_planes(poly, idx.x_t, pts)
+    want = np.zeros(len(pts), dtype=np.int64)
+    want[reached] = idx.counts[idx.slab_of(boundary_param_batch(idx.box, idx.x_t,
+                                                                pts[reached]))]
+    np.testing.assert_array_equal([c.evals for c in counters], want)
+    assert 0 < reached.sum() < len(pts)
 
 
 def test_polar_eval_count_bounded_by_occupancy():
