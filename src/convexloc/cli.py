@@ -125,7 +125,7 @@ def cmd_locate(args) -> int:
                          f"but the shape is {dim}D")
     method = args.method or ("polar" if dim == 2 else "cubemap")
     codes = make_locator(shape, method)()[0](pts)
-    lines = [f"{i} {_CODE_NAMES[int(c)]}" for i, c in enumerate(codes)]
+    lines = [f"{i} {_CODE_NAMES[c]}" for i, c in enumerate(codes.tolist())]
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

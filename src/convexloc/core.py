@@ -365,8 +365,9 @@ def min_signed_distance(shape, points) -> np.ndarray:
 def validate_polygon(vertices) -> ConvexPolygon:
     """Validate raw polygon vertices and return an immutable ConvexPolygon.
 
-    Checks: >= 3 finite vertices, strictly convex turns everywhere, no
-    degenerate edges.  Clockwise input is repaired by reversal.  Raises a
+    Checks: >= 3 finite vertices, strictly convex turns everywhere, a total
+    turning of one full circle, no degenerate edges.  All checks are O(N).
+    Clockwise input is repaired by reversal.  Raises a
     ValidationError subclass naming the first violated invariant.
     """
     v = np.array(vertices, dtype=float)
@@ -390,7 +391,8 @@ def validate_polygon(vertices) -> ConvexPolygon:
     # vertex names the real problem, not the zero cross product it causes.
     halfplanes = _edge_halfplanes(v, tol.eps_len)
     d = np.roll(v, -1, axis=0) - v
-    crosses = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
+    dn = np.roll(d, -1, axis=0)
+    crosses = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
     # The convexity floor scales with the incident edge lengths: the cross
     # product's rounding noise is ~eps_mach * coord_scale * edge_length, so
     # this clears it by orders of magnitude while still admitting the tiny
@@ -400,10 +402,23 @@ def validate_polygon(vertices) -> ConvexPolygon:
     if not (crosses > area_floor).all():
         bad = int(np.argmin(crosses))
         raise NotConvex(f"non-convex or collinear turn at vertex {(bad + 1) % len(v)}")
-    # Numeric sanity: every vertex must satisfy every inward half-plane.
-    # This also rejects locally-convex but multiply-wound vertex orders.
-    if min_signed_distance(halfplanes, v).min() < -tol.eps_plane:
-        raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
+    # Every turn is strictly left, so the exterior angles sum to 2*pi*k for a
+    # vertex order that winds k times; only k == 1 is a convex polygon.
+    turning = float(np.arctan2(crosses, d[:, 0] * dn[:, 0] + d[:, 1] * dn[:, 1]).sum())
+    if turning > 3.0 * np.pi:
+        raise NotConvex(f"vertex order winds {round(turning / (2.0 * np.pi))} "
+                        "times around the interior")
+    # Numeric sanity: on a convex polygon the distance to an edge line grows
+    # away from the edge in both directions, so rounding can only push the
+    # edge's own endpoints or the nearest vertex on either side out of its
+    # half-plane.  Row i of ring[k:k + N] is vertex i - 1 + k, so edge i is
+    # checked at vertices i-1, i, i+1 and i+2.
+    ring = np.concatenate([v[-1:], v, v[:2]])
+    a, b, c = halfplanes.T
+    for k in range(4):
+        w = ring[k:k + len(v)]
+        if (a * w[:, 0] + b * w[:, 1] + c).min() < -tol.eps_plane:
+            raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     v.setflags(write=False)
     halfplanes.setflags(write=False)
     return ConvexPolygon(vertices=v, halfplanes=halfplanes, aabb=aabb, tol=tol)

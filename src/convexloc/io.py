@@ -15,6 +15,7 @@ Writers emit '%.17g' so every double round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -31,7 +32,7 @@ def _float_row(parts, path, lineno):
         row = [float(p) for p in parts]
     except ValueError:
         raise ParseError(f"{path}:{lineno}: not a number: {' '.join(parts)}") from None
-    if not all(np.isfinite(row)):
+    if not all(map(math.isfinite, row)):
         raise ParseError(f"{path}:{lineno}: non-finite coordinate")
     return row
 

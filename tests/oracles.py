@@ -9,6 +9,9 @@ scipy.spatial.ConvexHull.
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from convexloc import (Aabb, DegenerateEdge, NotConvex, Tolerances,
+                       TooFewVertices, ValidationError)
+
 
 def crossing_number_inside(vertices, points):
     """Strict even-odd ray-cast containment, independent of half-planes.
@@ -42,6 +45,42 @@ def qhull_min_signed_distance(vertices, points):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = pts @ eq[:, :-1].T + eq[:, -1]
     return -vals.max(axis=1)
+
+
+def all_pairs_validate_polygon(vertices):
+    """Reference polygon validator: the same checks as
+    convexloc.validate_polygon up to the turn test, then every edge
+    half-plane evaluated at every vertex (O(N^2)), which also rejects
+    multiply-wound vertex orders.  Returns (vertices, halfplanes) or raises
+    the same ValidationError subclass the library should."""
+    v = np.array(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise ValidationError("polygon vertices must form an (N, 2) array")
+    if not np.isfinite(v).all():
+        raise ValidationError("polygon coordinates must be finite")
+    if len(v) < 3:
+        raise TooFewVertices(f"polygon needs >= 3 vertices, got {len(v)}")
+    diag = Aabb.of_points(v).diagonal
+    if diag == 0.0:
+        raise DegenerateEdge("all vertices coincide")
+    tol = Tolerances.from_diag(diag)
+    x, y = v[:, 0], v[:, 1]
+    if float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)) < 0.0:
+        v = v[::-1].copy()
+    d = np.roll(v, -1, axis=0) - v
+    length = np.hypot(d[:, 0], d[:, 1])
+    if (length < tol.eps_len).any() or (length == 0.0).any():
+        raise DegenerateEdge("near-zero edge length")
+    a = -d[:, 1] / length
+    b = d[:, 0] / length
+    halfplanes = np.column_stack([a, b, -(a * v[:, 0] + b * v[:, 1])])
+    crosses = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
+    elen = np.linalg.norm(d, axis=1)
+    if not (crosses > tol.eps_len * (elen + np.roll(elen, -1))).all():
+        raise NotConvex("non-convex or collinear turn")
+    if (v @ halfplanes[:, :2].T + halfplanes[:, 2]).min() < -tol.eps_plane:
+        raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
+    return v, halfplanes
 
 
 def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):

@@ -1,18 +1,22 @@
 """Geometry core: half-plane/half-space construction, evaluation, validation."""
 
+import collections
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
-                       EulerViolation, InteriorOnPlane, NonPlanarFace,
+                       EulerViolation, GenSpec2, InteriorOnPlane, NonPlanarFace,
                        NotConvex, Tolerances, TooFewVertices, ValidationError,
-                       centroid, classify_min, halfplane_from_edge,
-                       halfspace_from_face, plane_eval, validate_polygon,
-                       validate_polyhedron)
+                       centroid, classify_min, gen_convex_polygon,
+                       halfplane_from_edge, halfspace_from_face, plane_eval,
+                       validate_polygon, validate_polyhedron)
 
-from oracles import regular_polygon
+from oracles import all_pairs_validate_polygon, regular_polygon
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -176,6 +180,93 @@ def test_validate_polygon_rejections():
             for i, a in enumerate(np.arange(10) * np.pi / 5)]
     with pytest.raises(NotConvex):
         validate_polygon(star)
+
+
+def test_validate_polygon_rejects_multiply_wound_orders():
+    pentagram = regular_polygon(5)[[0, 2, 4, 1, 3]]
+    with pytest.raises(NotConvex, match="winds 2 times"):
+        validate_polygon(pentagram)
+    with pytest.raises(NotConvex, match="winds 3 times"):
+        validate_polygon(regular_polygon(7)[(3 * np.arange(7)) % 7])
+    th = np.arange(4096) * (4.0 * np.pi / 4097)   # 4096 distinct, two laps
+    with pytest.raises(NotConvex, match="winds 2 times"):
+        validate_polygon(np.column_stack([np.cos(th), np.sin(th)]))
+    # clockwise winding twice is reversed first, then rejected the same way
+    with pytest.raises(NotConvex, match="winds 2 times"):
+        validate_polygon(pentagram[::-1])
+    # the same 2048-gon twice over: every vertex lies on every edge
+    # half-plane, so no vertex escapes, but the order winds twice
+    with pytest.raises(NotConvex, match="winds 2 times"):
+        validate_polygon(np.vstack([regular_polygon(2048)] * 2))
+
+
+def _validation_corpus():
+    """Convex polygons from the generator and, derived from them,
+    reflex-dented, k-wound (stride k, gcd(k, N) = 1), reversed, scaled
+    (1e-6 to 1e6) and moved (up to 1e5 diagonals from the origin) copies."""
+    rng = np.random.default_rng(20261018)
+    for case in range(120):
+        n = int(rng.choice([3, 4, 5, 7, 8, 16, 33, 64, 128, 256]))
+        axes = (1.0, float(rng.uniform(0.05, 1.0)))
+        v = gen_convex_polygon(GenSpec2(n, 500 + case, semi_axes=axes,
+                                        rotation=float(rng.uniform(0, 6.3)),
+                                        jitter=float(rng.uniform(0, 0.9)))).vertices
+        variants = [v]
+        dent = v.copy()
+        j = int(rng.integers(n))
+        dent[j] = v.mean(axis=0) + rng.uniform(0.0, 1.0) * (v[j] - v.mean(axis=0))
+        variants.append(dent)
+        ks = [k for k in range(2, n - 1) if math.gcd(k, n) == 1]
+        if ks:
+            k = int(rng.choice(ks))
+            variants.append(v[(k * np.arange(n)) % n])
+        for w in variants:
+            for reverse in (False, True):
+                scale = 10.0 ** rng.uniform(-6.0, 6.0)
+                diag = scale * Aabb.of_points(w).diagonal
+                shift = diag * 10.0 ** rng.uniform(-1.0, 5.0) * rng.choice([-1, 1], 2)
+                u = w[::-1] if reverse else w
+                yield u * scale + shift
+                yield u * scale
+
+
+def _outcome(validate, raw):
+    try:
+        return validate(raw)
+    except ValidationError as exc:
+        return type(exc)
+
+
+def test_validate_polygon_matches_all_pairs_reference():
+    """The O(N) checks give the verdict of the all-pairs escape scan on every
+    polygon of the corpus, and identical vertices and half-planes when both
+    accept."""
+    counts = collections.Counter()
+    for raw in _validation_corpus():
+        ref = _outcome(all_pairs_validate_polygon, raw)
+        got = _outcome(validate_polygon, raw)
+        if isinstance(ref, type):
+            assert got is ref, f"reference raised {ref.__name__}, got {got}"
+            counts[ref.__name__] += 1
+        else:
+            assert not isinstance(got, type), f"validate_polygon raised {got.__name__}"
+            np.testing.assert_array_equal(got.vertices, ref[0])
+            np.testing.assert_array_equal(got.halfplanes, ref[1])
+            counts["valid"] += 1
+    # the corpus exercises both verdicts, not only one of them
+    assert counts["valid"] > 200 and counts["NotConvex"] > 200
+
+
+def test_validate_polygon_is_linear_time():
+    """The 65536-gon of the constant-query-time gate validates in well under
+    a second (an all-pairs scan takes tens of seconds)."""
+    big = gen_convex_polygon(GenSpec2(65536, 32, jitter=0.0)).vertices
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        validate_polygon(big)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 1.0, f"validate_polygon took {best:.2f} s at N=65536"
 
 
 def test_validate_polygon_immutable():
