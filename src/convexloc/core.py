@@ -244,36 +244,45 @@ def _edge_halfplanes(vertices: np.ndarray, eps_len: float) -> np.ndarray:
     return np.column_stack([a, b, c])
 
 
-def _newell_normal(ring: np.ndarray) -> np.ndarray:
-    """Area-weighted normal of a closed 3D ring (sum of successive crosses)."""
-    nxt = np.roll(ring, -1, axis=0)
-    return np.cross(ring, nxt).sum(axis=0)
+def _face_planes(rings: np.ndarray, interior: np.ndarray, eps_len: float,
+                 eps_plane: float, eps_q: float):
+    """Unit-normal planes of F face rings of k vertices each, an (F, k, 3)
+    array, oriented toward interior: (planes, flipped, fault, dev).
+
+    fault[f] is 0 for a good face, else the first check face f fails (see
+    _face_fault); dev[f] is its largest distance from its plane.  The Newell
+    normal sums the ring's cross products left to right, and norm and offset
+    are stacked dot products, so every row has the bits the same computation
+    on one ring gives.
+    """
+    nxt = np.roll(rings, -1, axis=1)
+    cross = np.cross(rings, nxt)
+    n = cross[:, 0].copy()
+    for j in range(1, rings.shape[1]):
+        n += cross[:, j]
+    norm = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0, 0])
+    perimeter = np.linalg.norm(nxt - rings, axis=2).sum(axis=1)
+    collinear = norm <= 2.0 * eps_len * np.maximum(perimeter, 1e-300)
+    n /= np.where(collinear, 1.0, norm)[:, None]
+    mean = rings.mean(axis=1)
+    d = -(n[:, None, :] @ mean[:, :, None])[:, 0, 0]
+    dev = np.abs((rings @ n[:, :, None])[:, :, 0] + d[:, None]).max(axis=1)
+    side = (n[:, None, :] @ interior[:, None])[:, 0, 0] + d
+    fault = np.select([collinear, dev > eps_plane, np.abs(side) < eps_q],
+                      [1, 2, 3], 0)
+    flipped = side < 0.0
+    planes = np.column_stack([n, d])
+    planes[flipped] = -planes[flipped]
+    return planes, flipped, fault, dev
 
 
-def _face_plane(ring: np.ndarray, interior, eps_len: float, eps_plane: float,
-                eps_q: float) -> tuple[np.ndarray, bool]:
-    """Unit-normal face plane oriented toward interior; returns (coeffs, flipped)."""
-    ring = np.asarray(ring, dtype=float)
-    if ring.ndim != 2 or ring.shape[1] != 3:
-        raise DegenerateFace("face ring must be an (k, 3) array")
-    if len(ring) < 3:
-        raise DegenerateFace(f"face has {len(ring)} vertices, need at least 3")
-    n = _newell_normal(ring)
-    norm = float(np.linalg.norm(n))
-    perimeter = float(np.linalg.norm(np.roll(ring, -1, axis=0) - ring, axis=1).sum())
-    if norm <= 2.0 * eps_len * max(perimeter, 1e-300):
-        raise DegenerateFace("face vertices are collinear")
-    n = n / norm
-    d = -float(n @ ring.mean(axis=0))
-    dev = np.abs(ring @ n + d)
-    if float(dev.max()) > eps_plane:
-        raise NonPlanarFace(f"face deviates from its plane by {dev.max():g}")
-    side = float(np.asarray(interior, dtype=float) @ n + d)
-    if abs(side) < eps_q:
-        raise InteriorOnPlane("interior reference point lies on the face plane")
-    if side < 0.0:
-        return np.array([-n[0], -n[1], -n[2], -d]), True
-    return np.array([n[0], n[1], n[2], d]), False
+def _face_fault(fault: int, dev: float) -> tuple[type, str]:
+    """(exception class, message) of a nonzero _face_planes fault code."""
+    if fault == 1:
+        return DegenerateFace, "face vertices are collinear"
+    if fault == 2:
+        return NonPlanarFace, f"face deviates from its plane by {dev:g}"
+    return InteriorOnPlane, "interior reference point lies on the face plane"
 
 
 def halfspace_from_face(face_vertices, interior,
@@ -295,8 +304,16 @@ def halfspace_from_face(face_vertices, interior,
         eps_plane = PLANE_EPS_FACTOR * scale
     if eps_q is None:
         eps_q = QUERY_EPS_FACTOR * scale
-    coeffs, _ = _face_plane(ring, interior, eps_len, eps_plane, eps_q)
-    return coeffs
+    if ring.ndim != 2 or ring.shape[1] != 3:
+        raise DegenerateFace("face ring must be an (k, 3) array")
+    if len(ring) < 3:
+        raise DegenerateFace(f"face has {len(ring)} vertices, need at least 3")
+    planes, _, fault, dev = _face_planes(ring[None], np.asarray(interior, dtype=float),
+                                         eps_len, eps_plane, eps_q)
+    if fault[0]:
+        cls, message = _face_fault(fault[0], dev[0])
+        raise cls(message)
+    return planes[0]
 
 
 def centroid(shape_or_vertices) -> np.ndarray:
@@ -446,38 +463,54 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     tol = Tolerances.from_diag(diag)
     interior = v.mean(axis=0)
 
-    rings = []
-    for k, face in enumerate(faces):
-        ring = np.asarray(face, dtype=np.int64)
-        if ring.ndim != 1 or len(ring) < 3:
-            raise TooFewVertices(f"face {k} has fewer than 3 vertices")
-        if (ring < 0).any() or (ring >= len(v)).any():
+    # Faces are checked in numpy passes, one per ring length; each check
+    # reports the lowest face that fails it, as a face-by-face loop would.
+    rings = [np.asarray(face, dtype=np.int64) for face in faces]
+    n_ok = next((k for k, ring in enumerate(rings) if ring.ndim != 1 or len(ring) < 3),
+                len(rings))
+    lens = np.array([len(ring) for ring in rings[:n_ok]], dtype=np.int64)
+    flat = np.concatenate(rings[:n_ok]) if n_ok else np.zeros(0, dtype=np.int64)
+    starts = np.cumsum(lens) - lens
+    groups = []
+    for k in np.unique(lens):
+        ids = np.flatnonzero(lens == k)
+        groups.append((ids, flat[starts[ids, None] + np.arange(k)]))
+    fault = np.zeros(n_ok, dtype=np.int64)
+    for ids, idx in groups:
+        ordered = np.sort(idx, axis=1)
+        fault[ids] = np.where(((idx < 0) | (idx >= len(v))).any(axis=1), 1,
+                              (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) * 2)
+    if fault.any():
+        k = int(np.argmax(fault > 0))
+        if fault[k] == 1:
             raise ValidationError(f"face {k} references a vertex out of range")
-        if len(np.unique(ring)) != len(ring):
-            raise DegenerateFace(f"face {k} repeats a vertex")
-        rings.append(ring)
+        raise DegenerateFace(f"face {k} repeats a vertex")
+    if n_ok < len(rings):
+        raise TooFewVertices(f"face {n_ok} has fewer than 3 vertices")
     if len(rings) < 4:
         raise TooFewVertices(f"polyhedron needs >= 4 faces, got {len(rings)}")
 
-    halfspaces = np.empty((len(rings), 4))
-    oriented = []
-    for k, ring in enumerate(rings):
-        try:
-            coeffs, flipped = _face_plane(v[ring], interior, tol.eps_len,
-                                          tol.eps_plane, tol.eps_q)
-        except ValidationError as exc:
-            raise type(exc)(f"face {k}: {exc}") from None
-        halfspaces[k] = coeffs
-        oriented.append(tuple(int(i) for i in (ring[::-1] if flipped else ring)))
+    halfspaces = np.empty((n_ok, 4))
+    dev = np.empty(n_ok)
+    oriented = [None] * n_ok
+    for ids, idx in groups:
+        halfspaces[ids], flipped, fault[ids], dev[ids] = _face_planes(
+            v[idx], interior, tol.eps_len, tol.eps_plane, tol.eps_q)
+        rows = np.where(flipped[:, None], idx[:, ::-1], idx).tolist()
+        for k, ring in zip(ids.tolist(), rows):
+            oriented[k] = tuple(ring)
+    if fault.any():
+        k = int(np.argmax(fault > 0))
+        cls, message = _face_fault(fault[k], dev[k])
+        raise cls(f"face {k}: {message}")
 
     if min_signed_distance(halfspaces, v).min() < -tol.eps_plane:
         raise NotConvex("a vertex lies outside a face plane beyond tolerance")
 
-    edges = set()
-    for ring in oriented:
-        for i, j in zip(ring, ring[1:] + ring[:1]):
-            edges.add((i, j) if i < j else (j, i))
-    euler = len(v) - len(edges) + len(oriented)
+    edges = np.concatenate([np.minimum(idx, np.roll(idx, -1, axis=1)) * len(v)
+                            + np.maximum(idx, np.roll(idx, -1, axis=1))
+                            for _, idx in groups], axis=None)
+    euler = len(v) - len(np.unique(edges)) + n_ok
     if euler != 2:
         raise EulerViolation(f"V - E + F = {euler}, expected 2")
 

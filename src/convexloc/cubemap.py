@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .buckets import (clamp_budget, csr_sort, locate_radial, locate_radial_batch,
-                      padded_table)
+                      padded_table, run_expand)
 from .core import (Containment, ConvexPolyhedron, EvalCounter,
                    ReferenceNotInterior, ZeroDirection, centroid, default_scale,
                    plane_eval)
@@ -67,22 +67,91 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float | None = None):
             _cell_of(d[va] / ad[axis], resolution))
 
 
-def _clip_halfspace(pts, fvals):
-    """One Sutherland-Hodgman pass: keep the fvals >= 0 side."""
-    out = []
-    n = len(pts)
-    for k in range(n):
-        a, b = k, (k + 1) % n
-        fa, fb = fvals[a], fvals[b]
-        if fa >= 0.0:
-            out.append(pts[a])
-        if (fa >= 0.0) != (fb >= 0.0):
-            t = fa / (fa - fb)
-            pa, pb = pts[a], pts[b]
-            out.append((pa[0] + t * (pb[0] - pa[0]),
-                        pa[1] + t * (pb[1] - pa[1]),
-                        pa[2] + t * (pb[2] - pa[2])))
-    return out
+def _cells(s, resolution: int) -> np.ndarray:
+    """Batch _cell_of: the cell index of every face coordinate in s."""
+    return np.clip(np.floor((s + 1.0) * 0.5 * resolution), 0,
+                   resolution - 1).astype(np.int64)
+
+
+def _clip(pts: np.ndarray, counts: np.ndarray, f: np.ndarray):
+    """One Sutherland-Hodgman pass over every row: keep the f >= 0 side.
+
+    Row r of pts (M, W, 3) is a ring of counts[r] vertices, f (M, W) its
+    clip function.  Vertex k of a ring emits itself when f >= 0 and the
+    crossing point of the edge k -> k+1 when the edge changes side, in that
+    order; returns the clipped (pts, counts), rows as wide as needed.
+    """
+    m, w = f.shape
+    col = np.arange(w)
+    nxt = np.where(col + 1 < counts[:, None], col + 1, 0)
+    inside = f >= 0.0
+    valid = col < counts[:, None]
+    keep = valid & inside
+    cross = valid & (inside != np.take_along_axis(inside, nxt, axis=1))
+    emit = keep.astype(np.int64) + cross
+    pos = np.cumsum(emit, axis=1) - emit
+    counts = emit.sum(axis=1)
+    out = np.zeros((m, int(counts.max(initial=0)), 3))
+    rows, cols = np.nonzero(keep)
+    out[rows, pos[rows, cols]] = pts[rows, cols]
+    rows, cols = np.nonzero(cross)
+    ends = nxt[rows, cols]
+    fa, fb = f[rows, cols], f[rows, ends]
+    t = (fa / (fa - fb))[:, None]
+    pa, pb = pts[rows, cols], pts[rows, ends]
+    out[rows, pos[rows, cols] + keep[rows, cols]] = pa + t * (pb - pa)
+    return out, counts
+
+
+def _footprints(rel: np.ndarray, counts: np.ndarray, resolution: int, eps_len: float):
+    """Cube-map cells the faces can decide queries for.
+
+    rel (F, W, 3) holds the face rings relative to x_t, row f with counts[f]
+    vertices.  Every (cube face, ring) pair is clipped against the cube
+    face's frustum in one batch, with the arithmetic of a per-ring loop.
+    Returns (ring index, cube face, i, j) arrays, cube-face-major and in
+    ring order within a cube face, each footprint's cells i-major.
+    """
+    n = len(rel)
+    cube = np.repeat(np.arange(6), n)
+    owner = np.tile(np.arange(n), 6)
+    # Columns permuted to (dominant axis, u, v) of each cube face.
+    pts = np.concatenate([rel[:, :, [a, *_UV[a]]] for a in (0, 0, 1, 1, 2, 2)])
+    sigma = np.where(cube % 2 == 0, 1.0, -1.0)
+    cnt = np.tile(counts, 6)
+    for coeff_u, coeff_v, off in ((0.0, 0.0, -eps_len), (-1.0, 0.0, 0.0),
+                                  (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+                                  (0.0, 1.0, 0.0)):
+        f = (sigma[:, None] * pts[:, :, 0] + coeff_u * pts[:, :, 1]
+             + coeff_v * pts[:, :, 2] + off)
+        pts, cnt = _clip(pts, cnt, f)
+        live = cnt >= 3
+        pts, cnt, sigma, cube, owner = pts[live], cnt[live], sigma[live], cube[live], owner[live]
+    with np.errstate(divide="ignore", invalid="ignore"):   # padding is 0 / 0
+        dom = sigma[:, None] * pts[:, :, 0]
+        s, t = pts[:, :, 1] / dom, pts[:, :, 2] / dom
+    rows = np.arange(len(pts))
+    area2 = np.zeros(len(pts))
+    for k in range(pts.shape[1]):
+        nk = np.where(k + 1 < cnt, k + 1, 0)
+        area2 = np.where(k < cnt, area2 + (s[:, k] * t[rows, nk] - s[rows, nk] * t[:, k]),
+                         area2)
+    kept = ~(np.abs(area2) < 2.0 * _AREA_DROP)
+    valid = np.arange(pts.shape[1]) < cnt[kept, None]
+
+    def cover(x):
+        """First and last cell of each kept footprint's padded extent in x."""
+        lo = np.where(valid, x[kept], np.inf).min(axis=1, initial=np.inf)
+        hi = np.where(valid, x[kept], -np.inf).max(axis=1, initial=-np.inf)
+        return _cells(lo - _RECT_PAD, resolution), _cells(hi + _RECT_PAD, resolution)
+
+    (i0, i1), (j0, j1) = cover(s), cover(t)
+    nj = j1 - j0 + 1
+    size = (i1 - i0 + 1) * nj
+    within = run_expand(np.zeros_like(size), size)
+    rep = np.repeat(np.arange(len(size)), size)
+    return (owner[kept][rep], cube[kept][rep], i0[rep] + within // nj[rep],
+            j0[rep] + within % nj[rep])
 
 
 def project_face_conservative(face_vertices, x_t, resolution: int,
@@ -93,46 +162,15 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
     surviving part is projected to (s, t) face coordinates and covered by the
     rectangle of cells spanning its extent, padded by a small constant.  The
     clip keeps a margin eps_len in front of the apex, so projection never
-    divides by zero.
+    divides by zero.  A batch of one of the index build.
     """
     ring = np.asarray(face_vertices, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
     if eps_len is None:
         eps_len = 1e-12 * default_scale(ring, x_t)
-    base = [tuple(q) for q in (ring - x_t)]
-    cells = []
-    for face in range(6):
-        axis = face >> 1
-        sigma = 1.0 if face % 2 == 0 else -1.0
-        ua, va = _UV[axis]
-        pts = base
-        for coeff_u, coeff_v, off in ((0.0, 0.0, -eps_len), (-1.0, 0.0, 0.0),
-                                      (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
-                                      (0.0, 1.0, 0.0)):
-            fvals = [sigma * q[axis] + coeff_u * q[ua] + coeff_v * q[va] + off
-                     for q in pts]
-            pts = _clip_halfspace(pts, fvals)
-            if len(pts) < 3:
-                break
-        if len(pts) < 3:
-            continue
-        proj = [(q[ua] / (sigma * q[axis]), q[va] / (sigma * q[axis])) for q in pts]
-        area2 = 0.0
-        for k in range(len(proj)):
-            s1, t1 = proj[k]
-            s2, t2 = proj[(k + 1) % len(proj)]
-            area2 += s1 * t2 - s2 * t1
-        if abs(area2) < 2.0 * _AREA_DROP:
-            continue
-        ss = [q[0] for q in proj]
-        tt = [q[1] for q in proj]
-        i0 = _cell_of(min(ss) - _RECT_PAD, resolution)
-        i1 = _cell_of(max(ss) + _RECT_PAD, resolution)
-        j0 = _cell_of(min(tt) - _RECT_PAD, resolution)
-        j1 = _cell_of(max(tt) + _RECT_PAD, resolution)
-        cells += [(face, i, j)
-                  for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
-    return cells
+    _, face, i, j = _footprints((ring - x_t)[None], np.array([len(ring)]),
+                                resolution, eps_len)
+    return list(zip(face.tolist(), i.tolist(), j.tolist()))
 
 
 @dataclass(frozen=True)
@@ -166,9 +204,9 @@ class CubeMapIndex3:
         rows = np.arange(len(d))
         dom = np.abs(d[rows, axis])
         face = 2 * axis + (d[rows, axis] < 0.0)
-        i = np.clip(np.floor((d[rows, uv[axis, 0]] / dom + 1.0) * 0.5 * res), 0, res - 1)
-        j = np.clip(np.floor((d[rows, uv[axis, 1]] / dom + 1.0) * 0.5 * res), 0, res - 1)
-        return (face * res + i.astype(np.int64)) * res + j.astype(np.int64)
+        i = _cells(d[rows, uv[axis, 0]] / dom, res)
+        j = _cells(d[rows, uv[axis, 1]] / dom, res)
+        return (face * res + i) * res + j
 
     @cached_property
     def padded_faces(self) -> np.ndarray:
@@ -196,17 +234,15 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
         resolution = default_cubemap_resolution(poly.n_faces)
     resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
 
-    cell_ids = []
-    face_ids = []
-    for k, ring in enumerate(poly.faces):
-        for face, i, j in project_face_conservative(
-                poly.vertices[list(ring)], x_t, resolution, eps_len=poly.tol.eps_len):
-            cell_ids.append((face * resolution + i) * resolution + j)
-            face_ids.append(k)
+    lens = np.fromiter(map(len, poly.faces), dtype=np.int64, count=poly.n_faces)
+    table = np.zeros((poly.n_faces, int(lens.max())), dtype=np.int64)
+    table[np.repeat(np.arange(poly.n_faces), lens),
+          run_expand(np.zeros_like(lens), lens)] = np.concatenate(poly.faces)
+    face_ids, face, i, j = _footprints(poly.vertices[table] - x_t, lens, resolution,
+                                       poly.tol.eps_len)
+    cell_ids = (face * resolution + i) * resolution + j
     n_cells = 6 * resolution * resolution
-    offsets, faces_flat, counts = csr_sort(np.asarray(cell_ids, dtype=np.int64),
-                                           np.asarray(face_ids, dtype=np.int64),
-                                           n_cells)
+    offsets, faces_flat, counts = csr_sort(cell_ids, face_ids, n_cells)
     if int(counts.min()) < 1:
         raise AssertionError("cube-map construction produced an empty cell")
 

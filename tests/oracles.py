@@ -3,14 +3,23 @@
 These deliberately avoid the library's own half-plane machinery wherever the
 library result is the thing under test: the crossing-number test works on
 raw coordinates, and the qhull oracle gets its plane equations from
-scipy.spatial.ConvexHull.
+scipy.spatial.ConvexHull.  The loop_* references are the polyhedron
+validator and cube-map builder written face by face in Python loops, the
+form the batched library code must reproduce.
 """
+
+import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from convexloc import (Aabb, DegenerateEdge, NotConvex, Tolerances,
-                       TooFewVertices, ValidationError)
+from convexloc import (Aabb, ConvexPolyhedron, CubeMapIndex3, DegenerateEdge,
+                       DegenerateFace, EulerViolation, InteriorOnPlane,
+                       NonPlanarFace, NotConvex, ReferenceNotInterior,
+                       Tolerances, TooFewVertices, ValidationError, centroid,
+                       plane_eval)
+from convexloc.buckets import clamp_budget, csr_sort
+from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
 
 def crossing_number_inside(vertices, points):
@@ -81,6 +90,168 @@ def all_pairs_validate_polygon(vertices):
     if (v @ halfplanes[:, :2].T + halfplanes[:, 2]).min() < -tol.eps_plane:
         raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     return v, halfplanes
+
+
+def _loop_face_plane(ring, interior, eps_len, eps_plane, eps_q):
+    """One face's unit-normal plane oriented toward interior, computed ring
+    by ring (Newell normal in absolute coordinates); (coeffs, flipped)."""
+    nxt = np.roll(ring, -1, axis=0)
+    n = np.cross(ring, nxt).sum(axis=0)
+    norm = float(np.linalg.norm(n))
+    perimeter = float(np.linalg.norm(nxt - ring, axis=1).sum())
+    if norm <= 2.0 * eps_len * max(perimeter, 1e-300):
+        raise DegenerateFace("face vertices are collinear")
+    n = n / norm
+    d = -float(n @ ring.mean(axis=0))
+    dev = np.abs(ring @ n + d)
+    if float(dev.max()) > eps_plane:
+        raise NonPlanarFace(f"face deviates from its plane by {dev.max():g}")
+    side = float(interior @ n + d)
+    if abs(side) < eps_q:
+        raise InteriorOnPlane("interior reference point lies on the face plane")
+    if side < 0.0:
+        return np.array([-n[0], -n[1], -n[2], -d]), True
+    return np.array([n[0], n[1], n[2], d]), False
+
+
+def loop_validate_polyhedron(vertices, faces):
+    """Reference polyhedron validator: the same checks as
+    convexloc.validate_polyhedron, one face at a time in Python loops, then
+    every vertex against every face plane.  Returns a ConvexPolyhedron or
+    raises the ValidationError subclass, naming the face, that the library
+    should."""
+    v = np.array(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != 3:
+        raise ValidationError("polyhedron vertices must form a (V, 3) array")
+    if not np.isfinite(v).all():
+        raise ValidationError("polyhedron coordinates must be finite")
+    if len(v) < 4:
+        raise TooFewVertices(f"polyhedron needs >= 4 vertices, got {len(v)}")
+    aabb = Aabb.of_points(v)
+    if aabb.diagonal == 0.0:
+        raise DegenerateEdge("all vertices coincide")
+    tol = Tolerances.from_diag(aabb.diagonal)
+    interior = v.mean(axis=0)
+    rings = []
+    for k, face in enumerate(faces):
+        ring = np.asarray(face, dtype=np.int64)
+        if ring.ndim != 1 or len(ring) < 3:
+            raise TooFewVertices(f"face {k} has fewer than 3 vertices")
+        if (ring < 0).any() or (ring >= len(v)).any():
+            raise ValidationError(f"face {k} references a vertex out of range")
+        if len(np.unique(ring)) != len(ring):
+            raise DegenerateFace(f"face {k} repeats a vertex")
+        rings.append(ring)
+    if len(rings) < 4:
+        raise TooFewVertices(f"polyhedron needs >= 4 faces, got {len(rings)}")
+    halfspaces = np.empty((len(rings), 4))
+    oriented = []
+    for k, ring in enumerate(rings):
+        try:
+            coeffs, flipped = _loop_face_plane(v[ring], interior, tol.eps_len,
+                                               tol.eps_plane, tol.eps_q)
+        except ValidationError as exc:
+            raise type(exc)(f"face {k}: {exc}") from None
+        halfspaces[k] = coeffs
+        oriented.append(tuple(int(i) for i in (ring[::-1] if flipped else ring)))
+    if (v @ halfspaces[:, :3].T + halfspaces[:, 3]).min() < -tol.eps_plane:
+        raise NotConvex("a vertex lies outside a face plane beyond tolerance")
+    edges = set()
+    for ring in oriented:
+        for i, j in zip(ring, ring[1:] + ring[:1]):
+            edges.add((i, j) if i < j else (j, i))
+    euler = len(v) - len(edges) + len(oriented)
+    if euler != 2:
+        raise EulerViolation(f"V - E + F = {euler}, expected 2")
+    return ConvexPolyhedron(vertices=v, faces=tuple(oriented),
+                            halfspaces=halfspaces, aabb=aabb, tol=tol)
+
+
+_UV = ((1, 2), (0, 2), (0, 1))
+
+
+def _loop_cell_of(s, resolution):
+    return min(max(int(math.floor((s + 1.0) * 0.5 * resolution)), 0), resolution - 1)
+
+
+def _loop_clip(pts, fvals):
+    """One Sutherland-Hodgman pass over a list of points: keep fvals >= 0."""
+    out = []
+    n = len(pts)
+    for k in range(n):
+        a, b = k, (k + 1) % n
+        fa, fb = fvals[a], fvals[b]
+        if fa >= 0.0:
+            out.append(pts[a])
+        if (fa >= 0.0) != (fb >= 0.0):
+            t = fa / (fa - fb)
+            pa, pb = pts[a], pts[b]
+            out.append((pa[0] + t * (pb[0] - pa[0]),
+                        pa[1] + t * (pb[1] - pa[1]),
+                        pa[2] + t * (pb[2] - pa[2])))
+    return out
+
+
+def loop_project_face(ring, x_t, resolution, eps_len):
+    """Cube-map cells (face, i, j) of one face ring, clipped vertex by
+    vertex in Python floats against each cube-face frustum."""
+    base = [tuple(q) for q in (np.asarray(ring, dtype=float) - x_t)]
+    cells = []
+    for face in range(6):
+        axis = face >> 1
+        sigma = 1.0 if face % 2 == 0 else -1.0
+        ua, va = _UV[axis]
+        pts = base
+        for coeff_u, coeff_v, off in ((0.0, 0.0, -eps_len), (-1.0, 0.0, 0.0),
+                                      (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
+                                      (0.0, 1.0, 0.0)):
+            fvals = [sigma * q[axis] + coeff_u * q[ua] + coeff_v * q[va] + off
+                     for q in pts]
+            pts = _loop_clip(pts, fvals)
+            if len(pts) < 3:
+                break
+        if len(pts) < 3:
+            continue
+        proj = [(q[ua] / (sigma * q[axis]), q[va] / (sigma * q[axis])) for q in pts]
+        area2 = 0.0
+        for k in range(len(proj)):
+            s1, t1 = proj[k]
+            s2, t2 = proj[(k + 1) % len(proj)]
+            area2 += s1 * t2 - s2 * t1
+        if abs(area2) < 2.0 * 1e-15:
+            continue
+        ss = [q[0] for q in proj]
+        tt = [q[1] for q in proj]
+        i0 = _loop_cell_of(min(ss) - 1e-9, resolution)
+        i1 = _loop_cell_of(max(ss) + 1e-9, resolution)
+        j0 = _loop_cell_of(min(tt) - 1e-9, resolution)
+        j1 = _loop_cell_of(max(tt) + 1e-9, resolution)
+        cells += [(face, i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+    return cells
+
+
+def loop_build_cubemap_index(poly, resolution=None, x_t=None):
+    """Reference cube-map builder: loop_project_face on every face in turn,
+    then the CSR packing of convexloc.build_cubemap_index."""
+    x_t = np.array(centroid(poly) if x_t is None else x_t, dtype=float)
+    if float(plane_eval(poly.halfspaces, x_t).min()) <= poly.tol.eps_q:
+        raise ReferenceNotInterior("reference point must be strictly inside")
+    if resolution is None:
+        resolution = default_cubemap_resolution(poly.n_faces)
+    resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
+    cell_ids, face_ids = [], []
+    for k, ring in enumerate(poly.faces):
+        for face, i, j in loop_project_face(poly.vertices[list(ring)], x_t, resolution,
+                                            poly.tol.eps_len):
+            cell_ids.append((face * resolution + i) * resolution + j)
+            face_ids.append(k)
+    offsets, faces_flat, counts = csr_sort(np.asarray(cell_ids, dtype=np.int64),
+                                           np.asarray(face_ids, dtype=np.int64),
+                                           6 * resolution * resolution)
+    return CubeMapIndex3(poly=poly, x_t=x_t, resolution=resolution,
+                         offsets=offsets, faces_flat=faces_flat, counts=counts,
+                         max_occupancy=int(counts.max()),
+                         mean_occupancy=float(counts.mean()))
 
 
 def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):

@@ -1,7 +1,9 @@
 """Geometry core: half-plane/half-space construction, evaluation, validation."""
 
 import collections
+import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -13,10 +15,12 @@ from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
                        EulerViolation, GenSpec2, InteriorOnPlane, NonPlanarFace,
                        NotConvex, Tolerances, TooFewVertices, ValidationError,
                        centroid, classify_min, gen_convex_polygon,
-                       halfplane_from_edge, halfspace_from_face, plane_eval,
-                       validate_polygon, validate_polyhedron)
+                       halfplane_from_edge, halfspace_from_face, icosphere,
+                       plane_eval, random_affine, validate_polygon,
+                       validate_polyhedron)
 
-from oracles import all_pairs_validate_polygon, regular_polygon
+from oracles import (all_pairs_validate_polygon, loop_validate_polyhedron,
+                     regular_polygon)
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -369,3 +373,83 @@ def test_tetrahedron_euler():
                               [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])
     assert tet.n_faces == 4
     assert plane_eval(tet.halfspaces, centroid(tet)).min() > 0
+
+
+def _affine_icosphere(level, seed):
+    """Raw (vertices, faces) of GenSpec3(level, seed), before validation."""
+    v, f = icosphere(level)
+    matrix, t = random_affine(seed)
+    return v @ matrix.T + t, f
+
+
+def _prism(k):
+    """k-gon prism: two k-gon caps and k quads; the bottom cap is wound
+    inward, so validation reverses it."""
+    th = np.arange(k) * (2.0 * np.pi / k)
+    ring = np.column_stack([np.cos(th), np.sin(th)])
+    v = np.vstack([np.column_stack([ring, np.zeros(k)]),
+                   np.column_stack([ring, np.ones(k)])])
+    f = [tuple(range(k)), tuple(range(k, 2 * k))]
+    f += [(i, (i + 1) % k, k + (i + 1) % k, k + i) for i in range(k)]
+    return v, f
+
+
+def _verdict(validate, vertices, faces):
+    """(exception class, face index named in its message) or (None, None)."""
+    try:
+        validate(vertices, faces)
+    except ValidationError as exc:
+        m = re.search(r"face (\d+)", str(exc))
+        return type(exc), m and int(m.group(1))
+    return None, None
+
+
+def test_validate_polyhedron_matches_loop_reference():
+    """Batched validation gives the faces and half-spaces of the face-by-face
+    reference, bit for bit: the corpus3d meshes, small-shapes-style
+    icospheres, the cube (also reversed) and prisms with mixed ring lengths."""
+    meshes = [(CUBE_V, CUBE_F), (CUBE_V, [f[::-1] for f in CUBE_F]),
+              _prism(3), _prism(5), _prism(24)]
+    meshes += [_affine_icosphere(level, 2000 + 50 * level + k)
+               for level in range(4) for k in range(20)]
+    meshes += [_affine_icosphere(level, seed) for level in range(4) for seed in (1, 7, 13)]
+    for v, f in meshes:
+        want = loop_validate_polyhedron(v, f)
+        got = validate_polyhedron(v, f)
+        assert got.faces == want.faces
+        assert got.halfspaces.tobytes() == want.halfspaces.tobytes()
+
+
+def test_validate_polyhedron_rejects_like_loop_reference():
+    """Broken meshes raise the reference's exception class for the same
+    face, also with two faults on different faces, in both orders."""
+    dent_v = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+              (0, 0, -0.5), (0, 0, -1)]
+    dent_f = [(4, 0, 2), (4, 2, 1), (4, 1, 3), (4, 3, 0),
+              (5, 2, 0), (5, 1, 2), (5, 3, 1), (5, 0, 3)]
+    bent_v = list(CUBE_V)
+    bent_v[7] = (1, 1, 1.2)
+    # Vertex 8 is the bottom face's centre, so the vertex mean lies on the
+    # diagonal plane x = y of face (0, 3, 7, 4).
+    v9 = CUBE_V + [(0.5, 0.5, 0.0)]
+    faults = {"out of range": (0, 2, 9), "repeated vertex": (0, 2, 2, 1),
+              "two vertices": (0, 2), "nested": ((0, 1), (2, 3)),
+              "collinear": (0, 8, 3), "bent quad": (0, 1, 7, 2),
+              "interior on plane": (0, 3, 7, 4)}
+    cases = [(CUBE_V, [fault] + CUBE_F[1:]) for fault in faults.values()]
+    cases += [(v9, CUBE_F[:3] + [fault] + CUBE_F[3:]) for fault in faults.values()]
+    cases += [(bent_v, CUBE_F), (dent_v, dent_f), (CUBE_V, CUBE_F[:5]),
+              (CUBE_V[:3], [(0, 1, 2)]), (CUBE_V, CUBE_F + [(0, 8, 3)])]
+    for a, b in itertools.permutations(faults.values(), 2):
+        faces = list(CUBE_F)
+        faces[1], faces[4] = a, b
+        cases.append((v9, faces))
+    seen = collections.Counter()
+    for v, f in cases:
+        want = _verdict(loop_validate_polyhedron, v, f)
+        assert want[0] is not None
+        assert _verdict(validate_polyhedron, v, f) == want, (v, f)
+        seen[want[0].__name__] += 1
+    assert set(seen) == {"ValidationError", "TooFewVertices", "DegenerateFace",
+                         "NonPlanarFace", "InteriorOnPlane", "NotConvex",
+                         "EulerViolation"}

@@ -12,7 +12,8 @@ from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpe
                        validate_polyhedron)
 from convexloc.cubemap import default_cubemap_resolution
 
-from oracles import brute_exit_edges, policy_edge_points, reaches_planes
+from oracles import (brute_exit_edges, loop_build_cubemap_index, policy_edge_points,
+                     reaches_planes)
 
 CUBE = validate_polyhedron(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -95,6 +96,47 @@ def test_refining_resolution_nests():
         coarse = set(project_face_conservative(ring, x_t, 8))
         fine = project_face_conservative(ring, x_t, 16)
         assert {(f, i // 2, j // 2) for f, i, j in fine} <= coarse
+
+
+PRISM = validate_polyhedron(
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)],
+    [(0, 2, 1), (3, 4, 5), (0, 1, 4, 3), (1, 2, 5, 4), (2, 0, 3, 5)])
+
+
+def _csr(idx):
+    return (idx.offsets.tobytes(), idx.faces_flat.tobytes(), idx.counts.tobytes(),
+            idx.max_occupancy, idx.mean_occupancy)
+
+
+def test_build_matches_loop_reference(corpus3d):
+    """The batched build lists the cells of the face-by-face reference, bit
+    for bit: every corpus3d shape, the cube and a mixed prism."""
+    entries, _ = corpus3d
+    for poly, _, idx in entries:
+        assert _csr(idx) == _csr(loop_build_cubemap_index(poly))
+    for poly in (CUBE, PRISM):
+        for res in (None, 1, 4, 7):
+            assert (_csr(build_cubemap_index(poly, resolution=res))
+                    == _csr(loop_build_cubemap_index(poly, resolution=res)))
+
+
+@pytest.mark.parametrize("resolution", [None, 1])
+def test_project_face_is_the_build_for_one_face(corpus3d, resolution):
+    """project_face_conservative lists exactly the cells in which the built
+    index lists the face, for every face of three corpus3d shapes."""
+    entries, _ = corpus3d
+    for poly, _, _ in (entries[25], entries[45], entries[65]):
+        idx = build_cubemap_index(poly, resolution=resolution)
+        r = idx.resolution
+        listed = [set() for _ in range(poly.n_faces)]
+        cells = np.repeat(np.arange(len(idx.counts)), idx.counts)
+        for cell, k in zip(cells.tolist(), idx.faces_flat.tolist()):
+            listed[k].add(cell)
+        for k, ring in enumerate(poly.faces):
+            got = [(f * r + i) * r + j for f, i, j in project_face_conservative(
+                poly.vertices[list(ring)], idx.x_t, r, eps_len=poly.tol.eps_len)]
+            assert len(got) == len(set(got))
+            assert set(got) == listed[k]
 
 
 def test_every_face_listed_somewhere():
