@@ -251,22 +251,25 @@ def _face_planes(rings: np.ndarray, interior: np.ndarray, eps_len: float,
 
     fault[f] is 0 for a good face, else the first check face f fails (see
     _face_fault); dev[f] is its largest distance from its plane.  The Newell
-    normal sums the ring's cross products left to right, and norm and offset
-    are stacked dot products, so every row has the bits the same computation
-    on one ring gives.
+    normal sums the cross products of the ring centred on its vertex mean
+    left to right, and norm and offset are stacked dot products, so every
+    row has the bits the same computation on one ring gives.
     """
-    nxt = np.roll(rings, -1, axis=1)
-    cross = np.cross(rings, nxt)
+    mean = rings.mean(axis=1)
+    # Centred rings keep the cross products and deviations free of the
+    # rounding that absolute coordinates far from the origin would add.
+    ring = rings - mean[:, None, :]
+    nxt = np.roll(ring, -1, axis=1)
+    cross = np.cross(ring, nxt)
     n = cross[:, 0].copy()
-    for j in range(1, rings.shape[1]):
+    for j in range(1, ring.shape[1]):
         n += cross[:, j]
     norm = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0, 0])
-    perimeter = np.linalg.norm(nxt - rings, axis=2).sum(axis=1)
+    perimeter = np.linalg.norm(nxt - ring, axis=2).sum(axis=1)
     collinear = norm <= 2.0 * eps_len * np.maximum(perimeter, 1e-300)
     n /= np.where(collinear, 1.0, norm)[:, None]
-    mean = rings.mean(axis=1)
     d = -(n[:, None, :] @ mean[:, :, None])[:, 0, 0]
-    dev = np.abs((rings @ n[:, :, None])[:, :, 0] + d[:, None]).max(axis=1)
+    dev = np.abs((ring @ n[:, :, None])[:, :, 0]).max(axis=1)
     side = (n[:, None, :] @ interior[:, None])[:, 0, 0] + d
     fault = np.select([collinear, dev > eps_plane, np.abs(side) < eps_q],
                       [1, 2, 3], 0)

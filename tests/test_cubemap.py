@@ -5,7 +5,7 @@ import pytest
 
 from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpec,
                        ReferenceNotInterior, ZeroDirection,
-                       build_cubemap_index, centroid, cubemap_cell,
+                       build_cubemap_index, centroid, compare_methods, cubemap_cell,
                        gen_convex_polyhedron, gen_query_points, icosphere,
                        locate_cubemap, locate_cubemap_batch,
                        locate_linear_3d_batch, project_face_conservative,
@@ -198,6 +198,20 @@ def test_cubemap_scalar_equals_batch():
     want[reached] = idx.counts[idx.cell_of(pts[reached])]
     np.testing.assert_array_equal([c.evals for c in counters], want)
     assert 0 < reached.sum() < len(pts)
+
+
+@pytest.mark.parametrize("offset", [3e3, 1e5, 1e6])
+def test_translated_icosphere_validates_and_locates(offset):
+    """A level-2 icosphere (diagonal ~4) far from the origin validates, and
+    its cube-map codes match the linear scan off the tolerance band."""
+    v, f = icosphere(2)
+    poly = validate_polyhedron(v + offset, f)
+    idx = build_cubemap_index(poly)
+    pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(4000, 21)), poly.vertices])
+    report = compare_methods(poly, pts, {
+        "linear": lambda p: locate_linear_3d_batch(poly, p),
+        "cubemap": lambda p: locate_cubemap_batch(idx, p)})
+    assert report.clean, report.examples
 
 
 def test_reference_point_checked():
