@@ -484,14 +484,14 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     for k in np.unique(lens):
         ids = np.flatnonzero(lens == k)
         groups.append((ids, flat[starts[ids, None] + np.arange(k)]))
-    fault = np.zeros(n_ok, dtype=np.int64)
+    bad = np.zeros(n_ok, dtype=np.int64)     # 1: out of range, 2: repeats
     for ids, idx in groups:
         ordered = np.sort(idx, axis=1)
-        fault[ids] = np.where(((idx < 0) | (idx >= len(v))).any(axis=1), 1,
-                              (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) * 2)
-    if fault.any():
-        k = int(np.argmax(fault > 0))
-        if fault[k] == 1:
+        bad[ids] = np.where(((idx < 0) | (idx >= len(v))).any(axis=1), 1,
+                            (ordered[:, 1:] == ordered[:, :-1]).any(axis=1) * 2)
+    if bad.any():
+        k = int(np.argmax(bad > 0))
+        if bad[k] == 1:
             raise ValidationError(f"face {k} references a vertex out of range")
         raise DegenerateFace(f"face {k} repeats a vertex")
     if n_ok < len(rings):
@@ -500,6 +500,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
         raise TooFewVertices(f"polyhedron needs >= 4 faces, got {len(rings)}")
 
     halfspaces = np.empty((n_ok, 4))
+    fault = np.empty(n_ok, dtype=np.int64)
     dev = np.empty(n_ok)
     oriented = [None] * n_ok
     for ids, idx in groups:
@@ -516,10 +517,11 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     if min_signed_distance(halfspaces, v).min() < -tol.eps_plane:
         raise NotConvex("a vertex lies outside a face plane beyond tolerance")
 
-    edges = np.concatenate([np.minimum(idx, np.roll(idx, -1, axis=1)) * len(v)
-                            + np.maximum(idx, np.roll(idx, -1, axis=1))
-                            for _, idx in groups], axis=None)
-    euler = len(v) - len(np.unique(edges)) + n_ok
+    edges = []
+    for _, idx in groups:
+        nxt = np.roll(idx, -1, axis=1)
+        edges.append(np.minimum(idx, nxt) * len(v) + np.maximum(idx, nxt))
+    euler = len(v) - len(np.unique(np.concatenate(edges, axis=None))) + n_ok
     if euler != 2:
         raise EulerViolation(f"V - E + F = {euler}, expected 2")
 

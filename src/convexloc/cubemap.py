@@ -87,7 +87,7 @@ def _clip(pts: np.ndarray, counts: np.ndarray, f: np.ndarray):
     inside = f >= 0.0
     valid = col < counts[:, None]
     keep = valid & inside
-    cross = valid & (inside != np.take_along_axis(inside, nxt, axis=1))
+    cross = valid & (inside != inside[np.arange(m)[:, None], nxt])
     emit = keep.astype(np.int64) + cross
     pos = np.cumsum(emit, axis=1) - emit
     counts = emit.sum(axis=1)
@@ -234,6 +234,7 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
         resolution = default_cubemap_resolution(poly.n_faces)
     resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
 
+    # Face rings as rows of one vertex table; padding past lens[f] is unread.
     lens = np.fromiter(map(len, poly.faces), dtype=np.int64, count=poly.n_faces)
     table = np.zeros((poly.n_faces, int(lens.max())), dtype=np.int64)
     table[np.repeat(np.arange(poly.n_faces), lens),
