@@ -279,6 +279,25 @@ def _face_planes(rings: np.ndarray, interior: np.ndarray, eps_len: float,
     return planes, flipped, fault, dev
 
 
+def ring_groups(rings) -> list:
+    """Face rings grouped by length, as (ids, idx) pairs in ascending length:
+    idx is the (len(ids), k) table of vertex indices of the k-rings ids.
+
+    Each table is exactly as wide as its rings, so the groups together hold
+    one entry per ring vertex however much the ring lengths differ.
+    """
+    if not len(rings):
+        return []
+    lens = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
+    flat = np.concatenate(rings).astype(np.int64, copy=False)
+    starts = np.cumsum(lens) - lens
+    groups = []
+    for k in np.unique(lens):
+        ids = np.flatnonzero(lens == k)
+        groups.append((ids, flat[starts[ids, None] + np.arange(k)]))
+    return groups
+
+
 def _face_fault(fault: int, dev: float) -> tuple[type, str]:
     """(exception class, message) of a nonzero _face_planes fault code."""
     if fault == 1:
@@ -368,9 +387,14 @@ def min_signed_distance(shape, points) -> np.ndarray:
     half-planes/half-spaces; shape is a validated shape or a plane array.
 
     Each chunk of points, as homogeneous columns [x, y(, z), 1], meets all
-    planes in one matrix product, laid out so that the minimum runs along
-    its longer axis (numpy reduces many short rows several times slower).
-    Chunks keep that matrix near 64 MB.
+    planes in one matrix product; chunks keep it near 64 MB.  The minimum
+    runs along the product's longer axis, as numpy reduces many short rows
+    slowly: with more points than planes (a 64-gon or a 20-face polyhedron
+    under 1e5 points, the small sides of the linear gates of
+    test_constant_query_time) the columnwise minimum of planes @ hom is
+    2-4x faster; with thousands of planes (the 65536-gon's 128-point
+    chunks, the polar-batch probe's 16384-gon) the rowwise minimum of
+    hom.T @ planes.T is up to 1.5x faster.
     """
     planes = getattr(shape, "halfplanes", getattr(shape, "halfspaces", shape))
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -477,13 +501,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     rings = [np.asarray(face, dtype=np.int64) for face in faces]
     n_ok = next((k for k, ring in enumerate(rings) if ring.ndim != 1 or len(ring) < 3),
                 len(rings))
-    lens = np.array([len(ring) for ring in rings[:n_ok]], dtype=np.int64)
-    flat = np.concatenate(rings[:n_ok]) if n_ok else np.zeros(0, dtype=np.int64)
-    starts = np.cumsum(lens) - lens
-    groups = []
-    for k in np.unique(lens):
-        ids = np.flatnonzero(lens == k)
-        groups.append((ids, flat[starts[ids, None] + np.arange(k)]))
+    groups = ring_groups(rings[:n_ok])
     bad = np.zeros(n_ok, dtype=np.int64)     # 1: out of range, 2: repeats
     for ids, idx in groups:
         ordered = np.sort(idx, axis=1)

@@ -30,7 +30,7 @@ from .buckets import (clamp_budget, csr_sort, locate_radial, locate_radial_batch
                       padded_table, run_expand)
 from .core import (Containment, ConvexPolyhedron, EvalCounter,
                    ReferenceNotInterior, ZeroDirection, centroid, default_scale,
-                   plane_eval)
+                   plane_eval, ring_groups)
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -103,22 +103,22 @@ def _clip(pts: np.ndarray, counts: np.ndarray, f: np.ndarray):
     return out, counts
 
 
-def _footprints(rel: np.ndarray, counts: np.ndarray, resolution: int, eps_len: float):
+def _footprints(rel: np.ndarray, resolution: int, eps_len: float):
     """Cube-map cells the faces can decide queries for.
 
-    rel (F, W, 3) holds the face rings relative to x_t, row f with counts[f]
-    vertices.  Every (cube face, ring) pair is clipped against the cube
-    face's frustum in one batch, with the arithmetic of a per-ring loop.
-    Returns (ring index, cube face, i, j) arrays, cube-face-major and in
-    ring order within a cube face, each footprint's cells i-major.
+    rel (F, k, 3) holds F face rings of k vertices each, relative to x_t.
+    Every (cube face, ring) pair is clipped against the cube face's frustum
+    in one batch, with the arithmetic of a per-ring loop.  Returns (ring
+    index, cube face, i, j) arrays, cube-face-major and in ring order within
+    a cube face, each footprint's cells i-major.
     """
-    n = len(rel)
+    n, k = rel.shape[:2]
     cube = np.repeat(np.arange(6), n)
     owner = np.tile(np.arange(n), 6)
     # Columns permuted to (dominant axis, u, v) of each cube face.
     pts = np.concatenate([rel[:, :, [a, *_UV[a]]] for a in (0, 0, 1, 1, 2, 2)])
     sigma = np.where(cube % 2 == 0, 1.0, -1.0)
-    cnt = np.tile(counts, 6)
+    cnt = np.full(6 * n, k)
     for coeff_u, coeff_v, off in ((0.0, 0.0, -eps_len), (-1.0, 0.0, 0.0),
                                   (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
                                   (0.0, 1.0, 0.0)):
@@ -127,17 +127,19 @@ def _footprints(rel: np.ndarray, counts: np.ndarray, resolution: int, eps_len: f
         pts, cnt = _clip(pts, cnt, f)
         live = cnt >= 3
         pts, cnt, sigma, cube, owner = pts[live], cnt[live], sigma[live], cube[live], owner[live]
-    with np.errstate(divide="ignore", invalid="ignore"):   # padding is 0 / 0
-        dom = sigma[:, None] * pts[:, :, 0]
-        s, t = pts[:, :, 1] / dom, pts[:, :, 2] / dom
+    valid = np.arange(pts.shape[1]) < cnt[:, None]
+    # The clip leaves every vertex at least eps_len in front of the apex;
+    # padding divides by 1 and is never read.
+    dom = np.where(valid, sigma[:, None] * pts[:, :, 0], 1.0)
+    s, t = pts[:, :, 1] / dom, pts[:, :, 2] / dom
     rows = np.arange(len(pts))
     area2 = np.zeros(len(pts))
-    for k in range(pts.shape[1]):
-        nk = np.where(k + 1 < cnt, k + 1, 0)
-        area2 = np.where(k < cnt, area2 + (s[:, k] * t[rows, nk] - s[rows, nk] * t[:, k]),
+    for c in range(pts.shape[1]):
+        nc = np.where(c + 1 < cnt, c + 1, 0)
+        area2 = np.where(valid[:, c], area2 + (s[:, c] * t[rows, nc] - s[rows, nc] * t[:, c]),
                          area2)
     kept = ~(np.abs(area2) < 2.0 * _AREA_DROP)
-    valid = np.arange(pts.shape[1]) < cnt[kept, None]
+    valid = valid[kept]
 
     def cover(x):
         """First and last cell of each kept footprint's padded extent in x."""
@@ -161,15 +163,16 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
     The face ring is clipped against each cube-face frustum (apex x_t); the
     surviving part is projected to (s, t) face coordinates and covered by the
     rectangle of cells spanning its extent, padded by a small constant.  The
-    clip keeps a margin eps_len in front of the apex, so projection never
-    divides by zero.  A batch of one of the index build.
+    clip keeps a margin eps_len > 0 in front of the apex, so projection
+    never divides by zero.  A batch of one of the index build.
     """
     ring = np.asarray(face_vertices, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
     if eps_len is None:
         eps_len = 1e-12 * default_scale(ring, x_t)
-    _, face, i, j = _footprints((ring - x_t)[None], np.array([len(ring)]),
-                                resolution, eps_len)
+    if not eps_len > 0.0:
+        raise ValueError(f"eps_len must be positive, got {eps_len!r}")
+    _, face, i, j = _footprints((ring - x_t)[None], resolution, eps_len)
     return list(zip(face.tolist(), i.tolist(), j.tolist()))
 
 
@@ -234,16 +237,17 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
         resolution = default_cubemap_resolution(poly.n_faces)
     resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
 
-    # Face rings as rows of one vertex table; padding past lens[f] is unread.
-    lens = np.fromiter(map(len, poly.faces), dtype=np.int64, count=poly.n_faces)
-    table = np.zeros((poly.n_faces, int(lens.max())), dtype=np.int64)
-    table[np.repeat(np.arange(poly.n_faces), lens),
-          run_expand(np.zeros_like(lens), lens)] = np.concatenate(poly.faces)
-    face_ids, face, i, j = _footprints(poly.vertices[table] - x_t, lens, resolution,
-                                       poly.tol.eps_len)
-    cell_ids = (face * resolution + i) * resolution + j
+    # One batch per ring length; the CSR lists each cell's faces in ring
+    # order, as a face-by-face build would.
+    parts = []
+    for ids, idx in ring_groups(poly.faces):
+        owner, face, i, j = _footprints(poly.vertices[idx] - x_t, resolution,
+                                        poly.tol.eps_len)
+        parts.append((ids[owner], (face * resolution + i) * resolution + j))
+    face_ids, cell_ids = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((face_ids, cell_ids))
     n_cells = 6 * resolution * resolution
-    offsets, faces_flat, counts = csr_sort(cell_ids, face_ids, n_cells)
+    offsets, faces_flat, counts = csr_sort(cell_ids[order], face_ids[order], n_cells)
     if int(counts.min()) < 1:
         raise AssertionError("cube-map construction produced an empty cell")
 

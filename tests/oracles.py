@@ -283,6 +283,17 @@ def regular_polygon(n, radius=1.0):
     return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
 
 
+def prism_mesh(k):
+    """Raw (vertices, faces) of a k-gon prism: two k-gon caps and k quads;
+    the bottom cap is wound inward, so validation reverses it."""
+    ring = regular_polygon(k)
+    v = np.vstack([np.column_stack([ring, np.zeros(k)]),
+                   np.column_stack([ring, np.ones(k)])])
+    f = [tuple(range(k)), tuple(range(k, 2 * k))]
+    f += [(i, (i + 1) % k, k + (i + 1) % k, k + i) for i in range(k)]
+    return v, f
+
+
 def policy_edge_points(shape, x_t):
     """Points on the edges of the direction-bucket query policy: exactly
     eps_q and 2*eps_q beyond each bounding-box face (moved out from x_t and

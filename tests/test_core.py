@@ -20,7 +20,7 @@ from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
                        validate_polyhedron)
 
 from oracles import (all_pairs_validate_polygon, loop_validate_polyhedron,
-                     regular_polygon)
+                     prism_mesh, regular_polygon)
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -382,18 +382,6 @@ def _affine_icosphere(level, seed):
     return v @ matrix.T + t, f
 
 
-def _prism(k):
-    """k-gon prism: two k-gon caps and k quads; the bottom cap is wound
-    inward, so validation reverses it."""
-    th = np.arange(k) * (2.0 * np.pi / k)
-    ring = np.column_stack([np.cos(th), np.sin(th)])
-    v = np.vstack([np.column_stack([ring, np.zeros(k)]),
-                   np.column_stack([ring, np.ones(k)])])
-    f = [tuple(range(k)), tuple(range(k, 2 * k))]
-    f += [(i, (i + 1) % k, k + (i + 1) % k, k + i) for i in range(k)]
-    return v, f
-
-
 def _verdict(validate, vertices, faces):
     """(exception class, face index named in its message) or (None, None)."""
     try:
@@ -410,7 +398,7 @@ def test_validate_polyhedron_matches_loop_reference():
     removes: the corpus3d meshes, small-shapes-style icospheres, the cube
     (also reversed) and prisms with mixed ring lengths."""
     meshes = [(CUBE_V, CUBE_F), (CUBE_V, [f[::-1] for f in CUBE_F]),
-              _prism(3), _prism(5), _prism(24)]
+              prism_mesh(3), prism_mesh(5), prism_mesh(24)]
     meshes += [_affine_icosphere(level, 2000 + 50 * level + k)
                for level in range(4) for k in range(20)]
     meshes += [_affine_icosphere(level, seed) for level in range(4) for seed in (1, 7, 13)]

@@ -13,7 +13,7 @@ from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpe
 from convexloc.cubemap import default_cubemap_resolution
 
 from oracles import (brute_exit_edges, loop_build_cubemap_index, policy_edge_points,
-                     reaches_planes)
+                     prism_mesh, reaches_planes)
 
 CUBE = validate_polyhedron(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -118,6 +118,23 @@ def test_build_matches_loop_reference(corpus3d):
         for res in (None, 1, 4, 7):
             assert (_csr(build_cubemap_index(poly, resolution=res))
                     == _csr(loop_build_cubemap_index(poly, resolution=res)))
+
+
+def test_build_matches_loop_reference_with_wide_caps():
+    """Two 2048-gon caps among 2048 quads: each ring length is clipped in
+    its own batch, so the caps do not widen the quads' arrays, and the CSR
+    is still the reference's bit for bit."""
+    poly = validate_polyhedron(*prism_mesh(2048))
+    assert sorted({len(f) for f in poly.faces}) == [4, 2048]
+    for res in (None, 1):
+        assert (_csr(build_cubemap_index(poly, resolution=res))
+                == _csr(loop_build_cubemap_index(poly, resolution=res)))
+
+
+def test_projection_needs_positive_margin():
+    for eps_len in (0.0, -1e-12, float("nan")):
+        with pytest.raises(ValueError, match="eps_len"):
+            project_face_conservative(TOP_RING, (0.5, 0.5, 0.5), 4, eps_len=eps_len)
 
 
 @pytest.mark.parametrize("resolution", [None, 1])
