@@ -390,11 +390,13 @@ def min_signed_distance(shape, points) -> np.ndarray:
     planes in one matrix product; chunks keep it near 64 MB.  The minimum
     runs along the product's longer axis, as numpy reduces many short rows
     slowly: with more points than planes (a 64-gon or a 20-face polyhedron
-    under 1e5 points, the small sides of the linear gates of
-    test_constant_query_time) the columnwise minimum of planes @ hom is
-    2-4x faster; with thousands of planes (the 65536-gon's 128-point
-    chunks, the polar-batch probe's 16384-gon) the rowwise minimum of
-    hom.T @ planes.T is up to 1.5x faster.
+    under 1e5 points) the columnwise minimum of planes @ hom is 2-4x
+    faster; with thousands of planes (the 65536-gon's 128-point chunks,
+    the polar-batch probe's 16384-gon) the rowwise minimum of
+    hom.T @ planes.T is up to 1.5x faster.  No benchmark workload times
+    the first side; only the linear-3D gate of test_constant_query_time
+    needs it: with the rowwise layout alone its ratio read x49-67 against
+    a floor of 50, with both x126-205 (2-vCPU host).
     """
     planes = getattr(shape, "halfplanes", getattr(shape, "halfspaces", shape))
     pts = np.atleast_2d(np.asarray(points, dtype=float))
