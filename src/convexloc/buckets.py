@@ -1,9 +1,9 @@
-"""Bucket tables, the one format behind polar slabs, the cube map and
-uniform y-slabs, and the query path of the direction-bucket indexes.
+"""Bucket tables, the one format behind polar slabs, the cube map, wedges
+and y-slabs, and the query path of the direction-bucket indexes.
 
-A bucketed index maps a query to one bucket (a slab or a cube-map cell)
-and evaluates only the planes listed for that bucket.  The lists are kept
-in CSR layout (offsets, items, counts) and, for batch queries, as a padded
+A bucketed index maps a query to one bucket (a slab, a cube-map cell or
+a wedge) and evaluates only the planes listed for that bucket.  The lists
+are kept in CSR layout (offsets, items, counts) and, for batch queries, as a padded
 gather table.  This module builds both, clamps bucket budgets to their
 caps, and holds the batch kernel that takes the minimal signed distance
 over a bucket's planes.  The polar and cube-map locators answer through

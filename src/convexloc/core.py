@@ -16,7 +16,7 @@ Conventions used throughout the library:
   distance over the deciding half-planes exceeds +eps_q, OnBoundary within
   [-eps_q, +eps_q], Outside below.
 - A query with a non-finite coordinate (NaN, +inf or -inf) is Outside in
-  every method, scalar and batch; no locator raises for it.
+  every method, scalar and batch; no locator raises or warns for it.
 """
 
 from __future__ import annotations
@@ -314,24 +314,27 @@ def halfspace_from_face(face_vertices, interior,
     """Unit-normal half-space (a, b, c, d) of a planar face ring.
 
     The normal is flipped if needed so the given interior point evaluates
-    positive.  Raises DegenerateFace for collinear rings, NonPlanarFace when
-    any ring vertex is farther than eps_plane from the fitted plane, and
-    InteriorOnPlane when the interior point sits on the plane itself.
+    positive.  Raises ValidationError for a non-finite ring vertex or
+    interior coordinate, DegenerateFace for collinear rings, NonPlanarFace
+    when any ring vertex is farther than eps_plane from the fitted plane,
+    and InteriorOnPlane when the interior point sits on the plane itself.
     """
     ring = np.asarray(face_vertices, dtype=float)
-    scale = default_scale(ring, np.asarray(interior, dtype=float))
+    interior = np.asarray(interior, dtype=float)
+    if ring.ndim != 2 or ring.shape[1] != 3:
+        raise DegenerateFace("face ring must be an (k, 3) array")
+    if len(ring) < 3:
+        raise DegenerateFace(f"face has {len(ring)} vertices, need at least 3")
+    if not (np.isfinite(ring).all() and np.isfinite(interior).all()):
+        raise ValidationError("face ring and interior point must be finite")
+    scale = default_scale(ring, interior)
     if eps_len is None:
         eps_len = LEN_EPS_FACTOR * scale
     if eps_plane is None:
         eps_plane = PLANE_EPS_FACTOR * scale
     if eps_q is None:
         eps_q = QUERY_EPS_FACTOR * scale
-    if ring.ndim != 2 or ring.shape[1] != 3:
-        raise DegenerateFace("face ring must be an (k, 3) array")
-    if len(ring) < 3:
-        raise DegenerateFace(f"face has {len(ring)} vertices, need at least 3")
-    planes, _, fault, dev = _face_planes(ring[None], np.asarray(interior, dtype=float),
-                                         eps_len, eps_plane, eps_q)
+    planes, _, fault, dev = _face_planes(ring[None], interior, eps_len, eps_plane, eps_q)
     if fault[0]:
         cls, message = _face_fault(fault[0], dev[0])
         raise cls(message)
@@ -500,9 +503,12 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
 
     # Faces are checked in numpy passes, one per ring length; each check
     # reports the lowest face that fails it, as a face-by-face loop would.
-    rings = [np.asarray(face, dtype=np.int64) for face in faces]
+    rings = [np.asarray(face) for face in faces]
     n_ok = next((k for k, ring in enumerate(rings) if ring.ndim != 1 or len(ring) < 3),
                 len(rings))
+    k = next((k for k, ring in enumerate(rings[:n_ok]) if ring.dtype.kind not in "iu"), None)
+    if k is not None:
+        raise ValidationError(f"face {k} has non-integer vertex indices")
     groups = ring_groups(rings[:n_ok])
     bad = np.zeros(n_ok, dtype=np.int64)     # 1: out of range, 2: repeats
     for ids, idx in groups:

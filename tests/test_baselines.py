@@ -80,6 +80,11 @@ def test_wedge_square_cases():
     assert locate_wedge(idx, (0.5, 0.5)) == Containment.INSIDE
     assert locate_wedge(idx, (1.0, 0.5)) == Containment.ON_BOUNDARY
     assert locate_wedge(idx, (0.0, 0.0)) == Containment.ON_BOUNDARY  # apex
+    # edges 0 and 3 bound the fan; the first and last wedge list them
+    for p in [(0.5, 0.0), (0.0, 0.5)]:
+        c = EvalCounter()
+        assert locate_wedge(idx, p, c) == Containment.ON_BOUNDARY
+        assert (c.fan_evals, c.wedge_evals, c.evals) == (2, 1, 2)
     c = EvalCounter()
     assert locate_wedge(idx, (-1.0, -1.0), c) == Containment.OUTSIDE
     # angular rejection: no boundary-edge evaluation at all
@@ -136,33 +141,45 @@ def test_wedge_scalar_equals_batch():
 # sorted slabs
 # ---------------------------------------------------------------------------
 
+def _dy(poly):
+    """Ordinate change along every edge: < 0 on the left chain, > 0 on the
+    right chain, 0 for a horizontal edge."""
+    y = poly.vertices[:, 1]
+    return np.roll(y, -1) - y
+
+
 def test_sorted_slabs_square_layout():
     idx = build_sorted_slabs(SQUARE)
     np.testing.assert_allclose(idx.ys, [0.0, 1.0])
-    assert list(idx.left_edges) == [3]
-    assert list(idx.right_edges) == [1]
-    assert idx.bottom_cap == 0
-    assert idx.top_cap == 2
+    assert sorted(idx.slab_edges(0)) == [0, 1, 2, 3]
 
 
 def test_sorted_slabs_triangle_layout():
     idx = build_sorted_slabs(TRIANGLE)
     np.testing.assert_allclose(idx.ys, [0.0, 1.0])
-    assert idx.bottom_cap == 0
-    assert idx.top_cap == -1
+    assert sorted(idx.slab_edges(0)) == [0, 1, 2]
 
 
 def test_sorted_slabs_chain_structure():
-    """Each interior slab gets exactly one left and one right edge, and
-    every chain edge covers exactly the slabs its y-extent spans."""
-    poly = random_polygon(41, 4)
-    idx = build_sorted_slabs(poly)
-    assert (idx.left_edges >= 0).all() and (idx.right_edges >= 0).all()
-    v = poly.vertices
-    for j in range(len(idx.ys) - 1):
-        for e in (idx.left_edges[j], idx.right_edges[j]):
-            y0, y1 = sorted([v[e, 1], v[(e + 1) % poly.n, 1]])
-            assert y0 <= idx.ys[j] and idx.ys[j + 1] <= y1
+    """Each slab lists exactly one left and one right chain edge, each
+    spanning the slab; a horizontal edge is listed only in the first slab
+    (bottom edge) or the last slab (top edge)."""
+    hexagon = validate_polygon([(0, 0), (1, 0), (1.5, 1), (1, 2), (0, 2), (-0.5, 1)])
+    for poly in (random_polygon(41, 4), SQUARE, TRIANGLE, hexagon):
+        idx = build_sorted_slabs(poly)
+        v = poly.vertices
+        dy = _dy(poly)
+        last = len(idx.ys) - 2
+        for j in range(last + 1):
+            listed = idx.slab_edges(j)
+            for chain in (listed[dy[listed] < 0], listed[dy[listed] > 0]):
+                assert len(chain) == 1
+                e = chain[0]
+                y0, y1 = sorted([v[e, 1], v[(e + 1) % poly.n, 1]])
+                assert y0 <= idx.ys[j] and idx.ys[j + 1] <= y1
+            for e in listed[dy[listed] == 0]:
+                assert j == (0 if v[e, 1] == idx.ys[0] else last)
+        assert len(idx.edges) == 2 * (last + 1) + (dy == 0).sum()
 
 
 def test_sorted_slabs_matches_linear():
@@ -195,12 +212,20 @@ def test_uniform_slab_arithmetic():
     assert int(idx.slab_of(0.999999)) == 9
 
 
+def _side_counts(idx, poly):
+    """Per-slab numbers of listed left-chain and right-chain edges."""
+    dy = _dy(poly)
+    listed = [dy[idx.slab_edges(i)] for i in range(idx.n_slabs)]
+    return (np.array([(d < 0).sum() for d in listed]),
+            np.array([(d > 0).sum() for d in listed]))
+
+
 def test_uniform_triangle_side_counts():
     idx = build_uniform_slabs(TRIANGLE, 4)
-    assert list(idx.left_counts) == [1, 1, 1, 1]
-    assert list(idx.right_counts) == [1, 1, 1, 1]
-    caps = idx.counts - idx.left_counts - idx.right_counts
-    assert list(caps) == [1, 0, 0, 0]
+    left, right = _side_counts(idx, TRIANGLE)
+    assert list(left) == [1, 1, 1, 1]
+    assert list(right) == [1, 1, 1, 1]
+    assert list(idx.counts - left - right) == [1, 0, 0, 0]
 
 
 def test_uniform_edges_cover_their_slab_ranges():
@@ -227,8 +252,9 @@ def test_uniform_per_side_occupancy_invariant():
         v = poly.vertices
         vs = idx.slab_of(v[:, 1])
         strict = np.bincount(vs, minlength=idx.n_slabs)
-        assert (idx.left_counts <= 1 + strict).all()
-        assert (idx.right_counts <= 1 + strict).all()
+        left, right = _side_counts(idx, poly)
+        assert (left <= 1 + strict).all()
+        assert (right <= 1 + strict).all()
 
 
 def test_uniform_cap_warning():

@@ -138,6 +138,12 @@ def test_halfspace_rejects_bad_rings():
     with pytest.raises(InteriorOnPlane):
         halfspace_from_face([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
                             (0.5, 0.5, 0.0))
+    triangle = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            halfspace_from_face([(bad, 0, 0)] + triangle[1:], (0, 0, 1))
+        with pytest.raises(ValidationError, match="finite"):
+            halfspace_from_face(triangle, (0, bad, 1))
 
 
 def test_centroid_examples():
@@ -357,6 +363,17 @@ def test_validate_polyhedron_rejections():
               (5, 2, 0), (5, 1, 2), (5, 3, 1), (5, 0, 3)]
     with pytest.raises(NotConvex):
         validate_polyhedron(dent_v, dent_f)
+
+
+def test_validate_polyhedron_rejects_non_integer_faces():
+    """Float indices are not truncated; the lowest such face is named."""
+    for bad in [(0.2, 2.9, 3, 1), (0.0, 2.0, 3.0, 1.0), np.array([0, 2, 3, 1.5])]:
+        faces = list(CUBE_F)
+        faces[2], faces[4] = bad, (0.5, 4, 6, 2)
+        with pytest.raises(ValidationError, match="face 2 has non-integer"):
+            validate_polyhedron(CUBE_V, faces)
+    faces = [np.array(f, dtype=dtype) for f, dtype in zip(CUBE_F, (np.int32, np.uint16) * 3)]
+    assert validate_polyhedron(CUBE_V, faces).n_faces == 6
 
 
 def test_icosahedron_halfspaces_symmetric():

@@ -1,5 +1,7 @@
 """A query with a non-finite coordinate is Outside in every method, scalar
-and batch, and never raises."""
+and batch, and never raises or warns."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from convexloc import (Containment, GenSpec2, GenSpec3, build_cubemap_index,
                        locate_linear_3d_batch, locate_polar, locate_polar_batch,
                        locate_sorted_slabs, locate_sorted_slabs_batch,
                        locate_uniform_slabs, locate_uniform_slabs_batch,
-                       locate_wedge, locate_wedge_batch)
+                       locate_wedge, locate_wedge_batch, validate_polygon,
+                       validate_polyhedron)
 
 # method -> (dimension, build(shape) -> index, scalar locate, batch locate)
 METHODS = {
@@ -60,3 +63,36 @@ def test_non_finite_batch_is_outside(shapes, method, coord, value):
     codes = locate_batch(idx, np.array([bad, inner, bad]))
     assert codes.tolist() == [Containment.OUTSIDE, Containment.INSIDE,
                               Containment.OUTSIDE]
+
+
+# Axis-parallel edges and faces have a zero plane coefficient, where an
+# infinite coordinate gives 0 * inf; inf - inf appears when two coordinates
+# are infinite.
+UNIT = {
+    2: lambda: validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+    3: lambda: validate_polyhedron(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
+         (0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],
+        [(0, 2, 3, 1), (4, 5, 7, 6), (0, 1, 5, 4),
+         (2, 6, 7, 3), (0, 4, 6, 2), (1, 3, 7, 5)]),
+}
+INF, NAN = np.inf, np.nan
+BAD_POINTS = {
+    2: [(INF, 0.5), (-INF, 0.5), (0.5, INF), (NAN, 0.5), (INF, -INF),
+        (-INF, INF), (INF, NAN), (NAN, -INF), (INF, INF), (NAN, NAN)],
+    3: [(INF, 0.5, 0.5), (0.5, -INF, 0.5), (0.5, 0.5, INF), (INF, -INF, 0.0),
+        (INF, NAN, 0.5), (-INF, 0.5, INF), (NAN, INF, -INF), (INF, INF, INF)],
+}
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_non_finite_on_unit_square_and_cube(method):
+    dim, build, locate, locate_batch = METHODS[method]
+    idx = build(UNIT[dim]())
+    bad = np.array(BAD_POINTS[dim])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        codes = locate_batch(idx, np.vstack([bad, [0.3] * dim]))
+        scalar = [locate(idx, p) for p in bad]
+    assert codes.tolist() == [Containment.OUTSIDE] * len(bad) + [Containment.INSIDE]
+    assert scalar == [Containment.OUTSIDE] * len(bad)
