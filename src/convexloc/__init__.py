@@ -11,8 +11,8 @@ from .core import (Aabb, CapExceeded, Containment, ConvexPolygon,
                    ConvexPolyhedron, DegenerateEdge, DegenerateFace,
                    EulerViolation, EvalCounter, InteriorOnPlane, NonPlanarFace,
                    NotConvex, ReferenceNotInterior, SingularAffine, SLAB_CAP,
-                   Tolerances, TooFewVertices, ValidationError, WrongWinding,
-                   ZeroDirection, centroid, classify_min, halfplane_from_edge,
+                   Tolerances, TooFewVertices, ValidationError, ZeroDirection,
+                   centroid, classify_min, halfplane_from_edge,
                    halfspace_from_face, min_signed_distance, plane_eval,
                    validate_polygon, validate_polyhedron)
 from .baselines import (SortedSlabIndex2, UniformSlabIndex2, WedgeIndex2,

@@ -8,10 +8,10 @@ Four classic strategies, ordered by per-query cost:
 - uniform y-slabs (direct index arithmetic), O(1) per query after an
   O(N + n_slabs) build.
 
-The wedge and both y-slab methods keep their candidate edges in the
-bucket-table format of the buckets module (a wedge or a slab is a bucket)
-and evaluate them with its kernel, bucketed_min; only the wedge's fan lines
-are evaluated here.  Every scalar locator is a batch of one; the linear and
+The wedge and both y-slab indexes are buckets.BucketTable subclasses (a
+wedge or a slab is a bucket) and evaluate their candidate edges with the
+kernel of that module, bucketed_min; only the wedge's fan lines are
+evaluated here.  Every scalar locator is a batch of one; the linear and
 wedge ones fill an optional EvalCounter with the counts the batch path
 implies.  A point with a non-finite coordinate is Outside before any plane
 is evaluated.
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .buckets import bucketed_min, clamp_budget, csr_sort, padded_table, run_expand
-from .core import (Containment, ConvexPolygon, ConvexPolyhedron, EvalCounter,
-                   SLAB_CAP, classify_min, min_signed_distance, plane_eval)
+from .buckets import BucketTable, bucketed_min, clamp_budget
+from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP,
+                   classify_min, min_signed_distance, plane_eval)
 
 
 def _points(points):
@@ -40,46 +39,27 @@ def _points(points):
     return pts, out, slice(None) if finite.all() else finite.all(axis=1)
 
 
-def _edge_table(first: np.ndarray, last: np.ndarray, n_buckets: int):
-    """Read-only CSR (offsets, edges, counts) listing edge e in buckets
-    first[e]..last[e]; raises AssertionError if a bucket stays empty."""
-    runs = last - first + 1
-    edge_ids = np.repeat(np.arange(len(first), dtype=np.int32), runs)
-    offsets, edges, counts = csr_sort(run_expand(first, runs), edge_ids, n_buckets)
-    if int(counts.min()) < 1:
-        raise AssertionError("edge table construction produced an empty bucket")
-    for arr in (offsets, edges, counts):
-        arr.setflags(write=False)
-    return offsets, edges, counts
-
-
 # ---------------------------------------------------------------------------
 # linear scans
 # ---------------------------------------------------------------------------
 
-def locate_linear_2d(poly: ConvexPolygon, p, counter: EvalCounter | None = None) -> Containment:
-    """O(N) scan: evaluate every edge half-plane, classify by the minimum."""
+def locate_linear_2d(shape, p, counter: EvalCounter | None = None) -> Containment:
+    """O(N) scan: evaluate every edge half-plane (face half-space in 3D),
+    classify by the minimum."""
     if counter is not None:
-        counter.evals += poly.n
-    return Containment(int(locate_linear_2d_batch(poly, p)[0]))
+        counter.evals += shape.n if isinstance(shape, ConvexPolygon) else shape.n_faces
+    return Containment(int(locate_linear_2d_batch(shape, p)[0]))
 
 
-def locate_linear_3d(poly: ConvexPolyhedron, p, counter: EvalCounter | None = None) -> Containment:
-    """O(N) scan over face half-spaces."""
-    if counter is not None:
-        counter.evals += poly.n_faces
-    return Containment(int(locate_linear_3d_batch(poly, p)[0]))
-
-
-def locate_linear_2d_batch(poly: ConvexPolygon, points) -> np.ndarray:
-    """Also the 3D scan: min_signed_distance takes either shape."""
+def locate_linear_2d_batch(shape, points) -> np.ndarray:
+    """Batch form of locate_linear_2d: min_signed_distance takes either shape."""
     pts, out, ok = _points(points)
-    out[ok] = classify_min(min_signed_distance(poly, pts[ok]), poly.tol.eps_q)
+    out[ok] = classify_min(min_signed_distance(shape, pts[ok]), shape.tol.eps_q)
     return out
 
 
-def locate_linear_3d_batch(poly: ConvexPolyhedron, points) -> np.ndarray:
-    return locate_linear_2d_batch(poly, points)
+locate_linear_3d = locate_linear_2d
+locate_linear_3d_batch = locate_linear_2d_batch
 
 
 # ---------------------------------------------------------------------------
@@ -87,30 +67,23 @@ def locate_linear_3d_batch(poly: ConvexPolyhedron, points) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class WedgeIndex2:
+class WedgeIndex2(BucketTable):
     """Fan of oriented lines from vertices[0] through every other vertex.
 
     g_planes[i] is the unit-normal line through (vertices[0], vertices[i]),
     positive on the counter-clockwise side; row 0 is unused padding.  Wedge
-    w lies between fan lines w + 1 and w + 2 and lists edge w + 1 (CSR
-    layout); the first wedge also lists edge 0 and the last edge N-1, the
+    w lies between fan lines w + 1 and w + 2 and is bucket w, listing edge
+    w + 1; the first wedge also lists edge 0 and the last edge N-1, the
     polygon edges that bound the fan.
     """
 
     poly: ConvexPolygon
     g_planes: np.ndarray
-    offsets: np.ndarray
-    edges: np.ndarray
-    counts: np.ndarray
 
     @property
     def bisection_depth(self) -> int:
         n = self.poly.n
         return 0 if n <= 3 else int(math.ceil(math.log2(n - 2)))
-
-    @cached_property
-    def padded_edges(self) -> np.ndarray:
-        return padded_table(self.offsets, self.edges, self.counts)
 
 
 def build_wedge_index(poly: ConvexPolygon) -> WedgeIndex2:
@@ -124,8 +97,7 @@ def build_wedge_index(poly: ConvexPolygon) -> WedgeIndex2:
     g[1:] = np.column_stack([a, b, c])
     g.setflags(write=False)
     wedge = np.clip(np.arange(poly.n) - 1, 0, poly.n - 3)
-    offsets, edges, counts = _edge_table(wedge, wedge, poly.n - 2)
-    return WedgeIndex2(poly=poly, g_planes=g, offsets=offsets, edges=edges, counts=counts)
+    return WedgeIndex2.pack(wedge, np.arange(poly.n), poly.n - 2, poly=poly, g_planes=g)
 
 
 def _wedge_batch(idx: WedgeIndex2, points):
@@ -203,20 +175,9 @@ def _locate_y_slabs(idx, points) -> np.ndarray:
     return out
 
 
-class _SlabTable:
-    """Accessors of a y-slab index's CSR table (offsets, edges, counts)."""
-
-    def slab_edges(self, i: int) -> np.ndarray:
-        return self.edges[self.offsets[i]:self.offsets[i + 1]]
-
-    @cached_property
-    def padded_edges(self) -> np.ndarray:
-        return padded_table(self.offsets, self.edges, self.counts)
-
-
 @dataclass(frozen=True)
-class SortedSlabIndex2(_SlabTable):
-    """Slabs between consecutive distinct vertex ordinates (CSR layout).
+class SortedSlabIndex2(BucketTable):
+    """Slabs between consecutive distinct vertex ordinates, one bucket each.
 
     Slab j spans [ys[j], ys[j+1]] and lists one left-chain and one
     right-chain edge; a horizontal bottom or top edge is also listed in the
@@ -225,9 +186,8 @@ class SortedSlabIndex2(_SlabTable):
 
     poly: ConvexPolygon
     ys: np.ndarray
-    offsets: np.ndarray
-    edges: np.ndarray
-    counts: np.ndarray
+
+    slab_edges = BucketTable.bucket
 
     def slab_of(self, y) -> np.ndarray:
         return np.clip(np.searchsorted(self.ys, y, side="right") - 1, 0, len(self.ys) - 2)
@@ -242,8 +202,7 @@ def build_sorted_slabs(poly: ConvexPolygon) -> SortedSlabIndex2:
     # the bottom edge (slab 0) or the top edge (the last slab).
     first = np.minimum(np.searchsorted(ys, y0), len(ys) - 2)
     last = np.maximum(np.searchsorted(ys, y1) - 1, first)
-    offsets, edges, counts = _edge_table(first, last, len(ys) - 1)
-    return SortedSlabIndex2(poly=poly, ys=ys, offsets=offsets, edges=edges, counts=counts)
+    return SortedSlabIndex2.from_runs(first, last - first + 1, len(ys) - 1, poly=poly, ys=ys)
 
 
 def locate_sorted_slabs(idx: SortedSlabIndex2, p) -> Containment:
@@ -256,8 +215,8 @@ def locate_sorted_slabs_batch(idx: SortedSlabIndex2, points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class UniformSlabIndex2(_SlabTable):
-    """Equal-height y-slabs with per-slab candidate edge lists (CSR layout).
+class UniformSlabIndex2(BucketTable):
+    """Equal-height y-slabs, one bucket of candidate edges each.
 
     Slab i covers [y_min + i*h, y_min + (i+1)*h) with h = span / n_slabs; a
     query maps to its slab by one floor division.  Every edge is listed in
@@ -266,11 +225,8 @@ class UniformSlabIndex2(_SlabTable):
 
     poly: ConvexPolygon
     n_slabs: int
-    offsets: np.ndarray
-    edges: np.ndarray
-    counts: np.ndarray
-    max_occupancy: int
-    mean_occupancy: float
+
+    slab_edges = BucketTable.bucket
 
     def slab_of(self, y) -> np.ndarray:
         return _y_slab_of(y, self.poly, self.n_slabs)
@@ -296,11 +252,9 @@ def build_uniform_slabs(poly: ConvexPolygon, n_slabs: int | None = None) -> Unif
 
     y = poly.vertices[:, 1]
     y0, y1 = np.sort([y, np.roll(y, -1)], axis=0)
-    offsets, edges, counts = _edge_table(_y_slab_of(y0, poly, n_slabs),
-                                         _y_slab_of(y1, poly, n_slabs), n_slabs)
-    return UniformSlabIndex2(poly=poly, n_slabs=n_slabs, offsets=offsets, edges=edges,
-                             counts=counts, max_occupancy=int(counts.max()),
-                             mean_occupancy=float(counts.mean()))
+    first = _y_slab_of(y0, poly, n_slabs)
+    runs = _y_slab_of(y1, poly, n_slabs) - first + 1
+    return UniformSlabIndex2.from_runs(first, runs, n_slabs, poly=poly, n_slabs=n_slabs)
 
 
 def locate_uniform_slabs(idx: UniformSlabIndex2, p) -> Containment:

@@ -2,19 +2,22 @@
 and y-slabs, and the query path of the direction-bucket indexes.
 
 A bucketed index maps a query to one bucket (a slab, a cube-map cell or
-a wedge) and evaluates only the planes listed for that bucket.  The lists
-are kept in CSR layout (offsets, items, counts) and, for batch queries, as a padded
-gather table.  This module builds both, clamps bucket budgets to their
-caps, and holds the batch kernel that takes the minimal signed distance
-over a bucket's planes.  The polar and cube-map locators answer through
-locate_radial (one point, Python floats) and locate_radial_batch (numpy),
-which apply the same policy with the same plane arithmetic.
+a wedge) and evaluates only the planes listed for that bucket.  Every
+such index is a BucketTable, the one owner of that format: CSR lists and,
+for batch queries, a padded gather table.  This module also clamps bucket
+budgets to their caps and holds the batch kernel that takes the minimal
+signed distance over a bucket's planes.  The polar and cube-map locators
+answer through locate_radial (one point, Python floats) and
+locate_radial_batch (numpy), which apply the same policy with the same
+plane arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,17 +59,61 @@ def run_expand(starts: np.ndarray, counts: np.ndarray):
     return np.repeat(starts, counts) + within
 
 
-def padded_table(offsets: np.ndarray, items: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(n, occ_max) gather table; short rows repeat their first entry, which
-    leaves min-reductions over the row unchanged."""
-    n = len(counts)
-    occ = int(counts.max())
-    padded = np.repeat(items[offsets[:-1]], occ).reshape(n, occ)
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-    cols = np.arange(len(items), dtype=np.int64) - np.repeat(offsets[:-1], counts)
-    padded[rows, cols] = items
-    padded.setflags(write=False)
-    return padded
+@dataclass(frozen=True)
+class BucketTable:
+    """Candidate plane lists of a bucketed index, in CSR layout: bucket b
+    lists the counts[b] plane ids edges[offsets[b]:offsets[b + 1]].
+
+    Built by pack or from_runs, every array is read-only and no bucket is
+    empty.  Every bucketed index subclasses it with its own fields.
+    """
+
+    offsets: np.ndarray
+    edges: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def pack(cls, bucket_ids: np.ndarray, item_ids: np.ndarray, n_buckets: int, **fields):
+        """Index listing item_ids[k] in bucket bucket_ids[k], in input order
+        within a bucket, plus the subclass's fields.  Raises AssertionError
+        if a bucket stays empty."""
+        offsets, edges, counts = csr_sort(bucket_ids, item_ids, n_buckets)
+        if int(counts.min()) < 1:
+            raise AssertionError(f"{cls.__name__} construction produced an empty bucket")
+        for arr in (offsets, edges, counts):
+            arr.setflags(write=False)
+        return cls(offsets=offsets, edges=edges, counts=counts, **fields)
+
+    @classmethod
+    def from_runs(cls, first: np.ndarray, runs: np.ndarray, n_buckets: int, **fields):
+        """pack listing item e in the runs[e] buckets from first[e] on,
+        wrapping past the last bucket to bucket 0."""
+        item_ids = np.repeat(np.arange(len(first), dtype=np.int32), runs)
+        return cls.pack(run_expand(first, runs) % n_buckets, item_ids, n_buckets, **fields)
+
+    def bucket(self, i: int) -> np.ndarray:
+        """Plane ids listed in bucket i."""
+        return self.edges[self.offsets[i]:self.offsets[i + 1]]
+
+    @cached_property
+    def padded_edges(self) -> np.ndarray:
+        """Read-only (n_buckets, max_occupancy) gather table; short rows
+        repeat their first entry, which leaves min-reductions unchanged."""
+        n, occ, first = len(self.counts), self.max_occupancy, self.offsets[:-1]
+        padded = np.repeat(self.edges[first], occ).reshape(n, occ)
+        rows = np.repeat(np.arange(n, dtype=np.int64), self.counts)
+        cols = np.arange(len(self.edges), dtype=np.int64) - np.repeat(first, self.counts)
+        padded[rows, cols] = self.edges
+        padded.setflags(write=False)
+        return padded
+
+    @cached_property
+    def max_occupancy(self) -> int:
+        return int(self.counts.max())
+
+    @cached_property
+    def mean_occupancy(self) -> float:
+        return float(self.counts.mean())
 
 
 def bucketed_min(planes: np.ndarray, padded: np.ndarray, bucket_ids, q: np.ndarray) -> np.ndarray:
@@ -127,7 +174,11 @@ def locate_radial_batch(shape, planes: np.ndarray, x_t: np.ndarray, padded: np.n
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     inbox = shape.aabb.contains(pts, pad=eps_q)
     sub = pts[inbox]
-    far = ((sub - x_t) ** 2).sum(axis=1) > shape.tol.eps_len ** 2
+    # Column by column, in the order of a row sum: numpy sums rows slowly.
+    dist2 = (sub[:, 0] - x_t[0]) ** 2
+    for k in range(1, sub.shape[1]):
+        dist2 += (sub[:, k] - x_t[k]) ** 2
+    far = dist2 > shape.tol.eps_len ** 2
     codes = np.full(len(sub), np.int8(Containment.INSIDE))
     q = sub[far]
     codes[far] = classify_min(bucketed_min(planes, padded, bucket_of(q), q), eps_q)

@@ -53,12 +53,6 @@ class NotConvex(ValidationError):
     pass
 
 
-class WrongWinding(ValidationError):
-    """Orientation errors are repaired by reversal during validation, so this
-    is only raised when a caller explicitly disables repair (not exposed at
-    the moment, the class exists so callers can catch the full taxonomy)."""
-
-
 class DegenerateEdge(ValidationError):
     pass
 
@@ -164,7 +158,12 @@ class Aabb:
     def contains(self, points: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Boolean mask: inside the box grown by pad on every side."""
         points = np.asarray(points, dtype=float)
-        return ((points >= self.lo - pad) & (points <= self.hi + pad)).all(axis=-1)
+        lo, hi = self.lo - pad, self.hi + pad
+        # Column by column: numpy reduces many rows of 2 or 3 slowly.
+        inside = (points[..., 0] >= lo[0]) & (points[..., 0] <= hi[0])
+        for k in range(1, points.shape[-1]):
+            inside &= (points[..., k] >= lo[k]) & (points[..., k] <= hi[k])
+        return inside
 
 
 def plane_eval(planes, points):
@@ -179,16 +178,7 @@ def plane_eval(planes, points):
     planes = np.asarray(planes, dtype=float)
     points = np.asarray(points, dtype=float)
     d = points.shape[-1]
-    h2 = np.atleast_2d(planes)
-    p2 = np.atleast_2d(points)
-    vals = p2 @ h2[:, :d].T + h2[:, d]
-    if points.ndim == 1 and planes.ndim == 1:
-        return float(vals[0, 0])
-    if planes.ndim == 1:
-        return vals[:, 0]
-    if points.ndim == 1:
-        return vals[0]
-    return vals
+    return points @ planes[..., :d].T + planes[..., d]
 
 
 def classify_min(min_vals, eps_q: float):
@@ -216,23 +206,15 @@ def halfplane_from_edge(p, q, eps_len: float | None = None) -> np.ndarray:
     interior for a counter-clockwise polygon.  Raises DegenerateEdge when the
     endpoints are closer than eps_len (default: 1e-12 x coordinate scale).
     """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    ends = np.array([p, q], dtype=float)
     if eps_len is None:
-        eps_len = LEN_EPS_FACTOR * default_scale(p, q)
-    dx = q[0] - p[0]
-    dy = q[1] - p[1]
-    length = float(np.hypot(dx, dy))
-    if length < eps_len or length == 0.0:
-        raise DegenerateEdge(f"edge endpoints coincide: {p} ~ {q}")
-    a = -dy / length
-    b = dx / length
-    c = -(a * p[0] + b * p[1])
-    return np.array([a, b, c])
+        eps_len = LEN_EPS_FACTOR * default_scale(ends)
+    return _edge_halfplanes(ends, eps_len)[0]
 
 
 def _edge_halfplanes(vertices: np.ndarray, eps_len: float) -> np.ndarray:
-    """Vectorized halfplane_from_edge over all polygon edges (CCW input)."""
+    """Inward unit-normal half-planes of all edges of a CCW ring, row i for
+    the edge vertices[i] -> vertices[i+1 mod N]."""
     d = np.roll(vertices, -1, axis=0) - vertices
     length = np.hypot(d[:, 0], d[:, 1])
     if (length < eps_len).any() or (length == 0.0).any():

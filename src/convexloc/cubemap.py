@@ -14,7 +14,8 @@ through such a sliver lies on the shared edge of adjacent faces, and the
 neighbouring face that shares that edge has a non-degenerate footprint
 there, so the deciding boundary plane is still listed.
 
-Queries go through buckets.locate_radial (one point, in floats) and
+The index is a buckets.BucketTable with one bucket per cell.  Queries go
+through buckets.locate_radial (one point, in floats) and
 buckets.locate_radial_batch; this module supplies only a query's cell.
 """
 
@@ -22,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .buckets import (clamp_budget, csr_sort, locate_radial, locate_radial_batch,
-                      padded_table, run_expand)
+from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
+                      run_expand)
 from .core import (Containment, ConvexPolyhedron, EvalCounter,
                    ReferenceNotInterior, ZeroDirection, centroid, default_scale,
                    plane_eval, ring_groups)
@@ -177,25 +177,27 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
 
 
 @dataclass(frozen=True)
-class CubeMapIndex3:
+class CubeMapIndex3(BucketTable):
     """Cube-map cell index around reference point x_t.
 
-    Cells are flattened as (face * resolution + i) * resolution + j; edges of
-    the CSR arrays hold candidate polyhedron face indices per cell.
+    Cells are flattened as (face * resolution + i) * resolution + j; the
+    bucket of a cell lists its candidate polyhedron face indices.
     """
 
     poly: ConvexPolyhedron
     x_t: np.ndarray
     resolution: int
-    offsets: np.ndarray
-    faces_flat: np.ndarray
-    counts: np.ndarray
-    max_occupancy: int
-    mean_occupancy: float
+
+    @property
+    def faces_flat(self) -> np.ndarray:
+        return self.edges
+
+    @property
+    def padded_faces(self) -> np.ndarray:
+        return self.padded_edges
 
     def cell_faces(self, face: int, i: int, j: int) -> np.ndarray:
-        flat = (face * self.resolution + i) * self.resolution + j
-        return self.faces_flat[self.offsets[flat]:self.offsets[flat + 1]]
+        return self.bucket((face * self.resolution + i) * self.resolution + j)
 
     def cell_of(self, points) -> np.ndarray:
         """Flat cell ids of the directions x_t -> points[k] for an (n, 3)
@@ -210,10 +212,6 @@ class CubeMapIndex3:
         i = _cells(d[rows, uv[axis, 0]] / dom, res)
         j = _cells(d[rows, uv[axis, 1]] / dom, res)
         return (face * res + i) * res + j
-
-    @cached_property
-    def padded_faces(self) -> np.ndarray:
-        return padded_table(self.offsets, self.faces_flat, self.counts)
 
 
 def default_cubemap_resolution(n_faces: int) -> int:
@@ -246,17 +244,9 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
         parts.append((ids[owner], (face * resolution + i) * resolution + j))
     face_ids, cell_ids = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((face_ids, cell_ids))
-    n_cells = 6 * resolution * resolution
-    offsets, faces_flat, counts = csr_sort(cell_ids[order], face_ids[order], n_cells)
-    if int(counts.min()) < 1:
-        raise AssertionError("cube-map construction produced an empty cell")
-
-    for arr in (offsets, faces_flat, counts, x_t):
-        arr.setflags(write=False)
-    return CubeMapIndex3(poly=poly, x_t=x_t, resolution=resolution,
-                         offsets=offsets, faces_flat=faces_flat, counts=counts,
-                         max_occupancy=int(counts.max()),
-                         mean_occupancy=float(counts.mean()))
+    x_t.setflags(write=False)
+    return CubeMapIndex3.pack(cell_ids[order], face_ids[order], 6 * resolution * resolution,
+                              poly=poly, x_t=x_t, resolution=resolution)
 
 
 def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) -> Containment:
@@ -271,4 +261,4 @@ def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) ->
 def locate_cubemap_batch(idx: CubeMapIndex3, points) -> np.ndarray:
     """Batch form of locate_cubemap: int8 Containment codes, one per point."""
     return locate_radial_batch(idx.poly, idx.poly.halfspaces, idx.x_t,
-                               idx.padded_faces, points, idx.cell_of)
+                               idx.padded_edges, points, idx.cell_of)

@@ -12,7 +12,8 @@ Build cost is O(N + n_slabs).  The default slab count makes every slab
 narrower than the smallest gap between the vertices' boundary parameters,
 so no slab holds two vertices and none lists more than two candidate edges.
 
-Queries go through buckets.locate_radial (one point, in floats) and
+The index is a buckets.BucketTable with one bucket per slab.  Queries go
+through buckets.locate_radial (one point, in floats) and
 buckets.locate_radial_batch; this module supplies only a query's slab.
 """
 
@@ -20,12 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .buckets import (clamp_budget, csr_sort, locate_radial, locate_radial_batch,
-                      padded_table, run_expand)
+from .buckets import BucketTable, clamp_budget, locate_radial, locate_radial_batch
 from .core import (Aabb, Containment, ConvexPolygon, EvalCounter,
                    ReferenceNotInterior, SLAB_CAP, ZeroDirection,
                    centroid, plane_eval)
@@ -90,11 +89,12 @@ def boundary_param_batch(box: Aabb, x_t, points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PolarIndex2:
+class PolarIndex2(BucketTable):
     """Angular slab index around reference point x_t.
 
-    Slab i covers boundary-parameter interval [i*U/n, (i+1)*U/n); edges is a
-    CSR list of candidate edge indices per slab.  All arrays are immutable.
+    Slab i covers boundary-parameter interval [i*U/n, (i+1)*U/n) and is
+    bucket i of the table: it lists the candidate edges.  All arrays are
+    immutable.
     """
 
     poly: ConvexPolygon
@@ -102,21 +102,11 @@ class PolarIndex2:
     box: Aabb
     perimeter: float
     n_slabs: int
-    offsets: np.ndarray
-    edges: np.ndarray
-    counts: np.ndarray
-    max_occupancy: int
-    mean_occupancy: float
+
+    slab_edges = BucketTable.bucket
 
     def slab_of(self, u) -> np.ndarray:
         return _slab_of(u, self.n_slabs, self.perimeter)
-
-    def slab_edges(self, i: int) -> np.ndarray:
-        return self.edges[self.offsets[i]:self.offsets[i + 1]]
-
-    @cached_property
-    def padded_edges(self) -> np.ndarray:
-        return padded_table(self.offsets, self.edges, self.counts)
 
 
 def _slab_of(u, n_slabs: int, perimeter: float) -> np.ndarray:
@@ -153,20 +143,12 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
         n_slabs = math.ceil(perimeter / gap) + 1 if gap > 0.0 else SLAB_CAP + 1
     n_slabs = clamp_budget("polar slab count", n_slabs, SLAB_CAP)
 
+    # Edge e runs from the slab of vertex e to the slab of vertex e + 1.
     s = _slab_of(u, n_slabs, perimeter)
-    runs = (np.roll(s, -1) - s) % n_slabs + 1
-    slab_ids = run_expand(s, runs) % n_slabs
-    edge_ids = np.repeat(np.arange(poly.n, dtype=np.int32), runs)
-    offsets, edges, counts = csr_sort(slab_ids, edge_ids, n_slabs)
-    if int(counts.min()) < 1:
-        raise AssertionError("polar slab construction produced an empty slab")
-
-    for arr in (offsets, edges, counts, x_t):
-        arr.setflags(write=False)
-    return PolarIndex2(poly=poly, x_t=x_t, box=box, perimeter=perimeter,
-                       n_slabs=n_slabs, offsets=offsets, edges=edges,
-                       counts=counts, max_occupancy=int(counts.max()),
-                       mean_occupancy=float(counts.mean()))
+    x_t.setflags(write=False)
+    return PolarIndex2.from_runs(s, (np.roll(s, -1) - s) % n_slabs + 1, n_slabs,
+                                 poly=poly, x_t=x_t, box=box, perimeter=perimeter,
+                                 n_slabs=n_slabs)
 
 
 def locate_polar(idx: PolarIndex2, p, counter: EvalCounter | None = None) -> Containment:

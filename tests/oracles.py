@@ -249,9 +249,7 @@ def loop_build_cubemap_index(poly, resolution=None, x_t=None):
                                            np.asarray(face_ids, dtype=np.int64),
                                            6 * resolution * resolution)
     return CubeMapIndex3(poly=poly, x_t=x_t, resolution=resolution,
-                         offsets=offsets, faces_flat=faces_flat, counts=counts,
-                         max_occupancy=int(counts.max()),
-                         mean_occupancy=float(counts.mean()))
+                         offsets=offsets, edges=faces_flat, counts=counts)
 
 
 def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):

@@ -7,7 +7,7 @@ from convexloc import (GenSpec2, GenSpec3, ParseError, gen_convex_polygon,
                        gen_convex_polyhedron, load_shape, parse_obj_file,
                        parse_points_file, parse_polygon_file, write_obj_file,
                        write_points_file, write_polygon_file)
-from convexloc.bench import CSV_HEADER
+from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D
 from convexloc.cli import main
 
 
@@ -220,3 +220,13 @@ def test_cli_bench_stdout(capsys):
     out = capsys.readouterr().out
     assert out.startswith(CSV_HEADER)
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("argv", [["--dim", "2", "--sizes", "16"],
+                                  ["--dim", "3", "--levels", "0"]])
+def test_cli_bench_reports_occupancy_of_every_bucketed_method(argv, capsys):
+    assert main(["bench", *argv, "--points", "500", "--reps", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    occupancy = {row[0]: int(row[6]) for row in rows}
+    assert set(occupancy) == set(METHODS_2D if argv[1] == "2" else METHODS_3D)
+    assert all(occ >= 1 for method, occ in occupancy.items() if method != "linear"), occupancy

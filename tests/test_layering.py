@@ -1,5 +1,6 @@
-"""Module layering: no module imports a private name from another, and the
-constant-time locators do not depend on the baseline methods."""
+"""Module layering: no module imports a private name from another, the
+constant-time locators do not depend on the baseline methods, and only
+buckets.py knows the bucket-table layout."""
 
 import ast
 from pathlib import Path
@@ -28,4 +29,24 @@ def test_radial_locators_do_not_import_baselines():
            for name in ("polar.py", "cubemap.py")
            for mod, names in _relative_imports(SRC / name)
            if mod == "baselines" or (mod == "" and "baselines" in names)]
+    assert not bad, bad
+
+
+def test_only_buckets_reads_the_bucket_table_format():
+    """The CSR layout of a bucket table is packed and read in buckets.py
+    alone: no other module calls csr_sort or padded_table or indexes an
+    .offsets array."""
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "buckets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in ("csr_sort", "padded_table"):
+                    bad.append(f"{path.name}:{node.lineno} calls {name}")
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+                  and node.value.attr == "offsets"):
+                bad.append(f"{path.name}:{node.lineno} subscripts .offsets")
     assert not bad, bad
