@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import BucketTable, bucketed_min, clamp_budget
+from .buckets import BucketTable, bucketed_min, clamp_budget, near
 from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP,
                    classify_min, min_signed_distance, plane_eval)
 
@@ -110,7 +110,7 @@ def _wedge_batch(idx: WedgeIndex2, points):
     near_apex = np.zeros(len(pts), dtype=bool)
     in_fan = np.zeros(len(pts), dtype=bool)
     q = pts[ok]
-    near_apex[ok] = ((q - poly.vertices[0]) ** 2).sum(axis=1) <= poly.tol.eps_len ** 2
+    near_apex[ok] = near(q, poly.vertices[0], poly.tol.eps_len)
     in_fan[ok] = ((plane_eval(g[1], q) >= -eps_q) & (plane_eval(g[-1], q) <= eps_q)
                   & ~near_apex[ok])
 
@@ -126,8 +126,7 @@ def _wedge_batch(idx: WedgeIndex2, points):
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     wedge = lo - 1
-    out[in_fan] = classify_min(bucketed_min(poly.halfplanes, idx.padded_edges, wedge, sub),
-                               eps_q)
+    out[in_fan] = classify_min(bucketed_min(poly.halfplanes, idx, wedge, sub), eps_q)
     out[near_apex] = np.int8(Containment.ON_BOUNDARY)
     return out, near_apex, in_fan, wedge
 
@@ -170,7 +169,7 @@ def _locate_y_slabs(idx, points) -> np.ndarray:
     ok = ((y >= poly.aabb.lo[1] - eps_q) & (y <= poly.aabb.hi[1] + eps_q)
           & np.isfinite(pts[:, 0]))
     q = pts[ok]
-    m = bucketed_min(poly.halfplanes, idx.padded_edges, idx.slab_of(q[:, 1]), q)
+    m = bucketed_min(poly.halfplanes, idx, idx.slab_of(q[:, 1]), q)
     out[ok] = classify_min(m, eps_q)
     return out
 

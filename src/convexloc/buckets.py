@@ -3,13 +3,13 @@ and y-slabs, and the query path of the direction-bucket indexes.
 
 A bucketed index maps a query to one bucket (a slab, a cube-map cell or
 a wedge) and evaluates only the planes listed for that bucket.  Every
-such index is a BucketTable, the one owner of that format: CSR lists and,
-for batch queries, a padded gather table.  This module also clamps bucket
-budgets to their caps and holds the batch kernel that takes the minimal
-signed distance over a bucket's planes.  The polar and cube-map locators
-answer through locate_radial (one point, Python floats) and
-locate_radial_batch (numpy), which apply the same policy with the same
-plane arithmetic.
+such index is a BucketTable, the one owner of that format: a padded
+(n_buckets, max_occupancy) table of plane ids and the bucket sizes, built
+once by pack.  This module also clamps bucket budgets to their caps and
+holds the batch kernel that takes the minimal signed distance over a
+bucket's planes.  The polar and cube-map locators answer through
+locate_radial (one point, Python floats) and locate_radial_batch (numpy),
+which apply the same policy with the same plane arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,17 +38,6 @@ def clamp_budget(what: str, n, cap: int) -> int:
     return n
 
 
-def csr_sort(bucket_ids: np.ndarray, item_ids: np.ndarray, n_buckets: int):
-    """(offsets, items, counts) of (bucket, item) pairs, items kept in input
-    order within a bucket."""
-    counts = np.bincount(bucket_ids, minlength=n_buckets)
-    offsets = np.empty(n_buckets + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(bucket_ids, kind="stable")
-    return offsets, item_ids[order].astype(np.int32), counts.astype(np.int32)
-
-
 def run_expand(starts: np.ndarray, counts: np.ndarray):
     """Per-run aranges: run j contributes starts[j] + (0..counts[j]-1)."""
     total = int(counts.sum())
@@ -61,15 +49,14 @@ def run_expand(starts: np.ndarray, counts: np.ndarray):
 
 @dataclass(frozen=True)
 class BucketTable:
-    """Candidate plane lists of a bucketed index, in CSR layout: bucket b
-    lists the counts[b] plane ids edges[offsets[b]:offsets[b + 1]].
+    """Bucket b of a bucketed index lists the counts[b] plane ids
+    padded_edges[b, :counts[b]]; the rest of the row repeats its first entry.
 
-    Built by pack or from_runs, every array is read-only and no bucket is
+    Built by pack or from_runs, both arrays are read-only and no bucket is
     empty.  Every bucketed index subclasses it with its own fields.
     """
 
-    offsets: np.ndarray
-    edges: np.ndarray
+    padded_edges: np.ndarray
     counts: np.ndarray
 
     @classmethod
@@ -77,53 +64,73 @@ class BucketTable:
         """Index listing item_ids[k] in bucket bucket_ids[k], in input order
         within a bucket, plus the subclass's fields.  Raises AssertionError
         if a bucket stays empty."""
-        offsets, edges, counts = csr_sort(bucket_ids, item_ids, n_buckets)
+        counts = np.bincount(bucket_ids, minlength=n_buckets).astype(np.int32)
         if int(counts.min()) < 1:
             raise AssertionError(f"{cls.__name__} construction produced an empty bucket")
-        for arr in (offsets, edges, counts):
+        items = item_ids[np.argsort(bucket_ids, kind="stable")].astype(np.int32)
+        first = np.cumsum(counts, dtype=np.int64) - counts
+        occ = int(counts.max())
+        padded = np.repeat(items[first], occ).reshape(n_buckets, occ)
+        # Entry k of the sorted items is entry k - first[b] of its bucket b.
+        shift = np.arange(0, n_buckets * occ, occ) - first
+        padded.reshape(-1)[np.repeat(shift, counts) + np.arange(len(items))] = items
+        for arr in (padded, counts):
             arr.setflags(write=False)
-        return cls(offsets=offsets, edges=edges, counts=counts, **fields)
+        return cls(padded_edges=padded, counts=counts, **fields)
 
     @classmethod
     def from_runs(cls, first: np.ndarray, runs: np.ndarray, n_buckets: int, **fields):
         """pack listing item e in the runs[e] buckets from first[e] on,
         wrapping past the last bucket to bucket 0."""
         item_ids = np.repeat(np.arange(len(first), dtype=np.int32), runs)
-        return cls.pack(run_expand(first, runs) % n_buckets, item_ids, n_buckets, **fields)
+        bucket_ids = run_expand(first, runs)
+        if int((first + runs).max()) > n_buckets:
+            bucket_ids %= n_buckets
+        return cls.pack(bucket_ids, item_ids, n_buckets, **fields)
 
     def bucket(self, i: int) -> np.ndarray:
         """Plane ids listed in bucket i."""
-        return self.edges[self.offsets[i]:self.offsets[i + 1]]
+        return self.padded_edges[i, :self.counts[i]]
 
-    @cached_property
-    def padded_edges(self) -> np.ndarray:
-        """Read-only (n_buckets, max_occupancy) gather table; short rows
-        repeat their first entry, which leaves min-reductions unchanged."""
-        n, occ, first = len(self.counts), self.max_occupancy, self.offsets[:-1]
-        padded = np.repeat(self.edges[first], occ).reshape(n, occ)
-        rows = np.repeat(np.arange(n, dtype=np.int64), self.counts)
-        cols = np.arange(len(self.edges), dtype=np.int64) - np.repeat(first, self.counts)
-        padded[rows, cols] = self.edges
-        padded.setflags(write=False)
-        return padded
-
-    @cached_property
+    @property
     def max_occupancy(self) -> int:
-        return int(self.counts.max())
+        return self.padded_edges.shape[1]
 
-    @cached_property
+    @property
     def mean_occupancy(self) -> float:
         return float(self.counts.mean())
 
+    @property
+    def offsets(self) -> np.ndarray:
+        """Read-only CSR offsets: bucket b is edges[offsets[b]:offsets[b + 1]]."""
+        offsets = np.concatenate(([0], np.cumsum(self.counts, dtype=np.int64)))
+        offsets.setflags(write=False)
+        return offsets
 
-def bucketed_min(planes: np.ndarray, padded: np.ndarray, bucket_ids, q: np.ndarray) -> np.ndarray:
+    @property
+    def edges(self) -> np.ndarray:
+        """Read-only CSR items: every bucket's plane ids, bucket by bucket."""
+        edges = self.padded_edges[np.arange(self.max_occupancy) < self.counts[:, None]]
+        edges.setflags(write=False)
+        return edges
+
+
+def near(points: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
+    """Mask of the points within r of center, summed column by column: numpy sums rows slowly."""
+    dist2 = (points[:, 0] - center[0]) ** 2
+    for k in range(1, points.shape[1]):
+        dist2 += (points[:, k] - center[k]) ** 2
+    return dist2 <= r ** 2
+
+
+def bucketed_min(planes: np.ndarray, table: BucketTable, bucket_ids, q: np.ndarray) -> np.ndarray:
     """Minimal signed distance of each point q[k] over the planes listed in
-    bucket bucket_ids[k] of the padded table.
+    bucket bucket_ids[k] of the table.
 
     Each plane is evaluated as a*x + b*y (+ c*z) + d, summed left to right,
     the same arithmetic as the candidate loop of locate_radial.
     """
-    hc = planes[padded[bucket_ids]]
+    hc = planes[table.padded_edges[bucket_ids]]
     dim = q.shape[1]
     vals = hc[..., 0] * q[:, None, 0]
     for k in range(1, dim):
@@ -163,7 +170,7 @@ def locate_radial(shape, planes: np.ndarray, x_t: np.ndarray, p, candidates,
     return classify_min(m, eps_q)
 
 
-def locate_radial_batch(shape, planes: np.ndarray, x_t: np.ndarray, padded: np.ndarray,
+def locate_radial_batch(shape, planes: np.ndarray, x_t: np.ndarray, table: BucketTable,
                         points, bucket_of) -> np.ndarray:
     """Batch form of locate_radial: int8 Containment codes, one per point.
 
@@ -174,13 +181,9 @@ def locate_radial_batch(shape, planes: np.ndarray, x_t: np.ndarray, padded: np.n
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     inbox = shape.aabb.contains(pts, pad=eps_q)
     sub = pts[inbox]
-    # Column by column, in the order of a row sum: numpy sums rows slowly.
-    dist2 = (sub[:, 0] - x_t[0]) ** 2
-    for k in range(1, sub.shape[1]):
-        dist2 += (sub[:, k] - x_t[k]) ** 2
-    far = dist2 > shape.tol.eps_len ** 2
+    far = ~near(sub, x_t, shape.tol.eps_len)
     codes = np.full(len(sub), np.int8(Containment.INSIDE))
     q = sub[far]
-    codes[far] = classify_min(bucketed_min(planes, padded, bucket_of(q), q), eps_q)
+    codes[far] = classify_min(bucketed_min(planes, table, bucket_of(q), q), eps_q)
     out[inbox] = codes
     return out

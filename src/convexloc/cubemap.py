@@ -28,7 +28,7 @@ import numpy as np
 
 from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
                       run_expand)
-from .core import (Containment, ConvexPolyhedron, EvalCounter,
+from .core import (Containment, ConvexPolyhedron, EvalCounter, LEN_EPS_FACTOR,
                    ReferenceNotInterior, ZeroDirection, centroid, default_scale,
                    plane_eval, ring_groups)
 
@@ -55,7 +55,7 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float | None = None):
     clamped to [0, R-1].  Raises ZeroDirection when p ~ x_t.
     """
     if eps_len is None:
-        eps_len = 1e-12 * default_scale(x_t, p)
+        eps_len = LEN_EPS_FACTOR * default_scale(x_t, p)
     d = [float(a) - float(b) for a, b in zip(p, x_t)]
     if math.hypot(*d) < eps_len:
         raise ZeroDirection("query coincides with the reference point")
@@ -169,7 +169,7 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
     ring = np.asarray(face_vertices, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
     if eps_len is None:
-        eps_len = 1e-12 * default_scale(ring, x_t)
+        eps_len = LEN_EPS_FACTOR * default_scale(ring, x_t)
     if not eps_len > 0.0:
         raise ValueError(f"eps_len must be positive, got {eps_len!r}")
     _, face, i, j = _footprints((ring - x_t)[None], resolution, eps_len)
@@ -188,9 +188,7 @@ class CubeMapIndex3(BucketTable):
     x_t: np.ndarray
     resolution: int
 
-    @property
-    def faces_flat(self) -> np.ndarray:
-        return self.edges
+    faces_flat = BucketTable.edges
 
     @property
     def padded_faces(self) -> np.ndarray:
@@ -235,7 +233,7 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
         resolution = default_cubemap_resolution(poly.n_faces)
     resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
 
-    # One batch per ring length; the CSR lists each cell's faces in ring
+    # One batch per ring length; the table lists each cell's faces in ring
     # order, as a face-by-face build would.
     parts = []
     for ids, idx in ring_groups(poly.faces):
@@ -260,5 +258,4 @@ def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) ->
 
 def locate_cubemap_batch(idx: CubeMapIndex3, points) -> np.ndarray:
     """Batch form of locate_cubemap: int8 Containment codes, one per point."""
-    return locate_radial_batch(idx.poly, idx.poly.halfspaces, idx.x_t,
-                               idx.padded_edges, points, idx.cell_of)
+    return locate_radial_batch(idx.poly, idx.poly.halfspaces, idx.x_t, idx, points, idx.cell_of)

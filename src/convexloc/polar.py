@@ -26,7 +26,7 @@ import numpy as np
 
 from .buckets import BucketTable, clamp_budget, locate_radial, locate_radial_batch
 from .core import (Aabb, Containment, ConvexPolygon, EvalCounter,
-                   ReferenceNotInterior, SLAB_CAP, ZeroDirection,
+                   LEN_EPS_FACTOR, ReferenceNotInterior, SLAB_CAP, ZeroDirection,
                    centroid, plane_eval)
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
@@ -41,7 +41,7 @@ def boundary_param(box: Aabb, x_t, p, eps_len: float | None = None) -> float:
     across corners.  Raises ZeroDirection when p ~ x_t.
     """
     if eps_len is None:
-        eps_len = 1e-12 * box.diagonal
+        eps_len = LEN_EPS_FACTOR * box.diagonal
     xt, yt = float(x_t[0]), float(x_t[1])
     dx = float(p[0]) - xt
     dy = float(p[1]) - yt
@@ -162,6 +162,5 @@ def locate_polar(idx: PolarIndex2, p, counter: EvalCounter | None = None) -> Con
 
 def locate_polar_batch(idx: PolarIndex2, points) -> np.ndarray:
     """Batch form of locate_polar: int8 Containment codes, one per point."""
-    return locate_radial_batch(
-        idx.poly, idx.poly.halfplanes, idx.x_t, idx.padded_edges, points,
-        lambda q: idx.slab_of(boundary_param_batch(idx.box, idx.x_t, q)))
+    return locate_radial_batch(idx.poly, idx.poly.halfplanes, idx.x_t, idx, points,
+                               lambda q: idx.slab_of(boundary_param_batch(idx.box, idx.x_t, q)))

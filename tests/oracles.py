@@ -5,7 +5,9 @@ library result is the thing under test: the crossing-number test works on
 raw coordinates, and the qhull oracle gets its plane equations from
 scipy.spatial.ConvexHull.  The loop_* references are the polyhedron
 validator and cube-map builder written face by face in Python loops, the
-form the batched library code must reproduce.
+form the batched library code must reproduce; csr_pack is the bucket-table
+packing in two passes, a CSR sort and then a padding pass, which
+buckets.BucketTable.pack does in one.
 """
 
 import math
@@ -18,7 +20,7 @@ from convexloc import (Aabb, ConvexPolyhedron, CubeMapIndex3, DegenerateEdge,
                        NonPlanarFace, NotConvex, ReferenceNotInterior,
                        Tolerances, TooFewVertices, ValidationError, centroid,
                        plane_eval)
-from convexloc.buckets import clamp_budget, csr_sort
+from convexloc.buckets import clamp_budget
 from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
 
@@ -245,11 +247,37 @@ def loop_build_cubemap_index(poly, resolution=None, x_t=None):
                                             poly.tol.eps_len):
             cell_ids.append((face * resolution + i) * resolution + j)
             face_ids.append(k)
-    offsets, faces_flat, counts = csr_sort(np.asarray(cell_ids, dtype=np.int64),
-                                           np.asarray(face_ids, dtype=np.int64),
-                                           6 * resolution * resolution)
+    _, _, counts, padded = csr_pack(np.asarray(cell_ids, dtype=np.int64),
+                                    np.asarray(face_ids, dtype=np.int64),
+                                    6 * resolution * resolution)
     return CubeMapIndex3(poly=poly, x_t=x_t, resolution=resolution,
-                         offsets=offsets, edges=faces_flat, counts=counts)
+                         padded_edges=padded, counts=counts)
+
+
+def csr_pack(bucket_ids, item_ids, n_buckets):
+    """(offsets, edges, counts, padded_edges) of the (bucket, item) pairs:
+    the CSR lists, items kept in input order within a bucket, and then the
+    (n_buckets, max count) table whose short rows repeat their first entry."""
+    counts = np.bincount(bucket_ids, minlength=n_buckets)
+    offsets = np.empty(n_buckets + 1, dtype=np.int64)
+    offsets[0] = 0
+    np.cumsum(counts, out=offsets[1:])
+    order = np.argsort(bucket_ids, kind="stable")
+    edges, counts = item_ids[order].astype(np.int32), counts.astype(np.int32)
+    occ, first = int(counts.max()), offsets[:-1]
+    padded = np.repeat(edges[first], occ).reshape(n_buckets, occ)
+    rows = np.repeat(np.arange(n_buckets, dtype=np.int64), counts)
+    cols = np.arange(len(edges), dtype=np.int64) - np.repeat(first, counts)
+    padded[rows, cols] = edges
+    return offsets, edges, counts, padded
+
+
+def runs_pairs(first, runs, n_buckets):
+    """(bucket_ids, item_ids) listing item e in the runs[e] buckets from
+    first[e] on, wrapping past the last bucket to bucket 0."""
+    buckets = [np.arange(f, f + r, dtype=np.int64) for f, r in zip(first.tolist(), runs.tolist())]
+    return (np.concatenate(buckets) % n_buckets,
+            np.repeat(np.arange(len(first), dtype=np.int64), runs))
 
 
 def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):

@@ -144,9 +144,7 @@ def test_compare_methods_detects_corruption():
     edges must surface as counted mismatches with example records."""
     poly = gen_convex_polygon(GenSpec2(40, 2))
     idx = build_polar_index(poly)
-    bad_edges = idx.edges.copy()
-    bad_edges[:] = (bad_edges + poly.n // 2) % poly.n
-    bad = dataclasses.replace(idx, edges=bad_edges)
+    bad = dataclasses.replace(idx, padded_edges=(idx.padded_edges + poly.n // 2) % poly.n)
     pts = gen_query_points(poly.aabb, QuerySpec(2000, 4))
     rep = compare_methods(poly, pts,
                           {"linear": lambda q: locate_linear_2d_batch(poly, q),

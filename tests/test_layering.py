@@ -33,20 +33,23 @@ def test_radial_locators_do_not_import_baselines():
 
 
 def test_only_buckets_reads_the_bucket_table_format():
-    """The CSR layout of a bucket table is packed and read in buckets.py
-    alone: no other module calls csr_sort or padded_table or indexes an
-    .offsets array."""
+    """The layout of a bucket table is packed and read in buckets.py alone:
+    no other module reads .padded_edges or the derived .offsets and .edges,
+    except the cube map's padded_faces and faces_flat aliases."""
+    aliases = {"padded_faces", "faces_flat"}
     bad = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "buckets.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = getattr(func, "id", getattr(func, "attr", None))
-                if name in ("csr_sort", "padded_table"):
-                    bad.append(f"{path.name}:{node.lineno} calls {name}")
-            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
-                  and node.value.attr == "offsets"):
-                bad.append(f"{path.name}:{node.lineno} subscripts .offsets")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(node) for alias in ast.walk(tree)
+                   if (isinstance(alias, ast.FunctionDef) and alias.name in aliases)
+                   or (isinstance(alias, ast.Assign)
+                       and {getattr(t, "id", None) for t in alias.targets} & aliases)
+                   for node in ast.walk(alias)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("padded_edges", "offsets", "edges")
+                    and id(node) not in allowed):
+                bad.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert not bad, bad
