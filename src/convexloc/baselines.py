@@ -26,7 +26,7 @@ import numpy as np
 
 from .buckets import BucketTable, bucketed_min, clamp_budget, near
 from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP,
-                   classify_min, min_signed_distance, plane_eval)
+                   classify_min, line_halfplanes, min_signed_distance, plane_eval)
 
 
 def _points(points):
@@ -45,9 +45,9 @@ def _points(points):
 
 def locate_linear_2d(shape, p, counter: EvalCounter | None = None) -> Containment:
     """O(N) scan: evaluate every edge half-plane (face half-space in 3D),
-    classify by the minimum."""
-    if counter is not None:
-        counter.evals += shape.n if isinstance(shape, ConvexPolygon) else shape.n_faces
+    classify by the minimum; counter gets every plane if p is finite."""
+    if counter is not None and np.isfinite(p).all():
+        counter.evals += len(shape.planes)
     return Containment(int(locate_linear_2d_batch(shape, p)[0]))
 
 
@@ -88,13 +88,9 @@ class WedgeIndex2(BucketTable):
 
 def build_wedge_index(poly: ConvexPolygon) -> WedgeIndex2:
     v = poly.vertices
-    d = v[1:] - v[0]
-    length = np.hypot(d[:, 0], d[:, 1])
-    a = -d[:, 1] / length
-    b = d[:, 0] / length
-    c = -(a * v[0, 0] + b * v[0, 1])
     g = np.full((poly.n, 3), np.nan)
-    g[1:] = np.column_stack([a, b, c])
+    # Fan lines join distinct vertices of a validated polygon: no length check.
+    g[1:] = line_halfplanes(v[:1], v[1:], 0.0)
     g.setflags(write=False)
     wedge = np.clip(np.arange(poly.n) - 1, 0, poly.n - 3)
     return WedgeIndex2.pack(wedge, np.arange(poly.n), poly.n - 2, poly=poly, g_planes=g)
@@ -126,7 +122,7 @@ def _wedge_batch(idx: WedgeIndex2, points):
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
     wedge = lo - 1
-    out[in_fan] = classify_min(bucketed_min(poly.halfplanes, idx, wedge, sub), eps_q)
+    out[in_fan] = classify_min(bucketed_min(poly.planes, idx, wedge, sub), eps_q)
     out[near_apex] = np.int8(Containment.ON_BOUNDARY)
     return out, near_apex, in_fan, wedge
 
@@ -137,11 +133,11 @@ def locate_wedge(idx: WedgeIndex2, p, counter: EvalCounter | None = None) -> Con
     The apex itself reports OnBoundary.  A point angularly outside the fan
     spanned by the first and last fan lines is Outside with no edge
     evaluation at all.  counter gets 2 fan evaluations unless the point is
-    at the apex, and bisection_depth wedge and the wedge's edge
-    evaluations when it is in the fan.
+    at the apex or not finite, and bisection_depth wedge and the wedge's
+    edge evaluations when it is in the fan.
     """
     codes, near_apex, in_fan, wedge = _wedge_batch(idx, p)
-    if counter is not None:
+    if counter is not None and np.isfinite(p).all():
         counter.fan_evals += 0 if near_apex[0] else 2
         if in_fan[0]:
             counter.wedge_evals += idx.bisection_depth
@@ -169,7 +165,7 @@ def _locate_y_slabs(idx, points) -> np.ndarray:
     ok = ((y >= poly.aabb.lo[1] - eps_q) & (y <= poly.aabb.hi[1] + eps_q)
           & np.isfinite(pts[:, 0]))
     q = pts[ok]
-    m = bucketed_min(poly.halfplanes, idx, idx.slab_of(q[:, 1]), q)
+    m = bucketed_min(poly.planes, idx, idx.slab_of(q[:, 1]), q)
     out[ok] = classify_min(m, eps_q)
     return out
 

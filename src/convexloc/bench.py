@@ -92,10 +92,6 @@ def make_locator(shape, method: str):
     return build
 
 
-def _size_of(shape) -> int:
-    return shape.n if isinstance(shape, ConvexPolygon) else shape.n_faces
-
-
 def time_queries(query_fn, points, reps: int, chunk: int = QUERY_CHUNK):
     """(mean_query_ns, p99_query_ns) over reps repetitions; one warmup."""
     pts = np.asarray(points, dtype=float)
@@ -136,7 +132,7 @@ def bench_one(shape, method: str, points, reps: int = 3) -> BenchRecord:
         report = compare_methods(shape, points,
                                  {"linear": linear_fn, method: query_fn})
         mismatches = report.n_mismatches
-    return BenchRecord(method=method, N=_size_of(shape), M=len(points),
+    return BenchRecord(method=method, N=len(shape.planes), M=len(points),
                        build_ns=int(np.median(build_times)),
                        mean_query_ns=int(round(mean_ns)),
                        p99_query_ns=int(round(p99_ns)),

@@ -7,9 +7,9 @@ such index is a BucketTable, the one owner of that format: a padded
 (n_buckets, max_occupancy) table of plane ids and the bucket sizes, built
 once by pack.  This module also clamps bucket budgets to their caps and
 holds the batch kernel that takes the minimal signed distance over a
-bucket's planes.  The polar and cube-map locators answer through
-locate_radial (one point, Python floats) and locate_radial_batch (numpy),
-which apply the same policy with the same plane arithmetic.
+bucket's planes.  reference_point is the x_t rule of the polar and cube-map
+indexes; locate_radial (one point, Python floats) and locate_radial_batch
+(numpy) answer their queries with one policy and arithmetic on shape.planes.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CapExceeded, Containment, EvalCounter, classify_min
+from .core import (CapExceeded, Containment, EvalCounter, ReferenceNotInterior, centroid,
+                   classify_min, plane_eval)
 
 
 def clamp_budget(what: str, n, cap: int) -> int:
@@ -139,7 +140,21 @@ def bucketed_min(planes: np.ndarray, table: BucketTable, bucket_ids, q: np.ndarr
     return vals.min(axis=1)
 
 
-def locate_radial(shape, planes: np.ndarray, x_t: np.ndarray, p, candidates,
+def reference_point(shape, x_t=None) -> np.ndarray:
+    """Read-only copy of the reference point x_t of a direction-bucket index,
+    by default the shape's vertex mean.  Raises ReferenceNotInterior unless
+    every plane evaluates above eps_q there, so also for a non-finite x_t."""
+    x_t = np.array(centroid(shape) if x_t is None else x_t, dtype=float)
+    # inf gives NaN (0 * inf) or -inf; the negated test also rejects NaN.
+    with np.errstate(invalid="ignore"):
+        m = float(plane_eval(shape.planes, x_t).min())
+    if not m > shape.tol.eps_q:
+        raise ReferenceNotInterior("reference point must be strictly inside")
+    x_t.setflags(write=False)
+    return x_t
+
+
+def locate_radial(shape, x_t: np.ndarray, p, candidates,
                   counter: EvalCounter | None = None) -> Containment:
     """O(1) classification of one point through a direction-bucket index
     around the strictly interior reference point x_t.
@@ -163,15 +178,15 @@ def locate_radial(shape, planes: np.ndarray, x_t: np.ndarray, p, candidates,
         counter.evals += len(listed)
     if len(q) == 2:
         x, y = q
-        m = min([a * x + b * y + d for a, b, d in planes[listed].tolist()])
+        m = min([a * x + b * y + d for a, b, d in shape.planes[listed].tolist()])
     else:
         x, y, z = q
-        m = min([a * x + b * y + c * z + d for a, b, c, d in planes[listed].tolist()])
+        m = min([a * x + b * y + c * z + d for a, b, c, d in shape.planes[listed].tolist()])
     return classify_min(m, eps_q)
 
 
-def locate_radial_batch(shape, planes: np.ndarray, x_t: np.ndarray, table: BucketTable,
-                        points, bucket_of) -> np.ndarray:
+def locate_radial_batch(shape, x_t: np.ndarray, table: BucketTable, points,
+                        bucket_of) -> np.ndarray:
     """Batch form of locate_radial: int8 Containment codes, one per point.
 
     bucket_of(q) maps the points that reach the planes to their bucket ids.
@@ -184,6 +199,6 @@ def locate_radial_batch(shape, planes: np.ndarray, x_t: np.ndarray, table: Bucke
     far = ~near(sub, x_t, shape.tol.eps_len)
     codes = np.full(len(sub), np.int8(Containment.INSIDE))
     q = sub[far]
-    codes[far] = classify_min(bucketed_min(planes, table, bucket_of(q), q), eps_q)
+    codes[far] = classify_min(bucketed_min(shape.planes, table, bucket_of(q), q), eps_q)
     out[inbox] = codes
     return out

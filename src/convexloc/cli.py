@@ -102,6 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _emit(text: str, out) -> None:
+    """Write text to the file named out, or to stdout when out is None."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_gen(args) -> int:
     if args.polygon:
         poly = gen_convex_polygon(GenSpec2(n=args.n, seed=args.seed,
@@ -126,12 +135,7 @@ def cmd_locate(args) -> int:
     method = args.method or ("polar" if dim == 2 else "cubemap")
     codes = make_locator(shape, method)()[0](pts)
     lines = [f"{i} {_CODE_NAMES[c]}" for i, c in enumerate(codes.tolist())]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -185,13 +189,9 @@ def cmd_bench(args) -> int:
     for shape in shapes:
         pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + 1))
         records += [bench_one(shape, m, pts, reps=args.reps) for m in methods]
-    text = records_to_csv(records)
+    _emit(records_to_csv(records), args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"wrote {len(records)} rows to {args.out}")
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -209,20 +209,21 @@ def halfplane_from_edge(p, q, eps_len: float | None = None) -> np.ndarray:
     ends = np.array([p, q], dtype=float)
     if eps_len is None:
         eps_len = LEN_EPS_FACTOR * default_scale(ends)
-    return _edge_halfplanes(ends, eps_len)[0]
+    return line_halfplanes(ends[:1], ends[1:], eps_len)[0]
 
 
-def _edge_halfplanes(vertices: np.ndarray, eps_len: float) -> np.ndarray:
-    """Inward unit-normal half-planes of all edges of a CCW ring, row i for
-    the edge vertices[i] -> vertices[i+1 mod N]."""
-    d = np.roll(vertices, -1, axis=0) - vertices
+def line_halfplanes(starts: np.ndarray, ends: np.ndarray, eps_len: float) -> np.ndarray:
+    """Unit-normal half-planes (a, b, c) of the lines starts[i] -> ends[i],
+    positive on the left; a one-row array broadcasts.  Raises DegenerateEdge
+    when a line is shorter than eps_len or of zero length."""
+    d = ends - starts
     length = np.hypot(d[:, 0], d[:, 1])
     if (length < eps_len).any() or (length == 0.0).any():
         bad = int(np.argmin(length))
         raise DegenerateEdge(f"edge {bad} has near-zero length {length[bad]:g}")
     a = -d[:, 1] / length
     b = d[:, 0] / length
-    c = -(a * vertices[:, 0] + b * vertices[:, 1])
+    c = -(a * starts[:, 0] + b * starts[:, 1])
     return np.column_stack([a, b, c])
 
 
@@ -347,6 +348,9 @@ class ConvexPolygon:
     def n(self) -> int:
         return len(self.vertices)
 
+    planes = property(lambda self: self.halfplanes,
+                      doc="The half-planes, as every query reads them.")
+
 
 @dataclass(frozen=True)
 class ConvexPolyhedron:
@@ -366,10 +370,13 @@ class ConvexPolyhedron:
     def n_faces(self) -> int:
         return len(self.faces)
 
+    planes = property(lambda self: self.halfspaces,
+                      doc="The half-spaces, as every query reads them.")
+
 
 def min_signed_distance(shape, points) -> np.ndarray:
-    """Minimal signed boundary distance per point over all of a shape's
-    half-planes/half-spaces; shape is a validated shape or a plane array.
+    """Minimal signed boundary distance per point over all of a validated
+    shape's planes.
 
     Each chunk of points, as homogeneous columns [x, y(, z), 1], meets all
     planes in one matrix product; chunks keep it near 64 MB.  The minimum
@@ -383,7 +390,7 @@ def min_signed_distance(shape, points) -> np.ndarray:
     needs it: with the rowwise layout alone its ratio read x49-67 against
     a floor of 50, with both x126-205 (2-vCPU host).
     """
-    planes = getattr(shape, "halfplanes", getattr(shape, "halfspaces", shape))
+    planes = shape.planes
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = pts.shape[1]
     out = np.empty(len(pts))
@@ -399,6 +406,23 @@ def min_signed_distance(shape, points) -> np.ndarray:
     return out
 
 
+def _vertex_array(vertices, dim: int, name: str, form: str):
+    """(float vertices, AABB, tolerances) after the checks both validators
+    share, in order: form, finiteness, dim + 1 vertices, nonzero diagonal."""
+    v = np.array(vertices, dtype=float)
+    if v.ndim != 2 or v.shape[1] != dim:
+        raise ValidationError(f"{name} vertices must form {form} array")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{name} coordinates must be finite")
+    if len(v) <= dim:
+        raise TooFewVertices(f"{name} needs >= {dim + 1} vertices, got {len(v)}")
+    aabb = Aabb.of_points(v)
+    diag = aabb.diagonal
+    if diag == 0.0:
+        raise DegenerateEdge("all vertices coincide")
+    return v, aabb, Tolerances.from_diag(diag)
+
+
 def validate_polygon(vertices) -> ConvexPolygon:
     """Validate raw polygon vertices and return an immutable ConvexPolygon.
 
@@ -407,18 +431,7 @@ def validate_polygon(vertices) -> ConvexPolygon:
     Clockwise input is repaired by reversal.  Raises a
     ValidationError subclass naming the first violated invariant.
     """
-    v = np.array(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 2:
-        raise ValidationError("polygon vertices must form an (N, 2) array")
-    if not np.isfinite(v).all():
-        raise ValidationError("polygon coordinates must be finite")
-    if len(v) < 3:
-        raise TooFewVertices(f"polygon needs >= 3 vertices, got {len(v)}")
-    aabb = Aabb.of_points(v)
-    diag = aabb.diagonal
-    if diag == 0.0:
-        raise DegenerateEdge("all vertices coincide")
-    tol = Tolerances.from_diag(diag)
+    v, aabb, tol = _vertex_array(vertices, 2, "polygon", "an (N, 2)")
     # Winding repair: negative shoelace area means clockwise input.
     x, y = v[:, 0], v[:, 1]
     area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
@@ -426,8 +439,9 @@ def validate_polygon(vertices) -> ConvexPolygon:
         v = v[::-1].copy()
     # Degenerate edges are reported before convexity so that a repeated
     # vertex names the real problem, not the zero cross product it causes.
-    halfplanes = _edge_halfplanes(v, tol.eps_len)
-    d = np.roll(v, -1, axis=0) - v
+    nxt = np.roll(v, -1, axis=0)
+    halfplanes = line_halfplanes(v, nxt, tol.eps_len)
+    d = nxt - v
     dn = np.roll(d, -1, axis=0)
     crosses = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
     # The convexity floor scales with the incident edge lengths: the cross
@@ -469,18 +483,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     relation V - E + F = 2, and repairs per-face winding against the vertex
     centroid.
     """
-    v = np.array(vertices, dtype=float)
-    if v.ndim != 2 or v.shape[1] != 3:
-        raise ValidationError("polyhedron vertices must form a (V, 3) array")
-    if not np.isfinite(v).all():
-        raise ValidationError("polyhedron coordinates must be finite")
-    if len(v) < 4:
-        raise TooFewVertices(f"polyhedron needs >= 4 vertices, got {len(v)}")
-    aabb = Aabb.of_points(v)
-    diag = aabb.diagonal
-    if diag == 0.0:
-        raise DegenerateEdge("all vertices coincide")
-    tol = Tolerances.from_diag(diag)
+    v, aabb, tol = _vertex_array(vertices, 3, "polyhedron", "a (V, 3)")
     interior = v.mean(axis=0)
 
     # Faces are checked in numpy passes, one per ring length; each check
@@ -522,7 +525,9 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
         cls, message = _face_fault(fault[k], dev[k])
         raise cls(f"face {k}: {message}")
 
-    if min_signed_distance(halfspaces, v).min() < -tol.eps_plane:
+    poly = ConvexPolyhedron(vertices=v, faces=tuple(oriented), halfspaces=halfspaces,
+                            aabb=aabb, tol=tol)
+    if min_signed_distance(poly, v).min() < -tol.eps_plane:
         raise NotConvex("a vertex lies outside a face plane beyond tolerance")
 
     edges = []
@@ -535,5 +540,4 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
 
     v.setflags(write=False)
     halfspaces.setflags(write=False)
-    return ConvexPolyhedron(vertices=v, faces=tuple(oriented),
-                            halfspaces=halfspaces, aabb=aabb, tol=tol)
+    return poly

@@ -14,9 +14,9 @@ through such a sliver lies on the shared edge of adjacent faces, and the
 neighbouring face that shares that edge has a non-degenerate footprint
 there, so the deciding boundary plane is still listed.
 
-The index is a buckets.BucketTable with one bucket per cell.  Queries go
-through buckets.locate_radial (one point, in floats) and
-buckets.locate_radial_batch; this module supplies only a query's cell.
+The index is a buckets.BucketTable, one bucket per cell, around the x_t of
+buckets.reference_point.  buckets.locate_radial (one point, in floats) and
+locate_radial_batch answer queries; this module maps a query to its cell.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
-                      run_expand)
+                      reference_point, run_expand)
 from .core import (Containment, ConvexPolyhedron, EvalCounter, LEN_EPS_FACTOR,
-                   ReferenceNotInterior, ZeroDirection, centroid, default_scale,
-                   plane_eval, ring_groups)
+                   ZeroDirection, default_scale, ring_groups)
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -223,12 +222,7 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
 
     Raises ReferenceNotInterior when x_t is not strictly inside.
     """
-    if x_t is None:
-        x_t = centroid(poly)
-    x_t = np.array(x_t, dtype=float)
-    if float(plane_eval(poly.halfspaces, x_t).min()) <= poly.tol.eps_q:
-        raise ReferenceNotInterior("reference point must be strictly inside")
-
+    x_t = reference_point(poly, x_t)
     if resolution is None:
         resolution = default_cubemap_resolution(poly.n_faces)
     resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
@@ -242,7 +236,6 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
         parts.append((ids[owner], (face * resolution + i) * resolution + j))
     face_ids, cell_ids = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((face_ids, cell_ids))
-    x_t.setflags(write=False)
     return CubeMapIndex3.pack(cell_ids[order], face_ids[order], 6 * resolution * resolution,
                               poly=poly, x_t=x_t, resolution=resolution)
 
@@ -253,9 +246,9 @@ def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) ->
     def cell_faces(q):
         return idx.cell_faces(*cubemap_cell(idx.x_t, idx.resolution, q,
                                             eps_len=idx.poly.tol.eps_len))
-    return locate_radial(idx.poly, idx.poly.halfspaces, idx.x_t, p, cell_faces, counter)
+    return locate_radial(idx.poly, idx.x_t, p, cell_faces, counter)
 
 
 def locate_cubemap_batch(idx: CubeMapIndex3, points) -> np.ndarray:
     """Batch form of locate_cubemap: int8 Containment codes, one per point."""
-    return locate_radial_batch(idx.poly, idx.poly.halfspaces, idx.x_t, idx, points, idx.cell_of)
+    return locate_radial_batch(idx.poly, idx.x_t, idx, points, idx.cell_of)

@@ -37,14 +37,19 @@ def _float_row(parts, path, lineno):
     return row
 
 
+def _fields(fh):
+    """(1-based line number, whitespace-split fields) of every line of the
+    open file fh that has any field left once its '#' comment is cut."""
+    for lineno, line in enumerate(fh, start=1):
+        parts = line.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
+
+
 def _read_rows(path, width=None):
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
+        for lineno, parts in _fields(fh):
             if width is None:
                 width = len(parts)
                 if width not in (2, 3):
@@ -91,11 +96,7 @@ def parse_obj_file(path) -> ConvexPolyhedron:
     verts = []
     faces = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            parts = body.split()
+        for lineno, parts in _fields(fh):
             tag = parts[0]
             if tag == "v":
                 if len(parts) != 4:

@@ -12,9 +12,9 @@ Build cost is O(N + n_slabs).  The default slab count makes every slab
 narrower than the smallest gap between the vertices' boundary parameters,
 so no slab holds two vertices and none lists more than two candidate edges.
 
-The index is a buckets.BucketTable with one bucket per slab.  Queries go
-through buckets.locate_radial (one point, in floats) and
-buckets.locate_radial_batch; this module supplies only a query's slab.
+The index is a buckets.BucketTable, one bucket per slab, around the x_t of
+buckets.reference_point.  buckets.locate_radial (one point, in floats) and
+locate_radial_batch answer queries; this module maps a query to its slab.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import BucketTable, clamp_budget, locate_radial, locate_radial_batch
+from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
+                      reference_point)
 from .core import (Aabb, Containment, ConvexPolygon, EvalCounter,
-                   LEN_EPS_FACTOR, ReferenceNotInterior, SLAB_CAP, ZeroDirection,
-                   centroid, plane_eval)
+                   LEN_EPS_FACTOR, SLAB_CAP, ZeroDirection)
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
 
@@ -125,12 +125,7 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
     between vertex parameters; g == 0 asks for more than SLAB_CAP.
     Raises ReferenceNotInterior when x_t is not strictly inside.
     """
-    if x_t is None:
-        x_t = centroid(poly)
-    x_t = np.array(x_t, dtype=float)
-    if float(plane_eval(poly.halfplanes, x_t).min()) <= poly.tol.eps_q:
-        raise ReferenceNotInterior("reference point must be strictly inside")
-
+    x_t = reference_point(poly, x_t)
     box = poly.aabb.inflated(BOX_INFLATION)
     w = float(box.hi[0] - box.lo[0])
     h = float(box.hi[1] - box.lo[1])
@@ -145,7 +140,6 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
 
     # Edge e runs from the slab of vertex e to the slab of vertex e + 1.
     s = _slab_of(u, n_slabs, perimeter)
-    x_t.setflags(write=False)
     return PolarIndex2.from_runs(s, (np.roll(s, -1) - s) % n_slabs + 1, n_slabs,
                                  poly=poly, x_t=x_t, box=box, perimeter=perimeter,
                                  n_slabs=n_slabs)
@@ -157,10 +151,10 @@ def locate_polar(idx: PolarIndex2, p, counter: EvalCounter | None = None) -> Con
     def slab_edges(q):
         u = boundary_param(idx.box, idx.x_t, q, eps_len=idx.poly.tol.eps_len)
         return idx.slab_edges(int(u * (idx.n_slabs / idx.perimeter)) % idx.n_slabs)
-    return locate_radial(idx.poly, idx.poly.halfplanes, idx.x_t, p, slab_edges, counter)
+    return locate_radial(idx.poly, idx.x_t, p, slab_edges, counter)
 
 
 def locate_polar_batch(idx: PolarIndex2, points) -> np.ndarray:
     """Batch form of locate_polar: int8 Containment codes, one per point."""
-    return locate_radial_batch(idx.poly, idx.poly.halfplanes, idx.x_t, idx, points,
+    return locate_radial_batch(idx.poly, idx.x_t, idx, points,
                                lambda q: idx.slab_of(boundary_param_batch(idx.box, idx.x_t, q)))

@@ -7,7 +7,8 @@ scipy.spatial.ConvexHull.  The loop_* references are the polyhedron
 validator and cube-map builder written face by face in Python loops, the
 form the batched library code must reproduce; csr_pack is the bucket-table
 packing in two passes, a CSR sort and then a padding pass, which
-buckets.BucketTable.pack does in one.
+buckets.BucketTable.pack does in one; wedge_fan_lines is the wedge
+builder's own former fan-line formula.
 """
 
 import math
@@ -278,6 +279,21 @@ def runs_pairs(first, runs, n_buckets):
     buckets = [np.arange(f, f + r, dtype=np.int64) for f, r in zip(first.tolist(), runs.tolist())]
     return (np.concatenate(buckets) % n_buckets,
             np.repeat(np.arange(len(first), dtype=np.int64), runs))
+
+
+def wedge_fan_lines(vertices):
+    """Fan lines of a wedge index, row i the unit-normal line through
+    vertices[0] and vertices[i] (row 0 NaN padding), in the formula the
+    wedge builder used before it shared core.line_halfplanes."""
+    v = np.asarray(vertices, dtype=float)
+    d = v[1:] - v[0]
+    length = np.hypot(d[:, 0], d[:, 1])
+    a = -d[:, 1] / length
+    b = d[:, 0] / length
+    c = -(a * v[0, 0] + b * v[0, 1])
+    g = np.full((len(v), 3), np.nan)
+    g[1:] = np.column_stack([a, b, c])
+    return g
 
 
 def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):

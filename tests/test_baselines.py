@@ -17,7 +17,7 @@ from convexloc import (CapExceeded, Containment, EvalCounter,
                        locate_wedge_batch, min_signed_distance,
                        validate_polygon, validate_polyhedron)
 
-from oracles import crossing_number_inside, qhull_min_signed_distance
+from oracles import crossing_number_inside, qhull_min_signed_distance, wedge_fan_lines
 
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = validate_polygon([(0, 0), (1, 0), (0.5, 1)])
@@ -116,6 +116,14 @@ def test_wedge_eval_bound(n):
         locate_wedge(idx, p, c)
         assert c.fan_evals + c.wedge_evals <= bound
         assert c.evals <= decision_bound
+
+
+def test_wedge_fan_lines_match_reference(corpus2d):
+    """The fan lines built by core.line_halfplanes are the bits of the
+    wedge's own former formula, kept in tests/oracles.py."""
+    for poly, _, _ in corpus2d[0]:
+        got = build_wedge_index(poly).g_planes
+        assert got.tobytes() == wedge_fan_lines(poly.vertices).tobytes()
 
 
 def test_wedge_matches_linear():

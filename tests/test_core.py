@@ -175,21 +175,56 @@ def test_validate_polygon_repairs_clockwise():
 
 
 def test_validate_polygon_rejections():
-    with pytest.raises(TooFewVertices):
-        validate_polygon([(0, 0), (1, 0)])
     with pytest.raises(NotConvex):
         validate_polygon([(0, 0), (2, 0), (1, 0.1), (0, 1)])  # reflex dent
     with pytest.raises(NotConvex):
         validate_polygon([(0, 0), (1, 0), (2, 0), (0, 1)])  # collinear run
     with pytest.raises(DegenerateEdge):
         validate_polygon([(0, 0), (0, 0), (1, 0), (0, 1)])  # repeated vertex
-    with pytest.raises(ValidationError):
-        validate_polygon([(0, 0), (1, np.nan), (0, 1)])
     star = [(np.cos(a), np.sin(a)) if i % 2 == 0 else
             (0.3 * np.cos(a), 0.3 * np.sin(a))
             for i, a in enumerate(np.arange(10) * np.pi / 5)]
     with pytest.raises(NotConvex):
         validate_polygon(star)
+
+
+NAN = np.nan
+# (raw vertices, exception class, message) per vertex check, for the
+# polygon validator; the polyhedron cases below mirror them.  Where one
+# input breaks two checks, the earlier check names it.
+POLYGON_VERTEX_FAULTS = [
+    ([(0, 0, 0), (1, 0, 0), (0, 1, 0)], ValidationError,
+     "polygon vertices must form an (N, 2) array"),
+    ([0.0, 1.0, 2.0], ValidationError, "polygon vertices must form an (N, 2) array"),
+    ([(0, 0), (1, NAN), (0, 1)], ValidationError, "polygon coordinates must be finite"),
+    ([(0, 0), (np.inf, 0), (0, 1)], ValidationError, "polygon coordinates must be finite"),
+    ([(0, NAN), (1, 0)], ValidationError, "polygon coordinates must be finite"),
+    ([(0, 0), (1, 0)], TooFewVertices, "polygon needs >= 3 vertices, got 2"),
+    ([(1, 1), (1, 1)], TooFewVertices, "polygon needs >= 3 vertices, got 2"),
+    ([(1, 1)] * 3, DegenerateEdge, "all vertices coincide"),
+]
+POLYHEDRON_VERTEX_FAULTS = [
+    ([(0, 0), (1, 0), (0, 1), (1, 1)], ValidationError,
+     "polyhedron vertices must form a (V, 3) array"),
+    ([0.0, 1.0, 2.0, 3.0], ValidationError, "polyhedron vertices must form a (V, 3) array"),
+    (CUBE_V[:7] + [(1, 1, NAN)], ValidationError, "polyhedron coordinates must be finite"),
+    (CUBE_V[:7] + [(-np.inf, 1, 1)], ValidationError, "polyhedron coordinates must be finite"),
+    ([(0, 0, NAN), (1, 0, 0)], ValidationError, "polyhedron coordinates must be finite"),
+    (CUBE_V[:3], TooFewVertices, "polyhedron needs >= 4 vertices, got 3"),
+    ([(1, 1, 1)] * 3, TooFewVertices, "polyhedron needs >= 4 vertices, got 3"),
+    ([(1, 1, 1)] * 8, DegenerateEdge, "all vertices coincide"),
+]
+
+
+@pytest.mark.parametrize("validate,raw,cls,message",
+                         [(validate_polygon, *case) for case in POLYGON_VERTEX_FAULTS]
+                         + [(lambda v: validate_polyhedron(v, CUBE_F), *case)
+                            for case in POLYHEDRON_VERTEX_FAULTS])
+def test_vertex_checks_name_the_first_fault(validate, raw, cls, message):
+    with pytest.raises(ValidationError) as info:
+        validate(raw)
+    assert type(info.value) is cls
+    assert str(info.value) == message
 
 
 def test_validate_polygon_rejects_multiply_wound_orders():
@@ -285,6 +320,9 @@ def test_validate_polygon_immutable():
         poly.vertices[0, 0] = 5.0
     with pytest.raises(Exception):
         poly.halfplanes[0, 0] = 5.0
+    assert poly.planes is poly.halfplanes
+    with pytest.raises(ValueError):
+        poly.planes[0, 0] = 5.0
 
 
 def test_polygon_halfplane_rows_match_edges():
@@ -334,6 +372,7 @@ def test_validate_polyhedron_cube():
     # every vertex sits on 3 faces
     vals = plane_eval(cube.halfspaces, cube.vertices)
     assert ((np.abs(vals) < 1e-12).sum(axis=1) == 3).all()
+    assert cube.planes is cube.halfspaces and not cube.planes.flags.writeable
 
 
 def test_validate_polyhedron_winding_repair():
@@ -343,8 +382,6 @@ def test_validate_polyhedron_winding_repair():
 
 
 def test_validate_polyhedron_rejections():
-    with pytest.raises(TooFewVertices):
-        validate_polyhedron(CUBE_V[:3], [(0, 1, 2)])
     with pytest.raises(EulerViolation):
         validate_polyhedron(CUBE_V, CUBE_F[:5])  # open box
     bent_v = list(CUBE_V)

@@ -1,6 +1,7 @@
 """Module layering: no module imports a private name from another, the
-constant-time locators do not depend on the baseline methods, and only
-buckets.py knows the bucket-table layout."""
+constant-time locators do not depend on the baseline methods, only
+buckets.py knows the bucket-table layout, and only core.py knows which
+field holds a shape's planes."""
 
 import ast
 from pathlib import Path
@@ -52,4 +53,14 @@ def test_only_buckets_reads_the_bucket_table_format():
                     and node.attr in ("padded_edges", "offsets", "edges")
                     and id(node) not in allowed):
                 bad.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not bad, bad
+
+
+def test_only_core_reads_the_plane_fields():
+    """Every other module reads a shape's planes through .planes, never the
+    .halfplanes or .halfspaces fields behind it."""
+    bad = [f"{path.name}:{node.lineno} reads .{node.attr}"
+           for path in sorted(SRC.glob("*.py")) if path.name != "core.py"
+           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+           if isinstance(node, ast.Attribute) and node.attr in ("halfplanes", "halfspaces")]
     assert not bad, bad

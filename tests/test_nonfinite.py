@@ -1,12 +1,14 @@
 """A query with a non-finite coordinate is Outside in every method, scalar
-and batch, and never raises or warns."""
+and batch, costs no evaluation, and never raises or warns; a non-finite
+reference point is rejected."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from convexloc import (Containment, GenSpec2, GenSpec3, build_cubemap_index,
+from convexloc import (Containment, EvalCounter, GenSpec2, GenSpec3,
+                       ReferenceNotInterior, build_cubemap_index,
                        build_polar_index, build_sorted_slabs,
                        build_uniform_slabs, build_wedge_index, centroid,
                        gen_convex_polygon, gen_convex_polyhedron,
@@ -65,6 +67,19 @@ def test_non_finite_batch_is_outside(shapes, method, coord, value):
                               Containment.OUTSIDE]
 
 
+COUNTED = ("linear-2d", "wedge", "polar", "linear-3d", "cubemap")
+
+
+@pytest.mark.parametrize("method,coord,value", [c for c in CASES if c[0] in COUNTED])
+def test_non_finite_scalar_costs_no_evaluation(shapes, method, coord, value):
+    idx, inner, bad, locate, _ = _case(shapes, method, coord, value)
+    counter = EvalCounter()
+    locate(idx, bad, counter)
+    assert counter.total() == 0
+    locate(idx, inner, counter)
+    assert counter.total() > 0
+
+
 # Axis-parallel edges and faces have a zero plane coefficient, where an
 # infinite coordinate gives 0 * inf; inf - inf appears when two coordinates
 # are infinite.
@@ -96,3 +111,14 @@ def test_non_finite_on_unit_square_and_cube(method):
         scalar = [locate(idx, p) for p in bad]
     assert codes.tolist() == [Containment.OUTSIDE] * len(bad) + [Containment.INSIDE]
     assert scalar == [Containment.OUTSIDE] * len(bad)
+
+
+@pytest.mark.parametrize("build", [build_polar_index, build_cubemap_index])
+@pytest.mark.parametrize("coord", [0, 1])
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_non_finite_reference_point_is_rejected(build, coord, value):
+    shape = UNIT[2 if build is build_polar_index else 3]()
+    x_t = [0.5] * shape.vertices.shape[1]
+    x_t[coord] = value
+    with pytest.raises(ReferenceNotInterior):
+        build(shape, x_t=x_t)
