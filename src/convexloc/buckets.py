@@ -4,12 +4,15 @@ and y-slabs, and the query path of the direction-bucket indexes.
 A bucketed index maps a query to one bucket (a slab, a cube-map cell or
 a wedge) and evaluates only the planes listed for that bucket.  Every
 such index is a BucketTable, the one owner of that format: a padded
-(n_buckets, max_occupancy) table of plane ids and the bucket sizes, built
-once by pack.  This module also clamps bucket budgets to their caps and
-holds the batch kernel that takes the minimal signed distance over a
-bucket's planes.  reference_point is the x_t rule of the polar and cube-map
-indexes; locate_radial (one point, Python floats) and locate_radial_batch
-(numpy) answer their queries with one policy and arithmetic on shape.planes.
+(n_buckets, max_occupancy) table of plane ids, stored column-major, and
+the bucket sizes, built once by pack.  This module also clamps bucket
+budgets to their caps and holds the batch kernel, bucketed_min, that takes
+the minimal signed distance over a bucket's planes one table column at a
+time.  It reads contiguous columns only: the table's, and those of the
+shape's column-major planes.  reference_point is the x_t rule of the polar
+and cube-map indexes; locate_radial (one point, Python floats) and
+locate_radial_batch (numpy) answer their queries with one policy and
+arithmetic on shape.planes.
 """
 
 from __future__ import annotations
@@ -53,8 +56,11 @@ class BucketTable:
     """Bucket b of a bucketed index lists the counts[b] plane ids
     padded_edges[b, :counts[b]]; the rest of the row repeats its first entry.
 
-    Built by pack or from_runs, both arrays are read-only and no bucket is
-    empty.  Every bucketed index subclasses it with its own fields.
+    padded_edges is stored column-major: column j, the j-th plane id of
+    every bucket, is one contiguous array, which is what bucketed_min
+    gathers from.  Built by pack or from_runs, both arrays are read-only and
+    no bucket is empty.  Every bucketed index subclasses it with its own
+    fields.
     """
 
     padded_edges: np.ndarray
@@ -71,10 +77,15 @@ class BucketTable:
         items = item_ids[np.argsort(bucket_ids, kind="stable")].astype(np.int32)
         first = np.cumsum(counts, dtype=np.int64) - counts
         occ = int(counts.max())
-        padded = np.repeat(items[first], occ).reshape(n_buckets, occ)
-        # Entry k of the sorted items is entry k - first[b] of its bucket b.
-        shift = np.arange(0, n_buckets * occ, occ) - first
-        padded.reshape(-1)[np.repeat(shift, counts) + np.arange(len(items))] = items
+        # Filled as its C-order transpose, so the table is column-major.
+        columns = np.empty((occ, n_buckets), dtype=np.int32)
+        columns[:] = items[first]
+        # Entry k of the sorted items is entry k - first[b] of its bucket b,
+        # which is flat entry (k - first[b]) * n_buckets + b of the transpose.
+        shift = np.arange(n_buckets) - first * n_buckets
+        columns.reshape(-1)[np.repeat(shift, counts)
+                            + np.arange(0, len(items) * n_buckets, n_buckets)] = items
+        padded = columns.T
         for arr in (padded, counts):
             arr.setflags(write=False)
         return cls(padded_edges=padded, counts=counts, **fields)
@@ -128,23 +139,38 @@ def bucketed_min(planes: np.ndarray, table: BucketTable, bucket_ids, q: np.ndarr
     """Minimal signed distance of each point q[k] over the planes listed in
     bucket bucket_ids[k] of the table.
 
-    Each plane is evaluated as a*x + b*y (+ c*z) + d, summed left to right,
-    the same arithmetic as the candidate loop of locate_radial.
+    Works one table column j at a time: it gathers the j-th plane id of
+    each point's bucket, then that plane's coefficients column by column,
+    and folds the distances into a running minimum.  Each plane is
+    evaluated as a*x + b*y (+ c*z) + d, summed left to right, the same
+    arithmetic as the candidate loop of locate_radial.  Padding repeats a
+    bucket's first plane, so it never changes a minimum.  Every gather
+    reads a contiguous column when planes and the table are column-major,
+    as the validators and BucketTable.pack store them; take on a strided
+    column would first copy the whole column, O(N) per call.
     """
-    hc = planes[table.padded_edges[bucket_ids]]
     dim = q.shape[1]
-    vals = hc[..., 0] * q[:, None, 0]
-    for k in range(1, dim):
-        vals += hc[..., k] * q[:, None, k]
-    vals += hc[..., dim]
-    return vals.min(axis=1)
+    coef = [planes[:, k] for k in range(dim + 1)]
+    m = None
+    for j in range(table.max_occupancy):
+        e = table.padded_edges[:, j].take(bucket_ids)
+        v = coef[0].take(e) * q[:, 0]
+        for k in range(1, dim):
+            v += coef[k].take(e) * q[:, k]
+        v += coef[dim].take(e)
+        m = v if m is None else np.minimum(m, v, out=m)
+    return m
 
 
 def reference_point(shape, x_t=None) -> np.ndarray:
     """Read-only copy of the reference point x_t of a direction-bucket index,
-    by default the shape's vertex mean.  Raises ReferenceNotInterior unless
+    by default the shape's vertex mean.  Raises ValueError unless x_t has
+    the shape (dim,) of the shape's points, and ReferenceNotInterior unless
     every plane evaluates above eps_q there, so also for a non-finite x_t."""
     x_t = np.array(centroid(shape) if x_t is None else x_t, dtype=float)
+    dim = shape.planes.shape[1] - 1
+    if x_t.shape != (dim,):
+        raise ValueError(f"reference point must have shape ({dim},), got {x_t.shape}")
     # inf gives NaN (0 * inf) or -inf; the negated test also rejects NaN.
     with np.errstate(invalid="ignore"):
         m = float(plane_eval(shape.planes, x_t).min())
@@ -194,11 +220,11 @@ def locate_radial_batch(shape, x_t: np.ndarray, table: BucketTable, points,
     eps_q = shape.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
-    inbox = shape.aabb.contains(pts, pad=eps_q)
-    sub = pts[inbox]
-    far = ~near(sub, x_t, shape.tol.eps_len)
-    codes = np.full(len(sub), np.int8(Containment.INSIDE))
-    q = sub[far]
-    codes[far] = classify_min(bucketed_min(shape.planes, table, bucket_of(q), q), eps_q)
-    out[inbox] = codes
+    # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
+    inbox = np.flatnonzero(shape.aabb.contains(pts, pad=eps_q))
+    sub = pts.take(inbox, axis=0)
+    far = np.flatnonzero(~near(sub, x_t, shape.tol.eps_len))
+    q = sub.take(far, axis=0)
+    out[inbox] = np.int8(Containment.INSIDE)
+    out[inbox[far]] = classify_min(bucketed_min(shape.planes, table, bucket_of(q), q), eps_q)
     return out

@@ -336,7 +336,9 @@ class ConvexPolygon:
 
     vertices   -- (N, 2) float64, counter-clockwise, immutable
     halfplanes -- (N, 3) unit-normal inward half-planes, row i for edge
-                  (vertices[i], vertices[i+1 mod N])
+                  (vertices[i], vertices[i+1 mod N]); stored column-major,
+                  so each coefficient column is one contiguous array that
+                  the bucket kernel gathers from
     """
 
     vertices: np.ndarray
@@ -357,7 +359,8 @@ class ConvexPolyhedron:
     """Validated convex polyhedron with outward-CCW planar faces.
 
     faces stores vertex-index rings; halfspaces holds one unit-normal inward
-    half-space per face, same order.
+    half-space (a, b, c, d) per face, same order, stored column-major like
+    ConvexPolygon.halfplanes.
     """
 
     vertices: np.ndarray
@@ -471,6 +474,7 @@ def validate_polygon(vertices) -> ConvexPolygon:
         if (a * w[:, 0] + b * w[:, 1] + c).min() < -tol.eps_plane:
             raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     v.setflags(write=False)
+    halfplanes = np.asfortranarray(halfplanes)
     halfplanes.setflags(write=False)
     return ConvexPolygon(vertices=v, halfplanes=halfplanes, aabb=aabb, tol=tol)
 
@@ -510,7 +514,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     if len(rings) < 4:
         raise TooFewVertices(f"polyhedron needs >= 4 faces, got {len(rings)}")
 
-    halfspaces = np.empty((n_ok, 4))
+    halfspaces = np.empty((n_ok, 4), order="F")
     fault = np.empty(n_ok, dtype=np.int64)
     dev = np.empty(n_ok)
     oriented = [None] * n_ok

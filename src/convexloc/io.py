@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 
 import numpy as np
 
@@ -47,6 +48,24 @@ def _fields(fh):
 
 
 def _read_rows(path, width=None):
+    """(M, width) float array of the coordinate rows of a text file; width
+    None takes the first row's, which must be 2 or 3.
+
+    np.loadtxt reads a well-formed file in bulk.  Its result counts only if
+    it is non-empty, all finite and of the right width; any other file,
+    including tokens that float() takes and loadtxt does not (such as
+    '1_000'), goes through the per-line parser, which raises every
+    ParseError.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # loadtxt warns on an empty file
+            bulk = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+    except ValueError:
+        bulk = None
+    widths = (2, 3) if width is None else (width,)
+    if bulk is not None and bulk.size and bulk.shape[1] in widths and np.isfinite(bulk).all():
+        return bulk
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, parts in _fields(fh):

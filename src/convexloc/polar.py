@@ -73,19 +73,25 @@ def boundary_param_batch(box: Aabb, x_t, points) -> np.ndarray:
     hix, hiy = float(box.hi[0]), float(box.hi[1])
     w = hix - lox
     h = hiy - loy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx = np.where(dx > 0.0, (hix - x_t[0]) / dx,
-                      np.where(dx < 0.0, (lox - x_t[0]) / dx, np.inf))
-        ty = np.where(dy > 0.0, (hiy - x_t[1]) / dy,
-                      np.where(dy < 0.0, (loy - x_t[1]) / dy, np.inf))
-        vertical = tx <= ty
+    # tx, ty: the ray parameter at which the ray meets the box side it
+    # heads for in x and in y; inf for a ray parallel to that axis.
+    right, up = dx > 0.0, dy > 0.0
+    tx = np.full(len(pts), np.inf)
+    ty = np.full(len(pts), np.inf)
+    np.divide(np.where(right, hix - x_t[0], lox - x_t[0]), dx, out=tx,
+              where=right | (dx < 0.0))
+    np.divide(np.where(up, hiy - x_t[1], loy - x_t[1]), dy, out=ty,
+              where=up | (dy < 0.0))
+    vertical = tx <= ty
+    with np.errstate(invalid="ignore"):
         ey = np.clip(x_t[1] + tx * dy, loy, hiy)
         ex = np.clip(x_t[0] + ty * dx, lox, hix)
     u = np.where(vertical,
-                 np.where(dx > 0.0, ey - loy, h + w + (hiy - ey)),
-                 np.where(dy > 0.0, h + (hix - ex), 2.0 * h + w + (ex - lox)))
+                 np.where(right, ey - loy, h + w + (hiy - ey)),
+                 np.where(up, h + (hix - ex), 2.0 * h + w + (ex - lox)))
     total = 2.0 * (w + h)
-    return np.where(u >= total, u - total, u)
+    np.subtract(u, total, out=u, where=u >= total)
+    return u
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,10 @@ validator and cube-map builder written face by face in Python loops, the
 form the batched library code must reproduce; csr_pack is the bucket-table
 packing in two passes, a CSR sort and then a padding pass, which
 buckets.BucketTable.pack does in one; wedge_fan_lines is the wedge
-builder's own former fan-line formula.
+builder's own former fan-line formula.  bucketed_min_reference,
+boundary_param_batch_reference and locate_radial_batch_reference are the
+batch query path as it was before the bucket kernel worked on table
+columns: whole-row gathers, a row minimum and boolean row compression.
 """
 
 import math
@@ -16,12 +19,12 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from convexloc import (Aabb, ConvexPolyhedron, CubeMapIndex3, DegenerateEdge,
+from convexloc import (Aabb, Containment, ConvexPolyhedron, CubeMapIndex3, DegenerateEdge,
                        DegenerateFace, EulerViolation, InteriorOnPlane,
-                       NonPlanarFace, NotConvex, ReferenceNotInterior,
+                       NonPlanarFace, NotConvex, ParseError, ReferenceNotInterior,
                        Tolerances, TooFewVertices, ValidationError, centroid,
-                       plane_eval)
-from convexloc.buckets import clamp_budget
+                       classify_min, plane_eval)
+from convexloc.buckets import clamp_budget, near
 from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
 
@@ -367,3 +370,86 @@ def reaches_planes(shape, x_t, points):
     pad = shape.tol.eps_q
     inbox = ((pts >= shape.aabb.lo - pad) & (pts <= shape.aabb.hi + pad)).all(axis=1)
     return inbox & (np.linalg.norm(pts - x_t, axis=1) > shape.tol.eps_len)
+
+
+def bucketed_min_reference(planes, table, bucket_ids, q):
+    """buckets.bucketed_min by whole rows: gather every listed plane of each
+    point's bucket, evaluate them all, take the row minimum."""
+    hc = planes[table.padded_edges[bucket_ids]]
+    dim = q.shape[1]
+    vals = hc[..., 0] * q[:, None, 0]
+    for k in range(1, dim):
+        vals += hc[..., k] * q[:, None, k]
+    vals += hc[..., dim]
+    return vals.min(axis=1)
+
+
+def boundary_param_batch_reference(box, x_t, points):
+    """polar.boundary_param_batch with a nested np.where per axis."""
+    x_t = np.asarray(x_t, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    dx = pts[:, 0] - x_t[0]
+    dy = pts[:, 1] - x_t[1]
+    lox, loy = float(box.lo[0]), float(box.lo[1])
+    hix, hiy = float(box.hi[0]), float(box.hi[1])
+    w = hix - lox
+    h = hiy - loy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx = np.where(dx > 0.0, (hix - x_t[0]) / dx,
+                      np.where(dx < 0.0, (lox - x_t[0]) / dx, np.inf))
+        ty = np.where(dy > 0.0, (hiy - x_t[1]) / dy,
+                      np.where(dy < 0.0, (loy - x_t[1]) / dy, np.inf))
+        vertical = tx <= ty
+        ey = np.clip(x_t[1] + tx * dy, loy, hiy)
+        ex = np.clip(x_t[0] + ty * dx, lox, hix)
+    u = np.where(vertical,
+                 np.where(dx > 0.0, ey - loy, h + w + (hiy - ey)),
+                 np.where(dy > 0.0, h + (hix - ex), 2.0 * h + w + (ex - lox)))
+    total = 2.0 * (w + h)
+    return np.where(u >= total, u - total, u)
+
+
+def locate_radial_batch_reference(shape, x_t, table, points, bucket_of):
+    """buckets.locate_radial_batch with boolean row compression and
+    bucketed_min_reference."""
+    eps_q = shape.tol.eps_q
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    out = np.full(len(pts), np.int8(Containment.OUTSIDE))
+    inbox = shape.aabb.contains(pts, pad=eps_q)
+    sub = pts[inbox]
+    far = ~near(sub, x_t, shape.tol.eps_len)
+    codes = np.full(len(sub), np.int8(Containment.INSIDE))
+    q = sub[far]
+    codes[far] = classify_min(bucketed_min_reference(shape.planes, table, bucket_of(q), q),
+                              eps_q)
+    out[inbox] = codes
+    return out
+
+
+def line_read_rows(path, width=None):
+    """io's coordinate-row reader done line by line with float(), as every
+    file was read before the bulk np.loadtxt pass."""
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split("#", 1)[0].split()
+            if not parts:
+                continue
+            if width is None:
+                width = len(parts)
+                if width not in (2, 3):
+                    raise ParseError(f"{path}:{lineno}: expected 2 or 3 columns, "
+                                     f"got {len(parts)}")
+            if len(parts) != width:
+                raise ParseError(f"{path}:{lineno}: expected {width} columns, "
+                                 f"got {len(parts)}")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: not a number: {' '.join(parts)}") from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"{path}:{lineno}: non-finite coordinate")
+            rows.append(row)
+    if not rows:
+        raise ParseError(f"{path}: no coordinate rows found")
+    return np.asarray(rows, dtype=float)

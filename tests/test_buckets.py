@@ -2,19 +2,25 @@
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from convexloc import (CapExceeded, GenSpec2, build_cubemap_index, build_polar_index,
-                       build_sorted_slabs, build_uniform_slabs, build_wedge_index,
-                       gen_convex_polygon, icosphere, validate_polygon,
-                       validate_polyhedron)
-from convexloc.buckets import BucketTable
+from convexloc import (CapExceeded, GenSpec2, QuerySpec, ReferenceNotInterior, baselines,
+                       build_cubemap_index, build_polar_index, build_sorted_slabs,
+                       build_uniform_slabs, build_wedge_index, centroid, cubemap,
+                       gen_convex_polygon, gen_query_points, icosphere, locate_cubemap_batch,
+                       locate_polar_batch, locate_sorted_slabs_batch,
+                       locate_uniform_slabs_batch, locate_wedge_batch, polar,
+                       validate_polygon, validate_polyhedron)
+from convexloc.buckets import BucketTable, bucketed_min
 
-from oracles import csr_pack, runs_pairs
+from oracles import (boundary_param_batch_reference, bucketed_min_reference, csr_pack,
+                     locate_radial_batch_reference, policy_edge_points, regular_polygon,
+                     runs_pairs)
 
 POLYGONS = {
     "triangle": validate_polygon([(0, 0), (1, 0), (0.5, 1)]),
@@ -43,6 +49,9 @@ def test_bucket_table_contract(build, shape):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0
+    # The bucket kernel gathers from contiguous columns only.
+    for arr in (padded, shape.planes):
+        assert arr.flags.f_contiguous and not arr.flags.writeable
     assert padded.shape == (n, idx.max_occupancy)
     assert idx.max_occupancy == int(idx.counts.max())
     assert idx.mean_occupancy == idx.counts.mean()
@@ -87,11 +96,14 @@ def reference_tables(monkeypatch):
 
 
 def _assert_reference_table(idx, ref):
-    """The table's arrays are the two-pass reference's, bit for bit."""
+    """The table's arrays are the two-pass reference's, bit for bit, and
+    the padded table is stored column-major."""
     got = (idx.offsets, idx.edges, idx.counts, idx.padded_edges)
     for name, a, b in zip(("offsets", "edges", "counts", "padded_edges"), got, ref):
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
+    assert idx.padded_edges.flags.f_contiguous
+    assert idx.padded_edges.nbytes == ref[3].nbytes
     assert idx.max_occupancy == int(ref[2].max())
     assert idx.mean_occupancy == ref[2].mean()
 
@@ -142,3 +154,122 @@ def test_polar_index_keeps_one_table():
         tracemalloc.stop()
     assert idx.max_occupancy == 2 and len(idx.counts) > 200_000
     assert retained < 4e6
+
+
+@pytest.mark.parametrize("build, shape, x_t, want, got", [
+    (build_polar_index, POLYGONS["square"], (0.5, 0.5, 0.5), "(2,)", "(3,)"),
+    (build_polar_index, POLYGONS["square"], [[0.5, 0.5]], "(2,)", "(1, 2)"),
+    (build_polar_index, POLYGONS["square"], (0.5,), "(2,)", "(1,)"),
+    (build_cubemap_index, validate_polyhedron(*icosphere(0)), (0.0, 0.0), "(3,)", "(2,)"),
+])
+def test_reference_point_of_another_shape_is_rejected(build, shape, x_t, want, got):
+    """An x_t that is not one point of the shape's dimension is named as
+    such, not as an index, broadcasting or interior fault."""
+    with pytest.raises(ValueError, match=re.escape(f"shape {want}, got {got}")) as err:
+        build(shape, x_t=x_t)
+    assert not isinstance(err.value, ReferenceNotInterior)
+
+
+LOCATORS = {build_polar_index: locate_polar_batch, build_wedge_index: locate_wedge_batch,
+            build_sorted_slabs: locate_sorted_slabs_batch,
+            build_uniform_slabs: locate_uniform_slabs_batch,
+            build_cubemap_index: locate_cubemap_batch}
+
+
+def _query_set(shape, pts):
+    """The corpus points, then the policy's edge points around the vertex
+    mean, the first vertices and rows with a NaN or infinite coordinate."""
+    dim = pts.shape[1]
+    bad = np.zeros((3 * dim, dim))
+    for k in range(dim):
+        bad[3 * k:3 * k + 3, k] = (np.nan, np.inf, -np.inf)
+    return np.concatenate([pts, policy_edge_points(shape, centroid(shape)),
+                           shape.vertices[:8], bad])
+
+
+def _assert_kernel_matches_reference(shape, table):
+    """bucketed_min equals the row-gather kernel bit for bit on batches of
+    0, 1 and 1024 points."""
+    rng = np.random.default_rng(len(table.counts))
+    for n in (0, 1, 1024):
+        ids = rng.integers(0, len(table.counts), n)
+        q = rng.uniform(shape.aabb.lo, shape.aabb.hi, (n, shape.vertices.shape[1]))
+        got = bucketed_min(shape.planes, table, ids, q)
+        want = bucketed_min_reference(shape.planes, table, ids, q)
+        assert got.dtype == want.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got, want), (table.max_occupancy, n)
+
+
+def _assert_codes_match_reference(idx, locate, shape, pts, monkeypatch):
+    """The locator's codes equal those of the row-gather query path on
+    batches of 0, 1 and all of _query_set's points."""
+    query = _query_set(shape, pts)
+    got = [locate(idx, query[:n]) for n in (0, 1, len(query))]
+    with monkeypatch.context() as m:
+        m.setattr(baselines, "bucketed_min", bucketed_min_reference)
+        m.setattr(polar, "boundary_param_batch", boundary_param_batch_reference)
+        m.setattr(polar, "locate_radial_batch", locate_radial_batch_reference)
+        m.setattr(cubemap, "locate_radial_batch", locate_radial_batch_reference)
+        want = [locate(idx, query[:n]) for n in (0, 1, len(query))]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int8
+        assert np.array_equal(a, b), locate.__name__
+
+
+@pytest.mark.parametrize("build", [build_polar_index, build_wedge_index,
+                                   build_sorted_slabs, build_uniform_slabs])
+def test_polygon_kernel_matches_reference(build, corpus2d, monkeypatch):
+    entries, _ = corpus2d
+    for poly, pts, _ in entries:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CapExceeded)
+            idx = build(poly)
+        _assert_kernel_matches_reference(poly, idx)
+        _assert_codes_match_reference(idx, LOCATORS[build], poly, pts, monkeypatch)
+
+
+def test_cubemap_kernel_matches_reference(corpus3d, monkeypatch):
+    """The corpus3d cube maps hold 5 to 9 planes in their widest cell."""
+    entries, _ = corpus3d
+    widths = set()
+    for poly, pts, idx in entries:
+        widths.add(idx.max_occupancy)
+        _assert_kernel_matches_reference(poly, idx)
+        _assert_codes_match_reference(idx, locate_cubemap_batch, poly, pts, monkeypatch)
+    assert min(widths) <= 5 and max(widths) >= 9
+
+
+def test_kernel_matches_reference_on_the_narrowest_and_widest_tables(monkeypatch):
+    """A table of one plane per bucket, and a one-slab polar index whose
+    single bucket lists all 64 edges."""
+    poly = POLYGONS["64-gon"]
+    _assert_kernel_matches_reference(poly, BucketTable.pack(np.arange(64), np.arange(64), 64))
+    idx = build_polar_index(poly, n_slabs=1)
+    assert idx.max_occupancy == 64
+    _assert_kernel_matches_reference(poly, idx)
+    pts = gen_query_points(poly.aabb, QuerySpec(1000, 5))
+    _assert_codes_match_reference(idx, locate_polar_batch, poly, pts, monkeypatch)
+
+
+def _batch_peak(poly) -> int:
+    """Peak bytes allocated by one 1024-point locate_polar_batch call."""
+    idx = build_polar_index(poly)
+    pts = gen_query_points(poly.aabb, QuerySpec(1024, 3))
+    locate_polar_batch(idx, pts)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        locate_polar_batch(idx, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+def test_batch_allocation_does_not_grow_with_the_shape():
+    """A batch allocates O(batch) bytes: a per-call copy of a plane or
+    table column would add O(N), 512 KB on the 65536-gon."""
+    small = _batch_peak(validate_polygon(regular_polygon(64)))
+    large = _batch_peak(validate_polygon(regular_polygon(65536)))
+    assert large <= 1.25 * small, (small, large)

@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from convexloc import (GenSpec2, GenSpec3, ParseError, gen_convex_polygon,
                        gen_convex_polyhedron, load_shape, parse_obj_file,
-                       parse_points_file, parse_polygon_file, write_obj_file,
-                       write_points_file, write_polygon_file)
+                       parse_points_file, parse_polygon_file, validate_polygon,
+                       write_obj_file, write_points_file, write_polygon_file)
 from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D
 from convexloc.cli import main
+
+from oracles import line_read_rows
 
 
 def test_polygon_file_round_trip(tmp_path):
@@ -91,6 +95,62 @@ def test_load_shape_dispatches_on_extension(tmp_path):
     write_obj_file(p3, poly3)
     assert load_shape(p2).vertices.shape[1] == 2
     assert load_shape(p3).vertices.shape[1] == 3
+
+
+# Tokens float() and np.loadtxt read differently, or that neither reads.
+ODD_TOKENS = ["1_000", "\u0661.\u0665", "nan", "-inf", "1e400", "1e-400", "+.5", "5.",
+              "-0", "0x10", "zebra", "1,5"]
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10 ** 6, 10 ** 6).map(str), st.sampled_from(ODD_TOKENS))
+
+
+@st.composite
+def coordinate_text(draw):
+    """A coordinate file: rows mostly of one width, with odd tokens,
+    non-breaking spaces, trailing comments, comment-only and blank lines."""
+    width = draw(st.integers(1, 4))
+    sep = st.sampled_from([" ", "\t", "\u00a0", "  "])
+    lines = []
+    for kind in draw(st.lists(st.sampled_from("rrrrrc b"), max_size=8)):
+        if kind == "r":
+            n = draw(st.one_of(st.just(width), st.integers(1, 4)))
+            parts = draw(st.lists(NUMBERS, min_size=n, max_size=n))
+            lines.append(draw(sep).join(parts) + draw(st.sampled_from(["", " # note"])))
+        elif kind == "c":
+            lines.append("# only a comment")
+        else:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+def _outcome(read, path):
+    """(shape, dtype, bytes) of what read(path) returns, or its error."""
+    try:
+        rows = read(path)
+    except ValueError as err:
+        return type(err).__name__, str(err)
+    rows = getattr(rows, "vertices", rows)
+    return rows.shape, rows.dtype.str, rows.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=coordinate_text())
+@example(text="1_000 2\n3 4\n")
+@example(text="\u0661.\u0665 2\n")
+@example(text="1\u00a02\n3\u00a04 # note\n")
+@example(text="nan 1\n")
+@example(text="1e400 1\n")
+@example(text="1 2\n3\n")
+@example(text="# only a comment\n\n \n")
+@example(text="")
+def test_bulk_reader_matches_the_line_parser(tmp_path_factory, text):
+    """The bulk np.loadtxt pass returns the line parser's array bit for
+    bit, and a file it cannot take gets the line parser's ParseError."""
+    path = tmp_path_factory.getbasetemp() / "rows.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert _outcome(parse_points_file, path) == _outcome(line_read_rows, path)
+    assert (_outcome(parse_polygon_file, path)
+            == _outcome(lambda p: validate_polygon(line_read_rows(p, width=2)), path))
 
 
 # ---------------------------------------------------------------------------
