@@ -15,6 +15,7 @@ Writers emit '%.17g' so every double round-trips exactly.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 import warnings
@@ -51,33 +52,34 @@ def _read_rows(path, width=None):
     """(M, width) float array of the coordinate rows of a text file; width
     None takes the first row's, which must be 2 or 3.
 
-    np.loadtxt reads a well-formed file in bulk.  Its result counts only if
-    it is non-empty, all finite and of the right width; any other file,
-    including tokens that float() takes and loadtxt does not (such as
-    '1_000'), goes through the per-line parser, which raises every
-    ParseError.
+    The file is opened once, with the builtin open(), and read whole;
+    np.loadtxt reads that text in bulk.  Its result counts only if it is
+    non-empty, all finite and of the right width; any other text, including
+    tokens that float() takes and loadtxt does not (such as '1_000'), goes
+    through the per-line parser, which raises every ParseError.
     """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)    # loadtxt warns on an empty file
-            bulk = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+            bulk = np.loadtxt(io.StringIO(text), comments="#", ndmin=2)
     except ValueError:
         bulk = None
     widths = (2, 3) if width is None else (width,)
     if bulk is not None and bulk.size and bulk.shape[1] in widths and np.isfinite(bulk).all():
         return bulk
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, parts in _fields(fh):
-            if width is None:
-                width = len(parts)
-                if width not in (2, 3):
-                    raise ParseError(f"{path}:{lineno}: expected 2 or 3 columns, "
-                                     f"got {len(parts)}")
-            if len(parts) != width:
-                raise ParseError(f"{path}:{lineno}: expected {width} columns, "
+    for lineno, parts in _fields(io.StringIO(text)):
+        if width is None:
+            width = len(parts)
+            if width not in (2, 3):
+                raise ParseError(f"{path}:{lineno}: expected 2 or 3 columns, "
                                  f"got {len(parts)}")
-            rows.append(_float_row(parts, path, lineno))
+        if len(parts) != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} columns, "
+                             f"got {len(parts)}")
+        rows.append(_float_row(parts, path, lineno))
     if not rows:
         raise ParseError(f"{path}: no coordinate rows found")
     return np.asarray(rows, dtype=float)

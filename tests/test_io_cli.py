@@ -1,5 +1,9 @@
 """File formats and the command line interface."""
 
+import gzip
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -153,6 +157,58 @@ def test_bulk_reader_matches_the_line_parser(tmp_path_factory, text):
             == _outcome(lambda p: validate_polygon(line_read_rows(p, width=2)), path))
 
 
+@pytest.mark.parametrize("read", [parse_points_file, parse_polygon_file])
+def test_rows_are_read_from_the_named_file_only(tmp_path, read):
+    """A missing file is the builtin open()'s FileNotFoundError even when a
+    compressed sibling exists, and a .gz file is read as text, not
+    decompressed."""
+    missing = tmp_path / "pts.txt"
+    with gzip.open(tmp_path / "pts.txt.gz", "wt") as fh:
+        fh.write("0 0\n1 0\n0 1\n")
+    with pytest.raises(FileNotFoundError) as err:
+        read(missing)
+    assert str(err.value) == f"[Errno 2] No such file or directory: {str(missing)!r}"
+    with pytest.raises(UnicodeDecodeError):
+        read(tmp_path / "pts.txt.gz")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("text, expect", [
+    ("0.5 0.25\n1 2\n", np.array([[0.5, 0.25], [1.0, 2.0]])),
+    ("0.5 0.25\n1_000 2\n", np.array([[0.5, 0.25], [1000.0, 2.0]])),
+    ("0.5 0.25\nzebra 2\n", ParseError),
+])
+def test_rows_are_read_from_a_pipe(tmp_path, text, expect):
+    """A named pipe is read once: the per-line parser still runs on it
+    without opening it a second time (which would wait for a writer that
+    has gone)."""
+    fifo = tmp_path / "pts.fifo"
+    os.mkfifo(fifo)
+    outcome = []
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    def read():
+        try:
+            outcome.append(parse_points_file(fifo))
+        except ParseError as err:
+            outcome.append(err)
+
+    threads = [threading.Thread(target=f, daemon=True) for f in (feed, read)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=20)
+    assert len(outcome) == 1, "the reader did not finish"
+    if expect is ParseError:
+        assert isinstance(outcome[0], ParseError)
+        assert str(outcome[0]).endswith("pts.fifo:2: not a number: zebra 2")
+    else:
+        assert np.array_equal(outcome[0], expect)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -233,6 +289,14 @@ def test_cli_locate_center_is_inside(tmp_path, capsys):
 def test_cli_error_exit_codes(argv, capsys, tmp_path):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+def test_cli_missing_file_error_text(tmp_path, capsys):
+    missing = tmp_path / "shape.txt"
+    (tmp_path / "shape.txt.gz").write_bytes(gzip.compress(b"0 0\n1 0\n0 1\n"))
+    assert main(["locate", "--shape", str(missing), "--points", str(missing)]) == 2
+    assert capsys.readouterr().err == ("convexloc: error: [Errno 2] No such file or "
+                                       f"directory: {str(missing)!r}\n")
 
 
 def test_cli_locate_dimension_mismatch(tmp_path, capsys):
