@@ -12,8 +12,7 @@ from .core import (Aabb, CapExceeded, Containment, ConvexPolygon,
                    EulerViolation, EvalCounter, InteriorOnPlane, NonPlanarFace,
                    NotConvex, ReferenceNotInterior, SingularAffine, SLAB_CAP,
                    Tolerances, TooFewVertices, ValidationError, ZeroDirection,
-                   centroid, classify_min, halfplane_from_edge,
-                   halfspace_from_face, min_signed_distance, plane_eval,
+                   centroid, classify_min, min_signed_distance, plane_eval,
                    validate_polygon, validate_polyhedron)
 from .baselines import (SortedSlabIndex2, UniformSlabIndex2, WedgeIndex2,
                         build_sorted_slabs, build_uniform_slabs,

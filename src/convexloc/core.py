@@ -9,9 +9,12 @@ Conventions used throughout the library:
 - Every bounding half-plane (a, b, c) / half-space (a, b, c, d) is stored with
   a unit normal, so evaluating it at a point returns the metric signed
   distance to the boundary line/plane, positive on the interior side.
-- Epsilons are scale-invariant: they are fixed factors of the shape's
-  axis-aligned bounding-box diagonal, so shapes in metres and millimetres
-  behave identically.
+- Epsilons have one rule, Tolerances.from_diag: each is a fixed factor of
+  an axis-aligned bounding-box diagonal, the shape's or, for a helper
+  called without one, that of its own inputs.  Answers therefore do not
+  change when a shape is moved, or rescaled from metres to millimetres.
+  boundary_param and cubemap_cell, whose one epsilon is the zero-direction
+  length, default it to 0.
 - Classification is three-valued.  A query is Inside when the minimal signed
   distance over the deciding half-planes exceeds +eps_q, OnBoundary within
   [-eps_q, +eps_q], Outside below.
@@ -31,6 +34,7 @@ PLANE_EPS_FACTOR = 1e-9    # planarity / convexity slack, x diagonal
 QUERY_EPS_FACTOR = 1e-9    # boundary classification band, x diagonal
 SLAB_CAP = 1 << 20         # hard upper bound for any subdivision resolution
 _CHUNK_CELLS = 1 << 23     # scratch matrix cells of a chunked scan (~64 MB)
+_COORD_MAX = 1e64          # validation squares Newell normals: coord**4 stays finite
 
 
 class Containment(enum.IntEnum):
@@ -78,7 +82,8 @@ class ReferenceNotInterior(ValueError):
 
 
 class ZeroDirection(ValueError):
-    """Query point coincides with the reference point; no direction exists."""
+    """Query point lies within eps_len of the reference point, or one of
+    the two has a NaN coordinate; no direction exists."""
 
 
 class SingularAffine(ValueError):
@@ -194,24 +199,6 @@ def classify_min(min_vals, eps_q: float):
                              np.int8(Containment.OUTSIDE))).astype(np.int8, copy=False)
 
 
-def default_scale(*point_sets) -> float:
-    """Coordinate scale of point sets (at least 1), for default epsilons."""
-    return max(1.0, *(float(np.max(np.abs(p))) for p in point_sets if np.size(p)))
-
-
-def halfplane_from_edge(p, q, eps_len: float | None = None) -> np.ndarray:
-    """Inward unit-normal half-plane (a, b, c) of the directed edge p -> q.
-
-    The positive side is the left of the direction of travel, which is the
-    interior for a counter-clockwise polygon.  Raises DegenerateEdge when the
-    endpoints are closer than eps_len (default: 1e-12 x coordinate scale).
-    """
-    ends = np.array([p, q], dtype=float)
-    if eps_len is None:
-        eps_len = LEN_EPS_FACTOR * default_scale(ends)
-    return line_halfplanes(ends[:1], ends[1:], eps_len)[0]
-
-
 def line_halfplanes(starts: np.ndarray, ends: np.ndarray, eps_len: float) -> np.ndarray:
     """Unit-normal half-planes (a, b, c) of the lines starts[i] -> ends[i],
     positive on the left; a one-row array broadcasts.  Raises DegenerateEdge
@@ -232,11 +219,12 @@ def _face_planes(rings: np.ndarray, interior: np.ndarray, eps_len: float,
     """Unit-normal planes of F face rings of k vertices each, an (F, k, 3)
     array, oriented toward interior: (planes, flipped, fault, dev).
 
-    fault[f] is 0 for a good face, else the first check face f fails (see
-    _face_fault); dev[f] is its largest distance from its plane.  The Newell
-    normal sums the cross products of the ring centred on its vertex mean
-    left to right, and norm and offset are stacked dot products, so every
-    row has the bits the same computation on one ring gives.
+    fault[f] is 0 for a good face, else the first check face f fails: 1
+    collinear, 2 non-planar, 3 interior on the plane; dev[f] is its largest
+    distance from its plane.  The Newell normal sums the cross products of
+    the ring centred on its vertex mean left to right, and norm and offset
+    are stacked dot products, so every row has the bits the same
+    computation on one ring gives.
     """
     mean = rings.mean(axis=1)
     # Centred rings keep the cross products and deviations free of the
@@ -279,49 +267,6 @@ def ring_groups(rings) -> list:
         ids = np.flatnonzero(lens == k)
         groups.append((ids, flat[starts[ids, None] + np.arange(k)]))
     return groups
-
-
-def _face_fault(fault: int, dev: float) -> tuple[type, str]:
-    """(exception class, message) of a nonzero _face_planes fault code."""
-    if fault == 1:
-        return DegenerateFace, "face vertices are collinear"
-    if fault == 2:
-        return NonPlanarFace, f"face deviates from its plane by {dev:g}"
-    return InteriorOnPlane, "interior reference point lies on the face plane"
-
-
-def halfspace_from_face(face_vertices, interior,
-                        eps_len: float | None = None,
-                        eps_plane: float | None = None,
-                        eps_q: float | None = None) -> np.ndarray:
-    """Unit-normal half-space (a, b, c, d) of a planar face ring.
-
-    The normal is flipped if needed so the given interior point evaluates
-    positive.  Raises ValidationError for a non-finite ring vertex or
-    interior coordinate, DegenerateFace for collinear rings, NonPlanarFace
-    when any ring vertex is farther than eps_plane from the fitted plane,
-    and InteriorOnPlane when the interior point sits on the plane itself.
-    """
-    ring = np.asarray(face_vertices, dtype=float)
-    interior = np.asarray(interior, dtype=float)
-    if ring.ndim != 2 or ring.shape[1] != 3:
-        raise DegenerateFace("face ring must be an (k, 3) array")
-    if len(ring) < 3:
-        raise DegenerateFace(f"face has {len(ring)} vertices, need at least 3")
-    if not (np.isfinite(ring).all() and np.isfinite(interior).all()):
-        raise ValidationError("face ring and interior point must be finite")
-    scale = default_scale(ring, interior)
-    if eps_len is None:
-        eps_len = LEN_EPS_FACTOR * scale
-    if eps_plane is None:
-        eps_plane = PLANE_EPS_FACTOR * scale
-    if eps_q is None:
-        eps_q = QUERY_EPS_FACTOR * scale
-    planes, _, fault, dev = _face_planes(ring[None], interior, eps_len, eps_plane, eps_q)
-    if fault[0]:
-        cls, message = _face_fault(fault[0], dev[0])
-        raise cls(message)
-    return planes[0]
 
 
 def centroid(shape_or_vertices) -> np.ndarray:
@@ -411,12 +356,15 @@ def min_signed_distance(shape, points) -> np.ndarray:
 
 def _vertex_array(vertices, dim: int, name: str, form: str):
     """(float vertices, AABB, tolerances) after the checks both validators
-    share, in order: form, finiteness, dim + 1 vertices, nonzero diagonal."""
+    share, in order: form, finiteness, magnitude, dim + 1 vertices, nonzero
+    diagonal."""
     v = np.array(vertices, dtype=float)
     if v.ndim != 2 or v.shape[1] != dim:
         raise ValidationError(f"{name} vertices must form {form} array")
     if not np.isfinite(v).all():
         raise ValidationError(f"{name} coordinates must be finite")
+    if np.abs(v).max(initial=0.0) > _COORD_MAX:
+        raise ValidationError(f"{name} coordinates must be at most {_COORD_MAX:g} in magnitude")
     if len(v) <= dim:
         raise TooFewVertices(f"{name} needs >= {dim + 1} vertices, got {len(v)}")
     aabb = Aabb.of_points(v)
@@ -526,8 +474,11 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
             oriented[k] = tuple(ring)
     if fault.any():
         k = int(np.argmax(fault > 0))
-        cls, message = _face_fault(fault[k], dev[k])
-        raise cls(f"face {k}: {message}")
+        if fault[k] == 1:
+            raise DegenerateFace(f"face {k}: face vertices are collinear")
+        if fault[k] == 2:
+            raise NonPlanarFace(f"face {k}: face deviates from its plane by {dev[k]:g}")
+        raise InteriorOnPlane(f"face {k}: interior reference point lies on the face plane")
 
     poly = ConvexPolyhedron(vertices=v, faces=tuple(oriented), halfspaces=halfspaces,
                             aabb=aabb, tol=tol)

@@ -28,8 +28,8 @@ import numpy as np
 
 from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
                       reference_point, run_expand)
-from .core import (Containment, ConvexPolyhedron, EvalCounter, LEN_EPS_FACTOR,
-                   ZeroDirection, default_scale, ring_groups)
+from .core import (Aabb, Containment, ConvexPolyhedron, EvalCounter, Tolerances,
+                   ZeroDirection, ring_groups)
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -45,18 +45,17 @@ def _cell_of(s: float, resolution: int) -> int:
     return min(max(int(math.floor((s + 1.0) * 0.5 * resolution)), 0), resolution - 1)
 
 
-def cubemap_cell(x_t, resolution: int, p, eps_len: float | None = None):
+def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
     """Cube-map cell (face, i, j) of the direction x_t -> p.
 
     face 0..5 means +X, -X, +Y, -Y, +Z, -Z; the dominant axis is the largest
     absolute component, ties resolved in X, Y, Z order.  i indexes the first
     remaining axis (ascending), j the second, each by floor((s+1)/2 * R)
-    clamped to [0, R-1].  Raises ZeroDirection when p ~ x_t.
+    clamped to [0, R-1].  Raises ZeroDirection when p is no farther than
+    eps_len from x_t or a coordinate is NaN.
     """
-    if eps_len is None:
-        eps_len = LEN_EPS_FACTOR * default_scale(x_t, p)
     d = [float(a) - float(b) for a, b in zip(p, x_t)]
-    if math.hypot(*d) < eps_len:
+    if not math.hypot(*d) > eps_len:
         raise ZeroDirection("query coincides with the reference point")
     ad = [abs(c) for c in d]
     axis = ad.index(max(ad))
@@ -163,12 +162,19 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
     surviving part is projected to (s, t) face coordinates and covered by the
     rectangle of cells spanning its extent, padded by a small constant.  The
     clip keeps a margin eps_len > 0 in front of the apex, so projection
-    never divides by zero.  A batch of one of the index build.
+    never divides by zero; by default eps_len is that of the Tolerances of
+    the box around the ring and x_t.  A batch of one of the index build.
+    Raises ValueError naming a non-finite ring vertex or x_t.
     """
     ring = np.asarray(face_vertices, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(ring).all(axis=1))
+    if len(bad):
+        raise ValueError(f"face ring vertex {bad[0]} is not finite")
+    if not np.isfinite(x_t).all():
+        raise ValueError("x_t is not finite")
     if eps_len is None:
-        eps_len = LEN_EPS_FACTOR * default_scale(ring, x_t)
+        eps_len = Tolerances.from_diag(Aabb.of_points(np.vstack([ring, x_t])).diagonal).eps_len
     if not eps_len > 0.0:
         raise ValueError(f"eps_len must be positive, got {eps_len!r}")
     _, face, i, j = _footprints((ring - x_t)[None], resolution, eps_len)

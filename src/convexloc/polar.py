@@ -26,26 +26,24 @@ import numpy as np
 
 from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
                       reference_point)
-from .core import (Aabb, Containment, ConvexPolygon, EvalCounter,
-                   LEN_EPS_FACTOR, SLAB_CAP, ZeroDirection)
+from .core import Aabb, Containment, ConvexPolygon, EvalCounter, SLAB_CAP, ZeroDirection
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
 
 
-def boundary_param(box: Aabb, x_t, p, eps_len: float | None = None) -> float:
+def boundary_param(box: Aabb, x_t, p, eps_len: float = 0.0) -> float:
     """Arc-length position u in [0, U) where ray x_t -> p exits the box.
 
     u runs counter-clockwise from the corner (x_max, y_min): up the right
     side, along the top, down the left side, along the bottom.  U equals the
     box perimeter 2*(W+H).  Strictly monotone in the ray angle, continuous
-    across corners.  Raises ZeroDirection when p ~ x_t.
+    across corners.  Raises ZeroDirection when p is no farther than eps_len
+    from x_t or a coordinate is NaN.
     """
-    if eps_len is None:
-        eps_len = LEN_EPS_FACTOR * box.diagonal
     xt, yt = float(x_t[0]), float(x_t[1])
     dx = float(p[0]) - xt
     dy = float(p[1]) - yt
-    if math.hypot(dx, dy) < eps_len:
+    if not math.hypot(dx, dy) > eps_len:
         raise ZeroDirection("query coincides with the reference point")
     lox, loy = box.lo.tolist()
     hix, hiy = box.hi.tolist()

@@ -12,12 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
-                       EulerViolation, GenSpec2, InteriorOnPlane, NonPlanarFace,
-                       NotConvex, Tolerances, TooFewVertices, ValidationError,
-                       centroid, classify_min, gen_convex_polygon,
-                       halfplane_from_edge, halfspace_from_face, icosphere,
-                       plane_eval, random_affine, validate_polygon,
-                       validate_polyhedron)
+                       EulerViolation, GenSpec2, NonPlanarFace, NotConvex,
+                       Tolerances, TooFewVertices, ValidationError, centroid,
+                       classify_min, gen_convex_polygon, icosphere, plane_eval,
+                       random_affine, validate_polygon, validate_polyhedron)
+from convexloc.core import line_halfplanes
 
 from oracles import (all_pairs_validate_polygon, loop_validate_polyhedron,
                      prism_mesh, regular_polygon)
@@ -31,8 +30,9 @@ CUBE_F = [(0, 2, 3, 1), (4, 5, 7, 6), (0, 1, 5, 4),
 
 
 def test_halfplane_axis_edges():
-    np.testing.assert_allclose(halfplane_from_edge((0, 0), (1, 0)), [0, 1, 0], atol=1e-15)
-    np.testing.assert_allclose(halfplane_from_edge((1, 0), (1, 1)), [-1, 0, 1], atol=1e-15)
+    h = line_halfplanes(np.array([[0.0, 0.0], [1.0, 0.0]]),
+                        np.array([[1.0, 0.0], [1.0, 1.0]]), 1e-12)
+    np.testing.assert_allclose(h, [[0, 1, 0], [-1, 0, 1]], atol=1e-15)
 
 
 def test_halfplane_left_side_positive():
@@ -45,13 +45,12 @@ def test_halfplane_left_side_positive():
     rng = np.random.default_rng(42)
     p = rng.normal(size=(1000, 2)) * 10
     q = p + rng.normal(size=(1000, 2))
-    for pi, qi in zip(p, q):
+    keep = np.hypot(*(q - p).T) >= 1e-9
+    p, q = p[keep], q[keep]
+    for pi, qi, h in zip(p, q, line_halfplanes(p, q, 1e-12)):
         d = qi - pi
         ln = np.hypot(*d)
-        if ln < 1e-9:
-            continue
         left = np.array([-d[1], d[0]]) / ln
-        h = halfplane_from_edge(pi, qi)
         mid = 0.5 * (pi + qi)
         assert plane_eval(h, mid + 0.1 * ln * left) > 0
         assert plane_eval(h, mid - 0.1 * ln * left) < 0
@@ -66,25 +65,27 @@ def test_halfplane_eval_is_metric_distance():
         p, q, x = rng.normal(size=(3, 2)) * 5
         if np.hypot(*(q - p)) < 1e-6:
             continue
-        h = halfplane_from_edge(p, q)
+        h = line_halfplanes(p[None], q[None], 1e-12)[0]
         d, r = q - p, x - p
         dist = abs(d[0] * r[1] - d[1] * r[0]) / np.hypot(*d)
         assert abs(abs(plane_eval(h, x)) - dist) < 1e-12 * max(1.0, dist)
 
 
 def test_halfplane_scale_invariant_coefficients():
-    h1 = halfplane_from_edge((0.3, 0.4), (1.1, 2.0))
-    p = np.array([0.3, 0.4])
-    q = np.array([1.1, 2.0])
-    h2 = halfplane_from_edge(p, p + 3.7 * (q - p))
+    p = np.array([[0.3, 0.4]])
+    q = np.array([[1.1, 2.0]])
+    h1 = line_halfplanes(p, q, 1e-12)
+    h2 = line_halfplanes(p, p + 3.7 * (q - p), 1e-12)
     np.testing.assert_allclose(h1, h2, atol=1e-12)
 
 
 def test_halfplane_degenerate_edge():
+    p = np.array([[1.0, 1.0]])
+    for eps_len in (0.0, 1e-12):
+        with pytest.raises(DegenerateEdge):
+            line_halfplanes(p, p.copy(), eps_len)
     with pytest.raises(DegenerateEdge):
-        halfplane_from_edge((1.0, 1.0), (1.0, 1.0))
-    with pytest.raises(DegenerateEdge):
-        halfplane_from_edge((1.0, 1.0), (1.0, 1.0 + 1e-15))
+        line_halfplanes(p, np.array([[1.0, 1.0 + 1e-15]]), 1e-12)
 
 
 @given(st.floats(-100, 100), st.floats(-100, 100),
@@ -93,7 +94,7 @@ def test_halfplane_degenerate_edge():
 def test_halfplane_unit_normal_property(px, py, qx, qy):
     if np.hypot(qx - px, qy - py) < 1e-6:
         return
-    h = halfplane_from_edge((px, py), (qx, qy))
+    h = line_halfplanes(np.array([[px, py]]), np.array([[qx, qy]]), 1e-12)[0]
     assert abs(np.hypot(h[0], h[1]) - 1.0) < 1e-12
     assert abs(plane_eval(h, (px, py))) < 1e-10
 
@@ -118,32 +119,6 @@ def test_classify_min_band():
     codes = classify_min(np.array([1e-6, 0.0, -1e-6]), eps)
     assert codes.dtype == np.int8
     assert list(codes) == [1, 0, -1]
-
-
-def test_halfspace_square_in_z_plane():
-    ring = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
-    np.testing.assert_allclose(halfspace_from_face(ring, (0.5, 0.5, 1.0)),
-                               [0, 0, 1, 0], atol=1e-15)
-    # interior below the plane flips the normal
-    np.testing.assert_allclose(halfspace_from_face(ring, (0.5, 0.5, -1.0)),
-                               [0, 0, -1, 0], atol=1e-15)
-
-
-def test_halfspace_rejects_bad_rings():
-    with pytest.raises(DegenerateFace):
-        halfspace_from_face([(0, 0, 0), (1, 0, 0), (2, 0, 0)], (0, 0, 1))
-    bent = [(0, 0, 0), (1, 0, 0), (1, 1, 0.1), (0, 1, 0)]
-    with pytest.raises(NonPlanarFace):
-        halfspace_from_face(bent, (0.5, 0.5, 5.0))
-    with pytest.raises(InteriorOnPlane):
-        halfspace_from_face([(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)],
-                            (0.5, 0.5, 0.0))
-    triangle = [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-    for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValidationError, match="finite"):
-            halfspace_from_face([(bad, 0, 0)] + triangle[1:], (0, 0, 1))
-        with pytest.raises(ValidationError, match="finite"):
-            halfspace_from_face(triangle, (0, bad, 1))
 
 
 def test_centroid_examples():
@@ -327,10 +302,9 @@ def test_validate_polygon_immutable():
 
 def test_polygon_halfplane_rows_match_edges():
     poly = validate_polygon(SQUARE)
-    for i in range(poly.n):
-        expect = halfplane_from_edge(poly.vertices[i],
-                                     poly.vertices[(i + 1) % poly.n])
-        np.testing.assert_allclose(poly.halfplanes[i], expect, atol=1e-15)
+    v = poly.vertices
+    expect = line_halfplanes(v, np.roll(v, -1, axis=0), poly.tol.eps_len)
+    np.testing.assert_allclose(poly.halfplanes, expect, atol=1e-15)
 
 
 def test_tolerances_scale_with_diagonal():
@@ -363,6 +337,24 @@ def test_aabb_inflated_and_contains():
     assert not bool(box.contains(np.array([1.1, 0.5])))
     assert bool(box.contains(np.array([1.1, 0.5]), pad=0.2))
     assert box.diagonal == pytest.approx(np.sqrt(2))
+
+
+def test_coordinate_limit():
+    """Coordinates up to 1e64 in magnitude validate without any step
+    overflowing, also on a 4096-gon and on the 2048-gon caps of a prism,
+    whose Newell normals sum 2048 cross products.  Larger ones are refused
+    before any arithmetic; the two polygons are files that
+    test_bulk_reader_matches_the_line_parser found."""
+    for raw in (SQUARE, regular_polygon(4096)):
+        validate_polygon(np.asarray(raw, dtype=float) * 1e64)
+    for v, f in ((CUBE_V, CUBE_F), prism_mesh(2048)):
+        validate_polyhedron(np.asarray(v, dtype=float) * 1e64, f)
+    for raw in ([(0, 0), (0, 0), (0, 1.3407807929942597e154)],
+                [(0, 0), (0, 2.2628172679396184e282), (7.944490968549061e25, 0)]):
+        with pytest.raises(ValidationError, match=r"polygon coordinates must be at most 1e\+64"):
+            validate_polygon(raw)
+    with pytest.raises(ValidationError, match=r"polyhedron coordinates must be at most 1e\+64"):
+        validate_polyhedron(CUBE_V[:7] + [(1, 1, 1e80)], CUBE_F)
 
 
 def test_validate_polyhedron_cube():

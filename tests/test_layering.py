@@ -1,7 +1,7 @@
 """Module layering: no module imports a private name from another, the
 constant-time locators do not depend on the baseline methods, only
 buckets.py knows the bucket-table layout, and only core.py knows which
-field holds a shape's planes."""
+field holds a shape's planes and the factors of the tolerance rule."""
 
 import ast
 from pathlib import Path
@@ -63,4 +63,17 @@ def test_only_core_reads_the_plane_fields():
            for path in sorted(SRC.glob("*.py")) if path.name != "core.py"
            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
            if isinstance(node, ast.Attribute) and node.attr in ("halfplanes", "halfspaces")]
+    assert not bad, bad
+
+
+def test_only_core_names_the_epsilon_factors():
+    """Every epsilon comes from core.Tolerances.from_diag: no other module
+    names the factors it multiplies the diagonal by."""
+    factors = {"LEN_EPS_FACTOR", "PLANE_EPS_FACTOR", "QUERY_EPS_FACTOR"}
+    bad = [f"{path.name}:{node.lineno} names {name}"
+           for path in sorted(SRC.glob("*.py")) if path.name != "core.py"
+           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+           for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                        getattr(node, "name", None))
+           if name in factors]
     assert not bad, bad

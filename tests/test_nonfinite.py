@@ -1,23 +1,26 @@
 """A query with a non-finite coordinate is Outside in every method, scalar
 and batch, costs no evaluation, and never raises or warns; a non-finite
-reference point is rejected."""
+reference point is rejected.  The direction helpers find no direction to or
+from a NaN point, and the face projection rejects non-finite input."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from convexloc import (Containment, EvalCounter, GenSpec2, GenSpec3,
-                       ReferenceNotInterior, build_cubemap_index,
-                       build_polar_index, build_sorted_slabs,
+from convexloc import (Aabb, Containment, EvalCounter, GenSpec2, GenSpec3,
+                       ReferenceNotInterior, ZeroDirection, boundary_param,
+                       build_cubemap_index, build_polar_index, build_sorted_slabs,
                        build_uniform_slabs, build_wedge_index, centroid,
+                       cubemap_cell,
                        gen_convex_polygon, gen_convex_polyhedron,
                        locate_cubemap, locate_cubemap_batch, locate_linear_2d,
                        locate_linear_2d_batch, locate_linear_3d,
                        locate_linear_3d_batch, locate_polar, locate_polar_batch,
                        locate_sorted_slabs, locate_sorted_slabs_batch,
                        locate_uniform_slabs, locate_uniform_slabs_batch,
-                       locate_wedge, locate_wedge_batch, validate_polygon,
+                       locate_wedge, locate_wedge_batch,
+                       project_face_conservative, validate_polygon,
                        validate_polyhedron)
 
 # method -> (dimension, build(shape) -> index, scalar locate, batch locate)
@@ -122,3 +125,31 @@ def test_non_finite_reference_point_is_rejected(build, coord, value):
     x_t[coord] = value
     with pytest.raises(ReferenceNotInterior):
         build(shape, x_t=x_t)
+
+
+@pytest.mark.parametrize("eps_len", [0.0, 1e-12])
+@pytest.mark.parametrize("coord", [0, 1])
+def test_nan_direction_is_zero_direction(eps_len, coord):
+    box = Aabb(np.zeros(2), np.ones(2))
+    for dim, direction in ((2, lambda x_t, p: boundary_param(box, x_t, p, eps_len)),
+                           (3, lambda x_t, p: cubemap_cell(x_t, 4, p, eps_len))):
+        good = [0.5] * dim
+        bad = list(good)
+        bad[coord] = NAN
+        for x_t, p in ((good, bad), (bad, good)):
+            with pytest.raises(ZeroDirection):
+                direction(x_t, p)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_projection_rejects_non_finite_input(value):
+    ring = np.array([(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)], dtype=float)
+    x_t = np.array([0.5, 0.5, 0.5])
+    bad_ring = ring.copy()
+    bad_ring[1, 2] = value
+    with pytest.raises(ValueError, match="ring vertex 1 is not finite"):
+        project_face_conservative(bad_ring, x_t, 4)
+    bad_x_t = x_t.copy()
+    bad_x_t[0] = value
+    with pytest.raises(ValueError, match="x_t is not finite"):
+        project_face_conservative(ring, bad_x_t, 4)
