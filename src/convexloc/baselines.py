@@ -146,6 +146,7 @@ def locate_wedge(idx: WedgeIndex2, p, counter: EvalCounter | None = None) -> Con
 
 
 def locate_wedge_batch(idx: WedgeIndex2, points) -> np.ndarray:
+    """Batch form of locate_wedge: int8 Containment codes, one per point."""
     return _wedge_batch(idx, points)[0]
 
 
@@ -153,9 +154,15 @@ def locate_wedge_batch(idx: WedgeIndex2, points) -> np.ndarray:
 # y-slabs
 # ---------------------------------------------------------------------------
 
-def _locate_y_slabs(idx, points) -> np.ndarray:
-    """Codes of a y-slab index: Outside beyond the eps_q band of the
-    y-range, else the minimum over the edges listed in the point's slab."""
+def locate_y_slabs(idx, p) -> Containment:
+    """Sorted (O(log N)) or uniform (O(1)) y-slab query: Outside beyond the
+    eps_q band of the y-range or if not finite, else the minimum over the
+    edges listed in the point's slab."""
+    return Containment(int(locate_y_slabs_batch(idx, p)[0]))
+
+
+def locate_y_slabs_batch(idx, points) -> np.ndarray:
+    """Batch form of locate_y_slabs: int8 Containment codes, one per point."""
     poly = idx.poly
     eps_q = poly.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -198,15 +205,6 @@ def build_sorted_slabs(poly: ConvexPolygon) -> SortedSlabIndex2:
     first = np.minimum(np.searchsorted(ys, y0), len(ys) - 2)
     last = np.maximum(np.searchsorted(ys, y1) - 1, first)
     return SortedSlabIndex2.from_runs(first, last - first + 1, len(ys) - 1, poly=poly, ys=ys)
-
-
-def locate_sorted_slabs(idx: SortedSlabIndex2, p) -> Containment:
-    """O(log N) query: binary-search the slab, evaluate its listed edges."""
-    return Containment(int(locate_sorted_slabs_batch(idx, p)[0]))
-
-
-def locate_sorted_slabs_batch(idx: SortedSlabIndex2, points) -> np.ndarray:
-    return _locate_y_slabs(idx, points)
 
 
 @dataclass(frozen=True)
@@ -252,14 +250,5 @@ def build_uniform_slabs(poly: ConvexPolygon, n_slabs: int | None = None) -> Unif
     return UniformSlabIndex2.from_runs(first, runs, n_slabs, poly=poly, n_slabs=n_slabs)
 
 
-def locate_uniform_slabs(idx: UniformSlabIndex2, p) -> Containment:
-    """O(1) query: one floor division, then the slab's candidate edges.
-
-    Points beyond the eps_q band of the y-range, and points with a
-    non-finite coordinate, are Outside.
-    """
-    return Containment(int(locate_uniform_slabs_batch(idx, p)[0]))
-
-
-def locate_uniform_slabs_batch(idx: UniformSlabIndex2, points) -> np.ndarray:
-    return _locate_y_slabs(idx, points)
+locate_sorted_slabs = locate_uniform_slabs = locate_y_slabs
+locate_sorted_slabs_batch = locate_uniform_slabs_batch = locate_y_slabs_batch

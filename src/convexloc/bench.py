@@ -92,19 +92,19 @@ def make_locator(shape, method: str):
     return build
 
 
-def time_queries(query_fn, points, reps: int, chunk: int = QUERY_CHUNK):
+def time_queries(query_fn, points, reps: int):
     """(mean_query_ns, p99_query_ns) over reps repetitions; one warmup."""
     pts = np.asarray(points, dtype=float)
     m = len(pts)
     if m == 0:
         raise ValueError("bench needs a non-empty query point set")
-    query_fn(pts[:min(m, chunk)])
+    query_fn(pts[:min(m, QUERY_CHUNK)])
     means = []
     chunk_means = []
     for _ in range(reps):
         total = 0
-        for s in range(0, m, chunk):
-            e = min(s + chunk, m)
+        for s in range(0, m, QUERY_CHUNK):
+            e = min(s + QUERY_CHUNK, m)
             t0 = time.perf_counter_ns()
             query_fn(pts[s:e])
             dt = time.perf_counter_ns() - t0

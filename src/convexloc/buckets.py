@@ -12,7 +12,8 @@ time.  It reads contiguous columns only: the table's, and those of the
 shape's column-major planes.  reference_point is the x_t rule of the polar
 and cube-map indexes; locate_radial (one point, Python floats) and
 locate_radial_batch (numpy) answer their queries with one policy and
-arithmetic on shape.planes.
+arithmetic on shape.planes, asking the index for the bucket of a point
+(bucket_of_point) or of many (bucket_of).
 """
 
 from __future__ import annotations
@@ -180,26 +181,28 @@ def reference_point(shape, x_t=None) -> np.ndarray:
     return x_t
 
 
-def locate_radial(shape, x_t: np.ndarray, p, candidates,
-                  counter: EvalCounter | None = None) -> Containment:
+def locate_radial(idx, p, counter: EvalCounter | None = None) -> Containment:
     """O(1) classification of one point through a direction-bucket index
-    around the strictly interior reference point x_t.
+    (PolarIndex2 or CubeMapIndex3) around its strictly interior reference
+    point idx.x_t.
 
     A point outside the shape's bounding box (beyond the eps_q band), or
     with a non-finite coordinate, is Outside without any plane evaluation;
     a point within eps_len of x_t is Inside by construction.  Any other
     point q (a list of floats) is classified by the minimal signed distance
-    over the planes candidates(q) lists for its bucket; counter.evals grows
-    by their number.  Same policy and arithmetic as locate_radial_batch.
+    over the planes listed in its bucket idx.bucket_of_point(q);
+    counter.evals grows by their number.  Same policy and arithmetic as
+    locate_radial_batch.
     """
+    shape = idx.poly
     eps_q = shape.tol.eps_q
     q = [float(c) for c in p]
     for c, lo, hi in zip(q, shape.aabb.lo.tolist(), shape.aabb.hi.tolist()):
         if not lo - eps_q <= c <= hi + eps_q:
             return Containment.OUTSIDE
-    if math.dist(q, x_t.tolist()) <= shape.tol.eps_len:
+    if math.dist(q, idx.x_t.tolist()) <= shape.tol.eps_len:
         return Containment.INSIDE
-    listed = candidates(q)
+    listed = idx.bucket(idx.bucket_of_point(q))
     if counter is not None:
         counter.evals += len(listed)
     if len(q) == 2:
@@ -211,20 +214,18 @@ def locate_radial(shape, x_t: np.ndarray, p, candidates,
     return classify_min(m, eps_q)
 
 
-def locate_radial_batch(shape, x_t: np.ndarray, table: BucketTable, points,
-                        bucket_of) -> np.ndarray:
-    """Batch form of locate_radial: int8 Containment codes, one per point.
-
-    bucket_of(q) maps the points that reach the planes to their bucket ids.
-    """
+def locate_radial_batch(idx, points) -> np.ndarray:
+    """Batch form of locate_radial: int8 Containment codes, one per point;
+    idx.bucket_of maps the points that reach the planes to their buckets."""
+    shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
     inbox = np.flatnonzero(shape.aabb.contains(pts, pad=eps_q))
     sub = pts.take(inbox, axis=0)
-    far = np.flatnonzero(~near(sub, x_t, shape.tol.eps_len))
+    far = np.flatnonzero(~near(sub, idx.x_t, shape.tol.eps_len))
     q = sub.take(far, axis=0)
     out[inbox] = np.int8(Containment.INSIDE)
-    out[inbox[far]] = classify_min(bucketed_min(shape.planes, table, bucket_of(q), q), eps_q)
+    out[inbox[far]] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)
     return out

@@ -83,7 +83,7 @@ class ReferenceNotInterior(ValueError):
 
 class ZeroDirection(ValueError):
     """Query point lies within eps_len of the reference point, or one of
-    the two has a NaN coordinate; no direction exists."""
+    the two has a non-finite coordinate; no finite direction exists."""
 
 
 class SingularAffine(ValueError):

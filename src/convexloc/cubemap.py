@@ -15,8 +15,9 @@ neighbouring face that shares that edge has a non-degenerate footprint
 there, so the deciding boundary plane is still listed.
 
 The index is a buckets.BucketTable, one bucket per cell, around the x_t of
-buckets.reference_point.  buckets.locate_radial (one point, in floats) and
-locate_radial_batch answer queries; this module maps a query to its cell.
+buckets.reference_point.  It maps queries to their cells (bucket_of, and
+bucket_of_point in floats); locate_cubemap and locate_cubemap_batch are
+buckets.locate_radial and locate_radial_batch.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 
 from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
                       reference_point, run_expand)
-from .core import (Aabb, Containment, ConvexPolyhedron, EvalCounter, Tolerances,
-                   ZeroDirection, ring_groups)
+from .core import Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, ring_groups
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -45,6 +45,11 @@ def _cell_of(s: float, resolution: int) -> int:
     return min(max(int(math.floor((s + 1.0) * 0.5 * resolution)), 0), resolution - 1)
 
 
+def flat_cell(face, i, j, resolution: int):
+    """Bucket id of cube-map cell (face, i, j), for ints or int arrays."""
+    return (face * resolution + i) * resolution + j
+
+
 def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
     """Cube-map cell (face, i, j) of the direction x_t -> p.
 
@@ -52,11 +57,11 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
     absolute component, ties resolved in X, Y, Z order.  i indexes the first
     remaining axis (ascending), j the second, each by floor((s+1)/2 * R)
     clamped to [0, R-1].  Raises ZeroDirection when p is no farther than
-    eps_len from x_t or a coordinate is NaN.
+    eps_len from x_t or a coordinate of either is not finite.
     """
     d = [float(a) - float(b) for a, b in zip(p, x_t)]
-    if not math.hypot(*d) > eps_len:
-        raise ZeroDirection("query coincides with the reference point")
+    if not eps_len < math.hypot(*d) < math.inf:
+        raise ZeroDirection("no finite direction from the reference point to the query")
     ad = [abs(c) for c in d]
     axis = ad.index(max(ad))
     face = 2 * axis + (1 if d[axis] < 0.0 else 0)
@@ -185,8 +190,8 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
 class CubeMapIndex3(BucketTable):
     """Cube-map cell index around reference point x_t.
 
-    Cells are flattened as (face * resolution + i) * resolution + j; the
-    bucket of a cell lists its candidate polyhedron face indices.
+    Cell (face, i, j) is bucket flat_cell(face, i, j, resolution), which
+    lists its candidate polyhedron face indices.
     """
 
     poly: ConvexPolyhedron
@@ -200,9 +205,10 @@ class CubeMapIndex3(BucketTable):
         return self.padded_edges
 
     def cell_faces(self, face: int, i: int, j: int) -> np.ndarray:
-        return self.bucket((face * self.resolution + i) * self.resolution + j)
+        """Faces listed in cell (face, i, j)."""
+        return self.bucket(flat_cell(face, i, j, self.resolution))
 
-    def cell_of(self, points) -> np.ndarray:
+    def bucket_of(self, points) -> np.ndarray:
         """Flat cell ids of the directions x_t -> points[k] for an (n, 3)
         array (batch cubemap_cell); callers must mask zero directions."""
         res = self.resolution
@@ -214,7 +220,15 @@ class CubeMapIndex3(BucketTable):
         face = 2 * axis + (d[rows, axis] < 0.0)
         i = _cells(d[rows, uv[axis, 0]] / dom, res)
         j = _cells(d[rows, uv[axis, 1]] / dom, res)
-        return (face * res + i) * res + j
+        return flat_cell(face, i, j, res)
+
+    cell_of = bucket_of
+
+    def bucket_of_point(self, q) -> int:
+        """Flat cell id of the direction x_t -> q in Python floats, as
+        bucket_of finds it; raises ZeroDirection as cubemap_cell does."""
+        return flat_cell(*cubemap_cell(self.x_t, self.resolution, q, self.poly.tol.eps_len),
+                         self.resolution)
 
 
 def default_cubemap_resolution(n_faces: int) -> int:
@@ -239,22 +253,12 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
     for ids, idx in ring_groups(poly.faces):
         owner, face, i, j = _footprints(poly.vertices[idx] - x_t, resolution,
                                         poly.tol.eps_len)
-        parts.append((ids[owner], (face * resolution + i) * resolution + j))
+        parts.append((ids[owner], flat_cell(face, i, j, resolution)))
     face_ids, cell_ids = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((face_ids, cell_ids))
     return CubeMapIndex3.pack(cell_ids[order], face_ids[order], 6 * resolution * resolution,
                               poly=poly, x_t=x_t, resolution=resolution)
 
 
-def locate_cubemap(idx: CubeMapIndex3, p, counter: EvalCounter | None = None) -> Containment:
-    """O(1) query: direction cell lookup, then the cell's candidate faces;
-    buckets.locate_radial applies the policy."""
-    def cell_faces(q):
-        return idx.cell_faces(*cubemap_cell(idx.x_t, idx.resolution, q,
-                                            eps_len=idx.poly.tol.eps_len))
-    return locate_radial(idx.poly, idx.x_t, p, cell_faces, counter)
-
-
-def locate_cubemap_batch(idx: CubeMapIndex3, points) -> np.ndarray:
-    """Batch form of locate_cubemap: int8 Containment codes, one per point."""
-    return locate_radial_batch(idx.poly, idx.x_t, idx, points, idx.cell_of)
+locate_cubemap = locate_radial
+locate_cubemap_batch = locate_radial_batch

@@ -25,6 +25,7 @@ from .core import (Aabb, ConvexPolygon, ConvexPolyhedron, SingularAffine,
                    min_signed_distance, validate_polygon, validate_polyhedron)
 
 MAX_ICOSPHERE_LEVEL = 5
+MAX_EXAMPLES = 16          # mismatches a MismatchReport lists
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -90,25 +91,21 @@ def icosphere(level: int):
         v, f = _base_icosahedron()
     else:
         v_prev, f_prev = icosphere(level - 1)
-        verts = [tuple(q) for q in v_prev]
-        midpoint: dict[tuple, int] = {}
-
-        def mid(i: int, j: int) -> int:
-            key = (i, j) if i < j else (j, i)
-            k = midpoint.get(key)
-            if k is None:
-                m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
-                m /= np.linalg.norm(m)
-                k = len(verts)
-                verts.append(tuple(m))
-                midpoint[key] = k
-            return k
-
-        f = []
-        for a, b, c in f_prev:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            f.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
-        v = np.asarray(verts)
+        n = len(v_prev)
+        # Edges (a, b), (b, c), (c, a) of every face, face by face; the k-th
+        # distinct edge in that order gets the new vertex n + k.
+        ends = np.sort(np.stack([f_prev, np.roll(f_prev, -1, axis=1)], axis=-1).reshape(-1, 2))
+        _, first, inverse = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        i, j = ends[first[order]].T
+        m = 0.5 * (v_prev[i] + v_prev[j])
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]   # np.linalg.norm's, bit for bit
+        v = np.concatenate([v_prev, m])
+        # Columns a, b, c, ab, bc, ca: each face splits into (a, ab, ca),
+        # (b, bc, ab), (c, ca, bc) and (ab, bc, ca).
+        abc = np.column_stack([f_prev, n + np.argsort(order)[inverse].reshape(-1, 3)])
+        f = abc[:, [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]].reshape(-1, 3).tolist()
     v.setflags(write=False)
     _ICOSPHERE_CACHE[level] = (v, tuple(tuple(face) for face in f))
     return _ICOSPHERE_CACHE[level]
@@ -208,8 +205,7 @@ class MismatchReport:
         return self.n_mismatches == 0
 
 
-def compare_methods(shape, points, methods: dict[str, Callable],
-                    max_examples: int = 16) -> MismatchReport:
+def compare_methods(shape, points, methods: dict[str, Callable]) -> MismatchReport:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     names = tuple(methods)
     if len(names) < 2:
@@ -230,7 +226,7 @@ def compare_methods(shape, points, methods: dict[str, Callable],
     examples = tuple(
         (int(i), tuple(float(c) for c in pts[i]), float(oracle[i]),
          {name: int(codes[name][i]) for name in names})
-        for i in idx[:max_examples])
+        for i in idx[:MAX_EXAMPLES])
     return MismatchReport(n_points=len(pts), methods=names,
                           n_disagreements=n_disagreements,
                           n_mismatches=int(counted.sum()),

@@ -13,8 +13,9 @@ narrower than the smallest gap between the vertices' boundary parameters,
 so no slab holds two vertices and none lists more than two candidate edges.
 
 The index is a buckets.BucketTable, one bucket per slab, around the x_t of
-buckets.reference_point.  buckets.locate_radial (one point, in floats) and
-locate_radial_batch answer queries; this module maps a query to its slab.
+buckets.reference_point.  It maps queries to their slabs (bucket_of, and
+bucket_of_point in floats); locate_polar and locate_polar_batch are
+buckets.locate_radial and locate_radial_batch.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
                       reference_point)
-from .core import Aabb, Containment, ConvexPolygon, EvalCounter, SLAB_CAP, ZeroDirection
+from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
 
@@ -38,13 +39,13 @@ def boundary_param(box: Aabb, x_t, p, eps_len: float = 0.0) -> float:
     side, along the top, down the left side, along the bottom.  U equals the
     box perimeter 2*(W+H).  Strictly monotone in the ray angle, continuous
     across corners.  Raises ZeroDirection when p is no farther than eps_len
-    from x_t or a coordinate is NaN.
+    from x_t or a coordinate of either is not finite.
     """
     xt, yt = float(x_t[0]), float(x_t[1])
     dx = float(p[0]) - xt
     dy = float(p[1]) - yt
-    if not math.hypot(dx, dy) > eps_len:
-        raise ZeroDirection("query coincides with the reference point")
+    if not eps_len < math.hypot(dx, dy) < math.inf:
+        raise ZeroDirection("no finite direction from the reference point to the query")
     lox, loy = box.lo.tolist()
     hix, hiy = box.hi.tolist()
     w = hix - lox
@@ -110,7 +111,19 @@ class PolarIndex2(BucketTable):
     slab_edges = BucketTable.bucket
 
     def slab_of(self, u) -> np.ndarray:
+        """Slab of each boundary parameter u."""
         return _slab_of(u, self.n_slabs, self.perimeter)
+
+    def bucket_of(self, points) -> np.ndarray:
+        """Slabs of the directions x_t -> points[k] for an (n, 2) array;
+        callers must mask zero directions."""
+        return self.slab_of(boundary_param_batch(self.box, self.x_t, points))
+
+    def bucket_of_point(self, q) -> int:
+        """Slab of the direction x_t -> q in Python floats, as bucket_of
+        finds it; raises ZeroDirection as boundary_param does."""
+        u = boundary_param(self.box, self.x_t, q, self.poly.tol.eps_len)
+        return int(u * (self.n_slabs / self.perimeter)) % self.n_slabs
 
 
 def _slab_of(u, n_slabs: int, perimeter: float) -> np.ndarray:
@@ -149,16 +162,5 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
                                  n_slabs=n_slabs)
 
 
-def locate_polar(idx: PolarIndex2, p, counter: EvalCounter | None = None) -> Containment:
-    """O(1) query: slab lookup by one floor, then the slab's candidate edges;
-    buckets.locate_radial applies the policy."""
-    def slab_edges(q):
-        u = boundary_param(idx.box, idx.x_t, q, eps_len=idx.poly.tol.eps_len)
-        return idx.slab_edges(int(u * (idx.n_slabs / idx.perimeter)) % idx.n_slabs)
-    return locate_radial(idx.poly, idx.x_t, p, slab_edges, counter)
-
-
-def locate_polar_batch(idx: PolarIndex2, points) -> np.ndarray:
-    """Batch form of locate_polar: int8 Containment codes, one per point."""
-    return locate_radial_batch(idx.poly, idx.x_t, idx, points,
-                               lambda q: idx.slab_of(boundary_param_batch(idx.box, idx.x_t, q)))
+locate_polar = locate_radial
+locate_polar_batch = locate_radial_batch

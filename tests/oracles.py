@@ -8,7 +8,8 @@ validator and cube-map builder written face by face in Python loops, the
 form the batched library code must reproduce; csr_pack is the bucket-table
 packing in two passes, a CSR sort and then a padding pass, which
 buckets.BucketTable.pack does in one; wedge_fan_lines is the wedge
-builder's own former fan-line formula.  bucketed_min_reference,
+builder's own former fan-line formula, and dict_icosphere the icosphere
+subdivision one face at a time.  bucketed_min_reference,
 boundary_param_batch_reference and locate_radial_batch_reference are the
 batch query path as it was before the bucket kernel worked on table
 columns: whole-row gathers, a row minimum and boolean row compression.
@@ -23,7 +24,7 @@ from convexloc import (Aabb, Containment, ConvexPolyhedron, CubeMapIndex3, Degen
                        DegenerateFace, EulerViolation, InteriorOnPlane,
                        NonPlanarFace, NotConvex, ParseError, ReferenceNotInterior,
                        Tolerances, TooFewVertices, ValidationError, centroid,
-                       classify_min, plane_eval)
+                       classify_min, icosphere, plane_eval)
 from convexloc.buckets import clamp_budget, near
 from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
@@ -323,6 +324,34 @@ def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):
     return best
 
 
+def dict_icosphere(level):
+    """generators.icosphere as it subdivided before it was vectorised: one
+    face at a time, a dict from each edge to its midpoint's index, and
+    np.linalg.norm per new vertex."""
+    if level == 0:
+        return icosphere(0)
+    v_prev, f_prev = dict_icosphere(level - 1)
+    verts = [tuple(q) for q in v_prev]
+    midpoint = {}
+
+    def mid(i, j):
+        key = (i, j) if i < j else (j, i)
+        k = midpoint.get(key)
+        if k is None:
+            m = 0.5 * (np.asarray(verts[i]) + np.asarray(verts[j]))
+            m /= np.linalg.norm(m)
+            k = len(verts)
+            verts.append(tuple(m))
+            midpoint[key] = k
+        return k
+
+    f = []
+    for a, b, c in f_prev:
+        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+        f.extend([(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)])
+    return np.asarray(verts), tuple(f)
+
+
 def regular_polygon(n, radius=1.0):
     th = np.arange(n) * (2.0 * np.pi / n)
     return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
@@ -409,18 +438,19 @@ def boundary_param_batch_reference(box, x_t, points):
     return np.where(u >= total, u - total, u)
 
 
-def locate_radial_batch_reference(shape, x_t, table, points, bucket_of):
+def locate_radial_batch_reference(idx, points):
     """buckets.locate_radial_batch with boolean row compression and
     bucketed_min_reference."""
+    shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     inbox = shape.aabb.contains(pts, pad=eps_q)
     sub = pts[inbox]
-    far = ~near(sub, x_t, shape.tol.eps_len)
+    far = ~near(sub, idx.x_t, shape.tol.eps_len)
     codes = np.full(len(sub), np.int8(Containment.INSIDE))
     q = sub[far]
-    codes[far] = classify_min(bucketed_min_reference(shape.planes, table, bucket_of(q), q),
+    codes[far] = classify_min(bucketed_min_reference(shape.planes, idx, idx.bucket_of(q), q),
                               eps_q)
     out[inbox] = codes
     return out

@@ -1,20 +1,21 @@
 """Linear, wedge and slab reference locators."""
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from convexloc import (CapExceeded, Containment, EvalCounter,
+from convexloc import (CapExceeded, Containment, EvalCounter, build_polar_index,
                        build_sorted_slabs, build_uniform_slabs,
                        build_wedge_index, gen_convex_polygon, GenSpec2,
                        gen_query_points, QuerySpec, locate_linear_2d,
                        locate_linear_2d_batch, locate_linear_3d,
-                       locate_linear_3d_batch, locate_sorted_slabs,
-                       locate_sorted_slabs_batch, locate_uniform_slabs,
-                       locate_uniform_slabs_batch, locate_wedge,
-                       locate_wedge_batch, min_signed_distance,
+                       locate_linear_3d_batch, locate_polar_batch,
+                       locate_sorted_slabs, locate_sorted_slabs_batch,
+                       locate_uniform_slabs, locate_uniform_slabs_batch,
+                       locate_wedge, locate_wedge_batch, min_signed_distance,
                        validate_polygon, validate_polyhedron)
 
 from oracles import crossing_number_inside, qhull_min_signed_distance, wedge_fan_lines
@@ -206,6 +207,44 @@ def test_sorted_slabs_scalar_equals_batch():
                      poly.vertices])
     np.testing.assert_array_equal(locate_sorted_slabs_batch(idx, pts),
                                   [int(locate_sorted_slabs(idx, p)) for p in pts])
+
+
+# A top edge that rises by 1e-10 leaves a slab that thin at the top; the
+# mirrored quad leaves one at the bottom.  Each point is 0.358 outside.
+THIN_SLAB_CASES = [
+    pytest.param([(-1, 0), (1, 0), (0.5, 1), (-0.5, 1 + 1e-10)],
+                 [(0.9, 1.0), (0.9, 1 + 1e-11)], id="top"),
+    pytest.param([(-1, 1), (1, 1), (0.5, 0), (-0.5, -1e-10)], [(0.9, -1e-11)], id="bottom"),
+]
+
+
+def _thin_slab_codes(vertices, points, build, locate):
+    poly = validate_polygon(vertices)
+    pts = np.array(points, dtype=float)
+    np.testing.assert_allclose(min_signed_distance(poly, pts), -0.35777, atol=1e-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapExceeded)   # the uniform budget clamps
+        return locate(build(poly), pts)
+
+
+@pytest.mark.parametrize("vertices, points", THIN_SLAB_CASES)
+@pytest.mark.parametrize("build, locate", [
+    (lambda s: s, locate_linear_2d_batch), (build_wedge_index, locate_wedge_batch),
+    (build_uniform_slabs, locate_uniform_slabs_batch), (build_polar_index, locate_polar_batch),
+], ids=["linear", "wedge", "slabs-uniform", "polar"])
+def test_points_beyond_a_thin_slab_are_outside(vertices, points, build, locate):
+    codes = _thin_slab_codes(vertices, points, build, locate)
+    assert (codes == Containment.OUTSIDE).all()
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "defect: a sorted y-slab lists one edge per chain, and in a slab thinner than "
+    "eps_q the near-horizontal edge's line is evaluated beyond that edge's end, so "
+    "points 0.358 outside are OnBoundary (ROADMAP item 2)"))
+@pytest.mark.parametrize("vertices, points", THIN_SLAB_CASES)
+def test_points_beyond_a_thin_sorted_slab_are_outside(vertices, points):
+    codes = _thin_slab_codes(vertices, points, build_sorted_slabs, locate_sorted_slabs_batch)
+    assert (codes == Containment.OUTSIDE).all()
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from convexloc import (CapExceeded, GenSpec2, QuerySpec, ReferenceNotInterior, baselines,
-                       build_cubemap_index, build_polar_index, build_sorted_slabs,
-                       build_uniform_slabs, build_wedge_index, centroid, cubemap,
-                       gen_convex_polygon, gen_query_points, icosphere, locate_cubemap_batch,
-                       locate_polar_batch, locate_sorted_slabs_batch,
-                       locate_uniform_slabs_batch, locate_wedge_batch, polar,
-                       validate_polygon, validate_polyhedron)
-from convexloc.buckets import BucketTable, bucketed_min
+from convexloc import (CapExceeded, GenSpec2, PolarIndex2, QuerySpec, ReferenceNotInterior,
+                       baselines, build_cubemap_index, build_polar_index, build_sorted_slabs,
+                       build_uniform_slabs, build_wedge_index, centroid, gen_convex_polygon,
+                       gen_query_points, icosphere, locate_cubemap_batch, locate_polar_batch,
+                       locate_sorted_slabs_batch, locate_uniform_slabs_batch,
+                       locate_wedge_batch, polar, validate_polygon, validate_polyhedron)
+from convexloc.buckets import BucketTable, bucketed_min, clamp_budget, locate_radial_batch
 
 from oracles import (boundary_param_batch_reference, bucketed_min_reference, csr_pack,
                      locate_radial_batch_reference, policy_edge_points, regular_polygon,
@@ -57,6 +56,11 @@ def test_bucket_table_contract(build, shape):
     assert idx.mean_occupancy == idx.counts.mean()
     for b in range(n):
         assert set(padded[b].tolist()) == set(idx.bucket(b).tolist())
+
+
+def test_clamp_budget_rejects_an_empty_budget():
+    with pytest.raises(ValueError, match="polar slab count must be >= 1"):
+        clamp_budget("polar slab count", 0, 8)
 
 
 def test_pack_rejects_an_empty_bucket():
@@ -202,15 +206,24 @@ def _assert_kernel_matches_reference(shape, table):
 
 def _assert_codes_match_reference(idx, locate, shape, pts, monkeypatch):
     """The locator's codes equal those of the row-gather query path on
-    batches of 0, 1 and all of _query_set's points."""
+    batches of 0, 1 and all of _query_set's points.
+
+    The polar and cube-map locators are buckets.locate_radial_batch itself,
+    which no module attribute can swap, so their reference is called
+    directly; only the polar slab lookup reads a patched name.  The wedge
+    and y-slab locators read baselines.bucketed_min.
+    """
     query = _query_set(shape, pts)
     got = [locate(idx, query[:n]) for n in (0, 1, len(query))]
     with monkeypatch.context() as m:
-        m.setattr(baselines, "bucketed_min", bucketed_min_reference)
-        m.setattr(polar, "boundary_param_batch", boundary_param_batch_reference)
-        m.setattr(polar, "locate_radial_batch", locate_radial_batch_reference)
-        m.setattr(cubemap, "locate_radial_batch", locate_radial_batch_reference)
-        want = [locate(idx, query[:n]) for n in (0, 1, len(query))]
+        if locate is locate_radial_batch:
+            reference = locate_radial_batch_reference
+            if isinstance(idx, PolarIndex2):
+                m.setattr(polar, "boundary_param_batch", boundary_param_batch_reference)
+        else:
+            reference = locate
+            m.setattr(baselines, "bucketed_min", bucketed_min_reference)
+        want = [reference(idx, query[:n]) for n in (0, 1, len(query))]
     for a, b in zip(got, want):
         assert a.dtype == b.dtype == np.int8
         assert np.array_equal(a, b), locate.__name__

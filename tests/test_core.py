@@ -394,6 +394,12 @@ def test_validate_polyhedron_rejections():
         validate_polyhedron(dent_v, dent_f)
 
 
+def test_validate_polyhedron_needs_four_faces():
+    tet_v = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(TooFewVertices, match=r"polyhedron needs >= 4 faces, got 3"):
+        validate_polyhedron(tet_v, [(0, 2, 1), (0, 1, 3), (0, 3, 2)])
+
+
 def test_validate_polyhedron_rejects_non_integer_faces():
     """Float indices are not truncated; the lowest such face is named."""
     for bad in [(0.2, 2.9, 3, 1), (0.0, 2.0, 3.0, 1.0), np.array([0, 2, 3, 1.5])]:

@@ -201,7 +201,8 @@ def test_cubemap_matches_linear():
 
 def test_cubemap_scalar_equals_batch():
     """Same codes on both paths, also at the edges of the shared policy, and
-    the scalar path evaluates exactly the cell the batch path picks."""
+    the scalar path evaluates exactly the cell the batch path picks, which
+    bucket_of_point finds as bucket_of does."""
     poly = gen_convex_polyhedron(GenSpec3(1, 55))
     idx = build_cubemap_index(poly)
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(400, 56)),
@@ -215,6 +216,8 @@ def test_cubemap_scalar_equals_batch():
     want[reached] = idx.counts[idx.cell_of(pts[reached])]
     np.testing.assert_array_equal([c.evals for c in counters], want)
     assert 0 < reached.sum() < len(pts)
+    assert ([idx.bucket_of_point(q) for q in pts[reached]]
+            == idx.bucket_of(pts[reached]).tolist())
 
 
 @pytest.mark.parametrize("offset", [3e3, 1e5, 1e6])

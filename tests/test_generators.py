@@ -13,6 +13,8 @@ from convexloc import (GenSpec2, GenSpec3, QuerySpec, SingularAffine,
                        gen_query_points, icosphere, locate_linear_2d_batch,
                        locate_polar_batch, plane_eval, random_affine)
 
+from oracles import dict_icosphere
+
 
 def test_polygon_determinism():
     a = gen_convex_polygon(GenSpec2(64, 7))
@@ -78,6 +80,18 @@ def test_icosphere_counts():
         icosphere(6)
 
 
+def test_icosphere_matches_the_dict_subdivision():
+    """The vectorised subdivision gives the vertices, bit for bit, and the
+    faces of the one-face-at-a-time reference at every level."""
+    for level in range(6):
+        v, f = icosphere(level)
+        ref_v, ref_f = dict_icosphere(level)
+        assert v.dtype == ref_v.dtype and v.shape == ref_v.shape
+        assert v.tobytes() == ref_v.tobytes(), level
+        assert f == ref_f, level
+        assert {type(k) for face in f for k in face} == {int}
+
+
 def test_polyhedron_determinism_and_validity():
     a = gen_convex_polyhedron(GenSpec3(2, 5))
     b = gen_convex_polyhedron(GenSpec3(2, 5))
@@ -137,6 +151,13 @@ def test_compare_methods_clean_run():
     assert rep.n_disagreements == 0
     assert rep.n_points == 2000
     assert rep.band == pytest.approx(2 * poly.tol.eps_q)
+
+
+def test_compare_methods_needs_two_methods():
+    poly = gen_convex_polygon(GenSpec2(8, 0))
+    with pytest.raises(ValueError, match="need at least two methods"):
+        compare_methods(poly, poly.vertices,
+                        {"linear": lambda q: locate_linear_2d_batch(poly, q)})
 
 
 def test_compare_methods_detects_corruption():

@@ -13,7 +13,7 @@ from convexloc import (GenSpec2, GenSpec3, ParseError, gen_convex_polygon,
                        gen_convex_polyhedron, load_shape, parse_obj_file,
                        parse_points_file, parse_polygon_file, validate_polygon,
                        write_obj_file, write_points_file, write_polygon_file)
-from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D
+from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, make_locator
 from convexloc.cli import main
 
 from oracles import line_read_rows
@@ -82,6 +82,8 @@ def test_obj_accepts_slash_refs_and_ignored_directives(tmp_path):
     ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 9\nf 1 2 3\nf 2 3 1\nf 3 1 2\n",
      "references vertex 9"),
     ("v 0 0 0\nf 1 2\n", "at least 3"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 x 3\n", "bad vertex index 'x'"),
+    ("# no vertices\nf 1 2 3\n", "no vertices found"),
     ("warp 1 2\n", "unsupported directive"),
 ])
 def test_obj_errors(tmp_path, body, fragment):
@@ -289,6 +291,21 @@ def test_cli_locate_center_is_inside(tmp_path, capsys):
 def test_cli_error_exit_codes(argv, capsys, tmp_path):
     assert main(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--dim", "2", "--sizes", "8,x"], "not a comma-separated int list: '8,x'"),
+    (["gen", "--polygon", "--axes", "1,y", "--out", "p.txt"],
+     "not a comma-separated float list: '1,y'"),
+])
+def test_cli_rejects_malformed_lists(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_make_locator_rejects_an_unknown_shape_type():
+    with pytest.raises(ValueError, match="unsupported shape type ndarray"):
+        make_locator(np.zeros((3, 2)), "linear")
 
 
 def test_cli_missing_file_error_text(tmp_path, capsys):

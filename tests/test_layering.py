@@ -1,10 +1,13 @@
 """Module layering: no module imports a private name from another, the
-constant-time locators do not depend on the baseline methods, only
-buckets.py knows the bucket-table layout, and only core.py knows which
-field holds a shape's planes and the factors of the tolerance rule."""
+constant-time locators do not depend on the baseline methods and share one
+implementation, only buckets.py knows the bucket-table layout, and only
+core.py knows which field holds a shape's planes and the factors of the
+tolerance rule."""
 
 import ast
 from pathlib import Path
+
+from convexloc import baselines, buckets, cubemap, polar
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "convexloc"
 
@@ -31,6 +34,15 @@ def test_radial_locators_do_not_import_baselines():
            for mod, names in _relative_imports(SRC / name)
            if mod == "baselines" or (mod == "" and "baselines" in names)]
     assert not bad, bad
+
+
+def test_one_radial_and_one_y_slab_query_implementation():
+    """The polar and cube-map locators are buckets.locate_radial(_batch),
+    which ask the index for buckets; the y-slab locators are one pair."""
+    assert polar.locate_polar is cubemap.locate_cubemap is buckets.locate_radial
+    assert polar.locate_polar_batch is cubemap.locate_cubemap_batch is buckets.locate_radial_batch
+    assert baselines.locate_sorted_slabs is baselines.locate_uniform_slabs
+    assert baselines.locate_sorted_slabs_batch is baselines.locate_uniform_slabs_batch
 
 
 def test_only_buckets_reads_the_bucket_table_format():

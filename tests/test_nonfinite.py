@@ -1,7 +1,7 @@
 """A query with a non-finite coordinate is Outside in every method, scalar
 and batch, costs no evaluation, and never raises or warns; a non-finite
 reference point is rejected.  The direction helpers find no direction to or
-from a NaN point, and the face projection rejects non-finite input."""
+from a non-finite point, and the face projection rejects non-finite input."""
 
 import warnings
 
@@ -130,15 +130,23 @@ def test_non_finite_reference_point_is_rejected(build, coord, value):
 @pytest.mark.parametrize("eps_len", [0.0, 1e-12])
 @pytest.mark.parametrize("coord", [0, 1])
 def test_nan_direction_is_zero_direction(eps_len, coord):
+    """No direction leads to or from a point with a NaN or infinite
+    coordinate, also when two of its coordinates are infinite."""
     box = Aabb(np.zeros(2), np.ones(2))
     for dim, direction in ((2, lambda x_t, p: boundary_param(box, x_t, p, eps_len)),
                            (3, lambda x_t, p: cubemap_cell(x_t, 4, p, eps_len))):
         good = [0.5] * dim
-        bad = list(good)
-        bad[coord] = NAN
-        for x_t, p in ((good, bad), (bad, good)):
-            with pytest.raises(ZeroDirection):
-                direction(x_t, p)
+        for value in (NAN, INF, -INF):
+            bad = list(good)
+            bad[coord] = value
+            bads = [bad]
+            for other in (INF, -INF):
+                bads.append(list(bad))
+                bads[-1][1 - coord] = other
+            for bad in bads:
+                for x_t, p in ((good, bad), (bad, good)):
+                    with pytest.raises(ZeroDirection):
+                        direction(x_t, p)
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF])

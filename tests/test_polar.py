@@ -192,7 +192,8 @@ def test_polar_matches_linear():
 
 def test_polar_scalar_equals_batch():
     """Same codes on both paths, also at the edges of the shared policy, and
-    the scalar path evaluates exactly the slab the batch path picks."""
+    the scalar path evaluates exactly the slab the batch path picks, which
+    bucket_of_point finds as bucket_of does."""
     poly = gen_convex_polygon(GenSpec2(21, 17))
     idx = build_polar_index(poly)
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(300, 18)),
@@ -207,6 +208,8 @@ def test_polar_scalar_equals_batch():
                                                                 pts[reached]))]
     np.testing.assert_array_equal([c.evals for c in counters], want)
     assert 0 < reached.sum() < len(pts)
+    assert ([idx.bucket_of_point(q) for q in pts[reached]]
+            == idx.bucket_of(pts[reached]).tolist())
 
 
 def test_polar_eval_count_bounded_by_occupancy():
