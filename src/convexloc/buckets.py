@@ -9,23 +9,23 @@ the bucket sizes, built once by pack.  This module also clamps bucket
 budgets to their caps and holds the batch kernel, bucketed_min, that takes
 the minimal signed distance over a bucket's planes one table column at a
 time.  It reads contiguous columns only: the table's, and those of the
-shape's column-major planes.  reference_point is the x_t rule of the polar
-and cube-map indexes; locate_radial (one point, Python floats) and
-locate_radial_batch (numpy) answer their queries with one policy and
-arithmetic on shape.planes, asking the index for the bucket of a point
-(bucket_of_point) or of many (bucket_of).
+shape's column-major planes.  RadialIndex is the table of the polar and
+cube-map indexes, around the x_t of reference_point; locate_radial (one
+point, Python floats) and locate_radial_batch (numpy) answer their queries
+with one policy and arithmetic on shape.planes, asking the index for the
+bucket of a point (bucket_of_point) or of many (bucket_of).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CapExceeded, Containment, EvalCounter, ReferenceNotInterior, centroid,
-                   classify_min, plane_eval)
+from .core import (CapExceeded, Containment, ConvexPolygon, ConvexPolyhedron, EvalCounter,
+                   ReferenceNotInterior, centroid, classify_min, plane_eval)
 
 
 def clamp_budget(what: str, n, cap: int) -> int:
@@ -181,10 +181,40 @@ def reference_point(shape, x_t=None) -> np.ndarray:
     return x_t
 
 
-def locate_radial(idx, p, counter: EvalCounter | None = None) -> Containment:
+@dataclass(frozen=True)
+class RadialIndex(BucketTable):
+    """A bucket table of the directions from x_t, a strictly interior
+    reference point (reference_point) of the validated shape poly: the base
+    of PolarIndex2 and CubeMapIndex3, which map points to buckets with
+    bucket_of (numpy) and bucket_of_point (Python floats).
+
+    Construction also makes the box test and the reference point of
+    locate_radial, once and in Python floats: inbox_lo and inbox_hi, the
+    shape's bounding box grown by eps_q on every side, and x_t_floats.
+    eps_len and eps_q it reads from poly.tol, which holds them as floats.
+    """
+
+    poly: ConvexPolygon | ConvexPolyhedron
+    x_t: np.ndarray
+    inbox_lo: tuple = field(init=False)
+    inbox_hi: tuple = field(init=False)
+    x_t_floats: tuple = field(init=False)
+
+    def __post_init__(self):
+        box, eps_q = self.poly.aabb, self.poly.tol.eps_q
+        # The dataclass is frozen; these fields derive from poly and x_t.
+        object.__setattr__(self, "inbox_lo", tuple((box.lo - eps_q).tolist()))
+        object.__setattr__(self, "inbox_hi", tuple((box.hi + eps_q).tolist()))
+        object.__setattr__(self, "x_t_floats", tuple(self.x_t.tolist()))
+
+
+def _dimension_error(got: int, dim: int) -> ValueError:
+    return ValueError(f"query points have {got} coordinates, the index is {dim}-dimensional")
+
+
+def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Containment:
     """O(1) classification of one point through a direction-bucket index
-    (PolarIndex2 or CubeMapIndex3) around its strictly interior reference
-    point idx.x_t.
+    around its strictly interior reference point idx.x_t.
 
     A point outside the shape's bounding box (beyond the eps_q band), or
     with a non-finite coordinate, is Outside without any plane evaluation;
@@ -192,34 +222,44 @@ def locate_radial(idx, p, counter: EvalCounter | None = None) -> Containment:
     point q (a list of floats) is classified by the minimal signed distance
     over the planes listed in its bucket idx.bucket_of_point(q);
     counter.evals grows by their number.  Same policy and arithmetic as
-    locate_radial_batch.
+    locate_radial_batch; the only per-call conversion is that of p, and
+    each listed plane coefficient is read with planes.item.  Raises
+    ValueError when p does not have the index's number of coordinates.
     """
-    shape = idx.poly
-    eps_q = shape.tol.eps_q
-    q = [float(c) for c in p]
-    for c, lo, hi in zip(q, shape.aabb.lo.tolist(), shape.aabb.hi.tolist()):
-        if not lo - eps_q <= c <= hi + eps_q:
+    q = [float(c) for c in (p.tolist() if isinstance(p, np.ndarray) else p)]
+    x_t = idx.x_t_floats
+    if len(q) != len(x_t):
+        raise _dimension_error(len(q), len(x_t))
+    for c, lo, hi in zip(q, idx.inbox_lo, idx.inbox_hi):
+        if not lo <= c <= hi:
             return Containment.OUTSIDE
-    if math.dist(q, idx.x_t.tolist()) <= shape.tol.eps_len:
+    shape = idx.poly
+    if math.dist(q, x_t) <= shape.tol.eps_len:
         return Containment.INSIDE
-    listed = idx.bucket(idx.bucket_of_point(q))
+    b = idx.bucket_of_point(q)
+    listed = idx.padded_edges[b, :idx.counts.item(b)].tolist()
     if counter is not None:
         counter.evals += len(listed)
+    coef = shape.planes.item
     if len(q) == 2:
         x, y = q
-        m = min([a * x + b * y + d for a, b, d in shape.planes[listed].tolist()])
+        m = min([coef(i, 0) * x + coef(i, 1) * y + coef(i, 2) for i in listed])
     else:
         x, y, z = q
-        m = min([a * x + b * y + c * z + d for a, b, c, d in shape.planes[listed].tolist()])
-    return classify_min(m, eps_q)
+        m = min([coef(i, 0) * x + coef(i, 1) * y + coef(i, 2) * z + coef(i, 3)
+                 for i in listed])
+    return classify_min(m, shape.tol.eps_q)
 
 
-def locate_radial_batch(idx, points) -> np.ndarray:
+def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     """Batch form of locate_radial: int8 Containment codes, one per point;
-    idx.bucket_of maps the points that reach the planes to their buckets."""
+    idx.bucket_of maps the points that reach the planes to their buckets.
+    Raises ValueError unless points is an (n, dim) array of the index's dim."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != len(idx.x_t):
+        raise _dimension_error(pts.shape[-1], len(idx.x_t))
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
     inbox = np.flatnonzero(shape.aabb.contains(pts, pad=eps_q))

@@ -188,15 +188,20 @@ def plane_eval(planes, points):
 
 def classify_min(min_vals, eps_q: float):
     """Map minimal signed distances to Containment codes: one Containment
-    for a 0-d input, an int8 array otherwise."""
-    m = np.asarray(min_vals)
-    if m.ndim == 0:
-        m = float(m)
-        return (Containment.INSIDE if m > eps_q else
-                Containment.ON_BOUNDARY if m >= -eps_q else Containment.OUTSIDE)
-    return np.where(m > eps_q, np.int8(Containment.INSIDE),
-                    np.where(m >= -eps_q, np.int8(Containment.ON_BOUNDARY),
-                             np.int8(Containment.OUTSIDE))).astype(np.int8, copy=False)
+    for a float or a 0-d input, an int8 array otherwise.  NaN is Outside."""
+    if not isinstance(min_vals, float):
+        m = np.asarray(min_vals)
+        if m.ndim:
+            # Outside -1, OnBoundary 0, Inside 1 are the two masks' sum
+            # minus 1: no data-dependent branch per element, which a nested
+            # np.where takes and mispredicts on unordered distances.
+            codes = (m > eps_q).view(np.int8)
+            codes += (m >= -eps_q).view(np.int8)
+            codes -= 1
+            return codes
+        min_vals = float(m)
+    return (Containment.INSIDE if min_vals > eps_q else
+            Containment.ON_BOUNDARY if min_vals >= -eps_q else Containment.OUTSIDE)
 
 
 def line_halfplanes(starts: np.ndarray, ends: np.ndarray, eps_len: float) -> np.ndarray:

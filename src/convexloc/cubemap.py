@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
-                      reference_point, run_expand)
+from .buckets import (BucketTable, RadialIndex, clamp_budget, locate_radial,
+                      locate_radial_batch, reference_point, run_expand)
 from .core import Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, ring_groups
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
@@ -42,7 +42,8 @@ _UV = ((1, 2), (0, 2), (0, 1))
 
 
 def _cell_of(s: float, resolution: int) -> int:
-    return min(max(int(math.floor((s + 1.0) * 0.5 * resolution)), 0), resolution - 1)
+    i = math.floor((s + 1.0) * 0.5 * resolution)
+    return 0 if i < 0 else resolution - 1 if i >= resolution else i
 
 
 def flat_cell(face, i, j, resolution: int):
@@ -59,7 +60,12 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
     clamped to [0, R-1].  Raises ZeroDirection when p is no farther than
     eps_len from x_t or a coordinate of either is not finite.
     """
-    d = [float(a) - float(b) for a, b in zip(p, x_t)]
+    return _direction_cell([float(b) for b in x_t], resolution, p, eps_len)
+
+
+def _direction_cell(x_t, resolution: int, p, eps_len: float):
+    """cubemap_cell with x_t as floats."""
+    d = [float(a) - b for a, b in zip(p, x_t)]
     if not eps_len < math.hypot(*d) < math.inf:
         raise ZeroDirection("no finite direction from the reference point to the query")
     ad = [abs(c) for c in d]
@@ -187,15 +193,13 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
 
 
 @dataclass(frozen=True)
-class CubeMapIndex3(BucketTable):
-    """Cube-map cell index around reference point x_t.
+class CubeMapIndex3(RadialIndex):
+    """Cube-map cell index of the polyhedron poly around reference point x_t.
 
     Cell (face, i, j) is bucket flat_cell(face, i, j, resolution), which
     lists its candidate polyhedron face indices.
     """
 
-    poly: ConvexPolyhedron
-    x_t: np.ndarray
     resolution: int
 
     faces_flat = BucketTable.edges
@@ -225,10 +229,10 @@ class CubeMapIndex3(BucketTable):
     cell_of = bucket_of
 
     def bucket_of_point(self, q) -> int:
-        """Flat cell id of the direction x_t -> q in Python floats, as
+        """Flat cell id of the direction x_t -> q, found in Python floats as
         bucket_of finds it; raises ZeroDirection as cubemap_cell does."""
-        return flat_cell(*cubemap_cell(self.x_t, self.resolution, q, self.poly.tol.eps_len),
-                         self.resolution)
+        res = self.resolution
+        return flat_cell(*_direction_cell(self.x_t_floats, res, q, self.poly.tol.eps_len), res)
 
 
 def default_cubemap_resolution(n_faces: int) -> int:

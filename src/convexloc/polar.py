@@ -21,12 +21,12 @@ buckets.locate_radial and locate_radial_batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buckets import (BucketTable, clamp_budget, locate_radial, locate_radial_batch,
-                      reference_point)
+from .buckets import (BucketTable, RadialIndex, clamp_budget, locate_radial,
+                      locate_radial_batch, reference_point)
 from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
@@ -41,13 +41,19 @@ def boundary_param(box: Aabb, x_t, p, eps_len: float = 0.0) -> float:
     across corners.  Raises ZeroDirection when p is no farther than eps_len
     from x_t or a coordinate of either is not finite.
     """
-    xt, yt = float(x_t[0]), float(x_t[1])
+    return _exit_param((*box.lo.tolist(), *box.hi.tolist()), (float(x_t[0]), float(x_t[1])),
+                       p, eps_len)
+
+
+def _exit_param(box: tuple, x_t: tuple, p, eps_len: float) -> float:
+    """boundary_param with the box as the floats (x_min, y_min, x_max, y_max)
+    and x_t as a pair of floats."""
+    lox, loy, hix, hiy = box
+    xt, yt = x_t
     dx = float(p[0]) - xt
     dy = float(p[1]) - yt
     if not eps_len < math.hypot(dx, dy) < math.inf:
         raise ZeroDirection("no finite direction from the reference point to the query")
-    lox, loy = box.lo.tolist()
-    hix, hiy = box.hi.tolist()
     w = hix - lox
     h = hiy - loy
     tx = math.inf if dx == 0.0 else ((hix if dx > 0.0 else lox) - xt) / dx
@@ -94,21 +100,25 @@ def boundary_param_batch(box: Aabb, x_t, points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PolarIndex2(BucketTable):
-    """Angular slab index around reference point x_t.
+class PolarIndex2(RadialIndex):
+    """Angular slab index of the polygon poly around reference point x_t.
 
     Slab i covers boundary-parameter interval [i*U/n, (i+1)*U/n) and is
     bucket i of the table: it lists the candidate edges.  All arrays are
-    immutable.
+    immutable.  box_floats is box as (x_min, y_min, x_max, y_max), made
+    once for bucket_of_point.
     """
 
-    poly: ConvexPolygon
-    x_t: np.ndarray
     box: Aabb
     perimeter: float
     n_slabs: int
+    box_floats: tuple = field(init=False)
 
     slab_edges = BucketTable.bucket
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "box_floats", (*self.box.lo.tolist(), *self.box.hi.tolist()))
 
     def slab_of(self, u) -> np.ndarray:
         """Slab of each boundary parameter u."""
@@ -120,9 +130,9 @@ class PolarIndex2(BucketTable):
         return self.slab_of(boundary_param_batch(self.box, self.x_t, points))
 
     def bucket_of_point(self, q) -> int:
-        """Slab of the direction x_t -> q in Python floats, as bucket_of
-        finds it; raises ZeroDirection as boundary_param does."""
-        u = boundary_param(self.box, self.x_t, q, self.poly.tol.eps_len)
+        """Slab of the direction x_t -> q, found in Python floats as
+        bucket_of finds it; raises ZeroDirection as boundary_param does."""
+        u = _exit_param(self.box_floats, self.x_t_floats, q, self.poly.tol.eps_len)
         return int(u * (self.n_slabs / self.perimeter)) % self.n_slabs
 
 

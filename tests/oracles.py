@@ -12,7 +12,8 @@ builder's own former fan-line formula, and dict_icosphere the icosphere
 subdivision one face at a time.  bucketed_min_reference,
 boundary_param_batch_reference and locate_radial_batch_reference are the
 batch query path as it was before the bucket kernel worked on table
-columns: whole-row gathers, a row minimum and boolean row compression.
+columns: whole-row gathers, a row minimum and boolean row compression;
+classify_min_reference is the batch classification as nested np.where.
 """
 
 import math
@@ -24,7 +25,7 @@ from convexloc import (Aabb, Containment, ConvexPolyhedron, CubeMapIndex3, Degen
                        DegenerateFace, EulerViolation, InteriorOnPlane,
                        NonPlanarFace, NotConvex, ParseError, ReferenceNotInterior,
                        Tolerances, TooFewVertices, ValidationError, centroid,
-                       classify_min, icosphere, plane_eval)
+                       icosphere, plane_eval)
 from convexloc.buckets import clamp_budget, near
 from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
@@ -391,6 +392,24 @@ def policy_edge_points(shape, x_t):
     return np.array(out)
 
 
+def nonfinite_rows(dim):
+    """Points with one NaN, +inf or -inf coordinate, each axis in turn."""
+    bad = np.zeros((3 * dim, dim))
+    for k in range(dim):
+        bad[3 * k:3 * k + 3, k] = (np.nan, np.inf, -np.inf)
+    return bad
+
+
+def point_types(pts):
+    """The points as each type a scalar locator takes, by name: (the batch
+    of that type, its rows).  Tuples of Python floats, float64 and float32
+    numpy rows, and int64 numpy rows of the finite points, truncated."""
+    finite = pts[np.isfinite(pts).all(axis=1)].astype(np.int64)
+    single = pts.astype(np.float32)
+    return {"tuple": (pts, [tuple(r) for r in pts.tolist()]), "float64": (pts, list(pts)),
+            "float32": (single, list(single)), "int": (finite, list(finite))}
+
+
 def reaches_planes(shape, x_t, points):
     """Mask of the points a direction-bucket locator must evaluate planes
     for: inside the bounding box grown by eps_q and farther than eps_len
@@ -438,9 +457,16 @@ def boundary_param_batch_reference(box, x_t, points):
     return np.where(u >= total, u - total, u)
 
 
+def classify_min_reference(m, eps_q):
+    """core.classify_min of an array, one nested np.where per element."""
+    return np.where(m > eps_q, np.int8(Containment.INSIDE),
+                    np.where(m >= -eps_q, np.int8(Containment.ON_BOUNDARY),
+                             np.int8(Containment.OUTSIDE))).astype(np.int8, copy=False)
+
+
 def locate_radial_batch_reference(idx, points):
-    """buckets.locate_radial_batch with boolean row compression and
-    bucketed_min_reference."""
+    """buckets.locate_radial_batch with boolean row compression,
+    bucketed_min_reference and classify_min_reference."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -450,8 +476,8 @@ def locate_radial_batch_reference(idx, points):
     far = ~near(sub, idx.x_t, shape.tol.eps_len)
     codes = np.full(len(sub), np.int8(Containment.INSIDE))
     q = sub[far]
-    codes[far] = classify_min(bucketed_min_reference(shape.planes, idx, idx.bucket_of(q), q),
-                              eps_q)
+    codes[far] = classify_min_reference(
+        bucketed_min_reference(shape.planes, idx, idx.bucket_of(q), q), eps_q)
     out[inbox] = codes
     return out
 

@@ -12,14 +12,15 @@ import pytest
 from convexloc import (CapExceeded, GenSpec2, PolarIndex2, QuerySpec, ReferenceNotInterior,
                        baselines, build_cubemap_index, build_polar_index, build_sorted_slabs,
                        build_uniform_slabs, build_wedge_index, centroid, gen_convex_polygon,
-                       gen_query_points, icosphere, locate_cubemap_batch, locate_polar_batch,
+                       gen_query_points, icosphere, locate_cubemap, locate_cubemap_batch,
+                       locate_polar, locate_polar_batch,
                        locate_sorted_slabs_batch, locate_uniform_slabs_batch,
                        locate_wedge_batch, polar, validate_polygon, validate_polyhedron)
 from convexloc.buckets import BucketTable, bucketed_min, clamp_budget, locate_radial_batch
 
 from oracles import (boundary_param_batch_reference, bucketed_min_reference, csr_pack,
-                     locate_radial_batch_reference, policy_edge_points, regular_polygon,
-                     runs_pairs)
+                     locate_radial_batch_reference, nonfinite_rows, policy_edge_points,
+                     regular_polygon, runs_pairs)
 
 POLYGONS = {
     "triangle": validate_polygon([(0, 0), (1, 0), (0.5, 1)]),
@@ -174,6 +175,22 @@ def test_reference_point_of_another_shape_is_rejected(build, shape, x_t, want, g
     assert not isinstance(err.value, ReferenceNotInterior)
 
 
+@pytest.mark.parametrize("build, shape, locate, points, got, want", [
+    (build_polar_index, POLYGONS["square"], locate_polar, (100.0, 0.2, 0.3), 3, 2),
+    (build_polar_index, POLYGONS["square"], locate_polar_batch, np.zeros((4, 3)), 3, 2),
+    (build_cubemap_index, validate_polyhedron(*icosphere(0)), locate_cubemap, (0.1, 0.2), 2, 3),
+    (build_cubemap_index, validate_polyhedron(*icosphere(0)), locate_cubemap_batch,
+     np.zeros((4, 2)), 2, 3),
+])
+def test_query_of_another_dimension_is_rejected(build, shape, locate, points, got, want):
+    """A query point with the wrong number of coordinates is named as such
+    before the box test, not located as Outside or failed on an index or
+    a broadcast."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"query points have {got} coordinates, the index is {want}-dimensional")):
+        locate(build(shape), points)
+
+
 LOCATORS = {build_polar_index: locate_polar_batch, build_wedge_index: locate_wedge_batch,
             build_sorted_slabs: locate_sorted_slabs_batch,
             build_uniform_slabs: locate_uniform_slabs_batch,
@@ -183,12 +200,8 @@ LOCATORS = {build_polar_index: locate_polar_batch, build_wedge_index: locate_wed
 def _query_set(shape, pts):
     """The corpus points, then the policy's edge points around the vertex
     mean, the first vertices and rows with a NaN or infinite coordinate."""
-    dim = pts.shape[1]
-    bad = np.zeros((3 * dim, dim))
-    for k in range(dim):
-        bad[3 * k:3 * k + 3, k] = (np.nan, np.inf, -np.inf)
     return np.concatenate([pts, policy_edge_points(shape, centroid(shape)),
-                           shape.vertices[:8], bad])
+                           shape.vertices[:8], nonfinite_rows(pts.shape[1])])
 
 
 def _assert_kernel_matches_reference(shape, table):
@@ -286,3 +299,35 @@ def test_batch_allocation_does_not_grow_with_the_shape():
     small = _batch_peak(validate_polygon(regular_polygon(64)))
     large = _batch_peak(validate_polygon(regular_polygon(65536)))
     assert large <= 1.25 * small, (small, large)
+
+
+def _first_scalar_peak(build, shape, locate) -> int:
+    """Peak bytes allocated by the first scalar call right after the build,
+    on a point halfway from the reference point to vertex 0, which reaches
+    the planes."""
+    idx = build(shape)
+    p = tuple((0.5 * (idx.x_t + shape.vertices[0])).tolist())
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        locate(idx, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+@pytest.mark.parametrize("build, locate, small, large", [
+    (build_polar_index, locate_polar, validate_polygon(regular_polygon(64)),
+     validate_polygon(regular_polygon(65536))),
+    (build_cubemap_index, locate_cubemap, validate_polyhedron(*icosphere(0)),
+     validate_polyhedron(*icosphere(4))),
+])
+def test_scalar_allocation_does_not_grow_with_the_shape(build, locate, small, large):
+    """A scalar call allocates O(1) bytes, its first call too: a copy of the
+    planes or of the bucket table, made eagerly or on first use, would add
+    O(N)."""
+    small_peak = _first_scalar_peak(build, small, locate)
+    large_peak = _first_scalar_peak(build, large, locate)
+    assert large_peak <= 1.25 * small_peak, (small_peak, large_peak)

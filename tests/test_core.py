@@ -18,8 +18,8 @@ from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
                        random_affine, validate_polygon, validate_polyhedron)
 from convexloc.core import line_halfplanes
 
-from oracles import (all_pairs_validate_polygon, loop_validate_polyhedron,
-                     prism_mesh, regular_polygon)
+from oracles import (all_pairs_validate_polygon, classify_min_reference,
+                     loop_validate_polyhedron, prism_mesh, regular_polygon)
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -119,6 +119,25 @@ def test_classify_min_band():
     codes = classify_min(np.array([1e-6, 0.0, -1e-6]), eps)
     assert codes.dtype == np.int8
     assert list(codes) == [1, 0, -1]
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.0])
+def test_classify_min_matches_nested_where(eps):
+    """The batch codes equal the nested np.where form bit for bit: on random
+    distances around the band, its edges, NaN, +-inf and +-0, for float64
+    and float32 input, 2-D and strided arrays and 0-d floats too."""
+    rng = np.random.default_rng(5)
+    edges = [eps, -eps, np.nextafter(eps, 1), np.nextafter(-eps, -1), 0.0, -0.0,
+             np.nan, np.inf, -np.inf]
+    m = np.concatenate([rng.normal(0.0, 3 * eps + 1e-12, 28_991), edges])
+    rng.shuffle(m)
+    for arr in (m, m.astype(np.float32), m.reshape(-1, 8), m[::3]):
+        got = classify_min(arr, eps)
+        want = classify_min_reference(arr, eps)
+        assert got.dtype == want.dtype == np.int8 and got.shape == arr.shape
+        assert np.array_equal(got, want)
+    for v in edges:
+        assert classify_min(float(v), eps) == classify_min_reference(np.float64(v), eps)
 
 
 def test_centroid_examples():

@@ -12,8 +12,8 @@ from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpe
                        validate_polyhedron)
 from convexloc.cubemap import default_cubemap_resolution
 
-from oracles import (brute_exit_edges, loop_build_cubemap_index, policy_edge_points,
-                     prism_mesh, reaches_planes)
+from oracles import (brute_exit_edges, loop_build_cubemap_index, nonfinite_rows,
+                     point_types, policy_edge_points, prism_mesh, reaches_planes)
 
 CUBE = validate_polyhedron(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -202,22 +202,28 @@ def test_cubemap_matches_linear():
 def test_cubemap_scalar_equals_batch():
     """Same codes on both paths, also at the edges of the shared policy, and
     the scalar path evaluates exactly the cell the batch path picks, which
-    bucket_of_point finds as bucket_of does."""
+    bucket_of_point finds as bucket_of does; for tuples and for float64,
+    float32 and int rows alike.  Non-finite points cost no evaluation."""
     poly = gen_convex_polyhedron(GenSpec3(1, 55))
     idx = build_cubemap_index(poly)
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(400, 56)),
-                     poly.vertices, policy_edge_points(poly, idx.x_t)])
-    batch = locate_cubemap_batch(idx, pts)
-    counters = [EvalCounter() for _ in pts]
-    scalar = [int(locate_cubemap(idx, p, c)) for p, c in zip(pts, counters)]
-    np.testing.assert_array_equal(batch, scalar)
-    reached = reaches_planes(poly, idx.x_t, pts)
-    want = np.zeros(len(pts), dtype=np.int64)
-    want[reached] = idx.counts[idx.cell_of(pts[reached])]
-    np.testing.assert_array_equal([c.evals for c in counters], want)
-    assert 0 < reached.sum() < len(pts)
-    assert ([idx.bucket_of_point(q) for q in pts[reached]]
-            == idx.bucket_of(pts[reached]).tolist())
+                     poly.vertices, policy_edge_points(poly, idx.x_t), nonfinite_rows(3)])
+    for name, (arr, rows) in point_types(pts).items():
+        batch = locate_cubemap_batch(idx, arr)
+        counters = [EvalCounter() for _ in rows]
+        scalar = [int(locate_cubemap(idx, p, c)) for p, c in zip(rows, counters)]
+        np.testing.assert_array_equal(batch, scalar, err_msg=name)
+        q = np.asarray(arr, dtype=float)
+        reached = reaches_planes(poly, idx.x_t, q)
+        want = np.zeros(len(q), dtype=np.int64)
+        want[reached] = idx.counts[idx.cell_of(q[reached])]
+        evals = np.array([c.evals for c in counters])
+        np.testing.assert_array_equal(evals, want, err_msg=name)
+        assert 0 < reached.sum() < len(q)
+        assert ([idx.bucket_of_point(p) for p, hit in zip(rows, reached) if hit]
+                == idx.bucket_of(q[reached]).tolist()), name
+        bad = ~np.isfinite(q).all(axis=1)
+        assert (batch[bad] == Containment.OUTSIDE).all() and not evals[bad].any()
 
 
 @pytest.mark.parametrize("offset", [3e3, 1e5, 1e6])

@@ -14,7 +14,8 @@ from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
                        locate_linear_2d_batch, locate_polar,
                        locate_polar_batch, validate_polygon)
 
-from oracles import brute_exit_edges, policy_edge_points, reaches_planes
+from oracles import (brute_exit_edges, nonfinite_rows, point_types, policy_edge_points,
+                     reaches_planes)
 
 UNIT_BOX = Aabb(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -193,23 +194,29 @@ def test_polar_matches_linear():
 def test_polar_scalar_equals_batch():
     """Same codes on both paths, also at the edges of the shared policy, and
     the scalar path evaluates exactly the slab the batch path picks, which
-    bucket_of_point finds as bucket_of does."""
+    bucket_of_point finds as bucket_of does; for tuples and for float64,
+    float32 and int rows alike.  Non-finite points cost no evaluation."""
     poly = gen_convex_polygon(GenSpec2(21, 17))
     idx = build_polar_index(poly)
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(300, 18)),
-                     poly.vertices, policy_edge_points(poly, idx.x_t)])
-    batch = locate_polar_batch(idx, pts)
-    counters = [EvalCounter() for _ in pts]
-    scalar = [int(locate_polar(idx, p, c)) for p, c in zip(pts, counters)]
-    np.testing.assert_array_equal(batch, scalar)
-    reached = reaches_planes(poly, idx.x_t, pts)
-    want = np.zeros(len(pts), dtype=np.int64)
-    want[reached] = idx.counts[idx.slab_of(boundary_param_batch(idx.box, idx.x_t,
-                                                                pts[reached]))]
-    np.testing.assert_array_equal([c.evals for c in counters], want)
-    assert 0 < reached.sum() < len(pts)
-    assert ([idx.bucket_of_point(q) for q in pts[reached]]
-            == idx.bucket_of(pts[reached]).tolist())
+                     poly.vertices, policy_edge_points(poly, idx.x_t), nonfinite_rows(2)])
+    for name, (arr, rows) in point_types(pts).items():
+        batch = locate_polar_batch(idx, arr)
+        counters = [EvalCounter() for _ in rows]
+        scalar = [int(locate_polar(idx, p, c)) for p, c in zip(rows, counters)]
+        np.testing.assert_array_equal(batch, scalar, err_msg=name)
+        q = np.asarray(arr, dtype=float)
+        reached = reaches_planes(poly, idx.x_t, q)
+        want = np.zeros(len(q), dtype=np.int64)
+        want[reached] = idx.counts[idx.slab_of(boundary_param_batch(idx.box, idx.x_t,
+                                                                    q[reached]))]
+        evals = np.array([c.evals for c in counters])
+        np.testing.assert_array_equal(evals, want, err_msg=name)
+        assert 0 < reached.sum() < len(q)
+        assert ([idx.bucket_of_point(p) for p, hit in zip(rows, reached) if hit]
+                == idx.bucket_of(q[reached]).tolist()), name
+        bad = ~np.isfinite(q).all(axis=1)
+        assert (batch[bad] == Containment.OUTSIDE).all() and not evals[bad].any()
 
 
 def test_polar_eval_count_bounded_by_occupancy():
