@@ -25,18 +25,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buckets import BucketTable, bucketed_min, clamp_budget, near
-from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP,
-                   classify_min, line_halfplanes, min_signed_distance, plane_eval)
+from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP, classify_min,
+                   line_halfplanes, min_signed_distance, plane_eval, query_points)
 
 
-def _points(points):
-    """(points as an (M, d) array, all-Outside int8 codes, finite rows: a
-    mask, or a slice of all rows when all are finite, which skips a row
-    reduction and a copy as costly as a 20-face linear scan)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _finite_rows(pts):
+    """(all-Outside int8 codes, finite rows of pts: a mask, or a slice of
+    all rows when all are finite, which skips a row reduction and a copy as
+    costly as a 20-face linear scan)."""
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     finite = np.isfinite(pts)
-    return pts, out, slice(None) if finite.all() else finite.all(axis=1)
+    return out, slice(None) if finite.all() else finite.all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +45,16 @@ def _points(points):
 def locate_linear_2d(shape, p, counter: EvalCounter | None = None) -> Containment:
     """O(N) scan: evaluate every edge half-plane (face half-space in 3D),
     classify by the minimum; counter gets every plane if p is finite."""
+    code = Containment(int(locate_linear_2d_batch(shape, p)[0]))
     if counter is not None and np.isfinite(p).all():
         counter.evals += len(shape.planes)
-    return Containment(int(locate_linear_2d_batch(shape, p)[0]))
+    return code
 
 
 def locate_linear_2d_batch(shape, points) -> np.ndarray:
     """Batch form of locate_linear_2d: min_signed_distance takes either shape."""
-    pts, out, ok = _points(points)
+    pts = query_points(points, shape.vertices.shape[1])
+    out, ok = _finite_rows(pts)
     out[ok] = classify_min(min_signed_distance(shape, pts[ok]), shape.tol.eps_q)
     return out
 
@@ -102,7 +103,8 @@ def _wedge_batch(idx: WedgeIndex2, points):
     poly = idx.poly
     g = idx.g_planes
     eps_q = poly.tol.eps_q
-    pts, out, ok = _points(points)
+    pts = query_points(points, 2)
+    out, ok = _finite_rows(pts)
     near_apex = np.zeros(len(pts), dtype=bool)
     in_fan = np.zeros(len(pts), dtype=bool)
     q = pts[ok]
@@ -165,7 +167,7 @@ def locate_y_slabs_batch(idx, points) -> np.ndarray:
     """Batch form of locate_y_slabs: int8 Containment codes, one per point."""
     poly = idx.poly
     eps_q = poly.tol.eps_q
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = query_points(points, 2)
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     y = pts[:, 1]
     # A NaN or infinite ordinate fails the band test itself.

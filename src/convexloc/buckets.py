@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CapExceeded, Containment, ConvexPolygon, ConvexPolyhedron, EvalCounter,
-                   ReferenceNotInterior, centroid, classify_min, plane_eval)
+                   ReferenceNotInterior, centroid, classify_min, plane_eval, query_points)
 
 
 def clamp_budget(what: str, n, cap: int) -> int:
@@ -208,10 +208,6 @@ class RadialIndex(BucketTable):
         object.__setattr__(self, "x_t_floats", tuple(self.x_t.tolist()))
 
 
-def _dimension_error(got: int, dim: int) -> ValueError:
-    return ValueError(f"query points have {got} coordinates, the index is {dim}-dimensional")
-
-
 def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Containment:
     """O(1) classification of one point through a direction-bucket index
     around its strictly interior reference point idx.x_t.
@@ -224,12 +220,16 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
     counter.evals grows by their number.  Same policy and arithmetic as
     locate_radial_batch; the only per-call conversion is that of p, and
     each listed plane coefficient is read with planes.item.  Raises
-    ValueError when p does not have the index's number of coordinates.
+    query_points' ValueError for a point of another dimension.
     """
-    q = [float(c) for c in (p.tolist() if isinstance(p, np.ndarray) else p)]
     x_t = idx.x_t_floats
+    try:
+        q = [float(c) for c in (p.tolist() if isinstance(p, np.ndarray) else p)]
+    except TypeError:
+        query_points(p, len(x_t))       # raises for a point of another dimension
+        raise
     if len(q) != len(x_t):
-        raise _dimension_error(len(q), len(x_t))
+        query_points(q, len(x_t))       # one point of another dimension: raises
     for c, lo, hi in zip(q, idx.inbox_lo, idx.inbox_hi):
         if not lo <= c <= hi:
             return Containment.OUTSIDE
@@ -254,12 +254,10 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
 def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     """Batch form of locate_radial: int8 Containment codes, one per point;
     idx.bucket_of maps the points that reach the planes to their buckets.
-    Raises ValueError unless points is an (n, dim) array of the index's dim."""
+    Raises query_points' ValueError for points of another dimension."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.ndim != 2 or pts.shape[1] != len(idx.x_t):
-        raise _dimension_error(pts.shape[-1], len(idx.x_t))
+    pts = query_points(points, len(idx.x_t))
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
     inbox = np.flatnonzero(shape.aabb.contains(pts, pad=eps_q))

@@ -128,11 +128,7 @@ def cmd_gen(args) -> int:
 def cmd_locate(args) -> int:
     shape = load_shape(args.shape)
     pts = parse_points_file(args.points)
-    dim = shape.vertices.shape[1]
-    if pts.shape[1] != dim:
-        raise ParseError(f"{args.points}: points are {pts.shape[1]}D "
-                         f"but the shape is {dim}D")
-    method = args.method or ("polar" if dim == 2 else "cubemap")
+    method = args.method or ("polar" if shape.vertices.shape[1] == 2 else "cubemap")
     codes = make_locator(shape, method)()[0](pts)
     lines = [f"{i} {_CODE_NAMES[c]}" for i, c in enumerate(codes.tolist())]
     _emit("\n".join(lines) + "\n", args.out)

@@ -15,6 +15,9 @@ Conventions used throughout the library:
   change when a shape is moved, or rescaled from metres to millimetres.
   boundary_param and cubemap_cell, whose one epsilon is the zero-direction
   length, default it to 0.
+- Query points are one point of the shape's dimension d or an (M, d)
+  array.  Every locator, bucket map and direction helper, scalar or batch,
+  raises the ValueError of query_points, naming d and the shape given.
 - Classification is three-valued.  A query is Inside when the minimal signed
   distance over the deciding half-planes exceeds +eps_q, OnBoundary within
   [-eps_q, +eps_q], Outside below.
@@ -162,7 +165,6 @@ class Aabb:
 
     def contains(self, points: np.ndarray, pad: float = 0.0) -> np.ndarray:
         """Boolean mask: inside the box grown by pad on every side."""
-        points = np.asarray(points, dtype=float)
         lo, hi = self.lo - pad, self.hi + pad
         # Column by column: numpy reduces many rows of 2 or 3 slowly.
         inside = (points[..., 0] >= lo[0]) & (points[..., 0] <= hi[0])
@@ -184,6 +186,15 @@ def plane_eval(planes, points):
     points = np.asarray(points, dtype=float)
     d = points.shape[-1]
     return points @ planes[..., :d].T + planes[..., d]
+
+
+def query_points(points, dim: int) -> np.ndarray:
+    """Query points as an (M, dim) float array, one point of dim coordinates
+    as one row.  Raises ValueError naming dim and the shape for any other."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim > 2 or pts.shape[-1:] != (dim,):
+        raise ValueError(f"query points must be {dim}D, got shape {pts.shape}")
+    return pts.reshape(-1, dim)
 
 
 def classify_min(min_vals, eps_q: float):
@@ -344,8 +355,8 @@ def min_signed_distance(shape, points) -> np.ndarray:
     a floor of 50, with both x126-205 (2-vCPU host).
     """
     planes = shape.planes
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    d = pts.shape[1]
+    d = shape.vertices.shape[1]
+    pts = query_points(points, d)
     out = np.empty(len(pts))
     step = max(1, _CHUNK_CELLS // max(1, len(planes)))
     hom = np.ones((d + 1, min(step, len(pts))))

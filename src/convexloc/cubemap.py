@@ -29,7 +29,7 @@ import numpy as np
 
 from .buckets import (BucketTable, RadialIndex, clamp_budget, locate_radial,
                       locate_radial_batch, reference_point, run_expand)
-from .core import Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, ring_groups
+from .core import Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, query_points, ring_groups
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -65,7 +65,11 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
 
 def _direction_cell(x_t, resolution: int, p, eps_len: float):
     """cubemap_cell with x_t as floats."""
-    d = [float(a) - b for a, b in zip(p, x_t)]
+    try:
+        d = [float(a) - b for a, b in zip(p, x_t, strict=True)]
+    except (TypeError, ValueError):
+        query_points(p, 3)      # raises for a point of another dimension
+        raise
     if not eps_len < math.hypot(*d) < math.inf:
         raise ZeroDirection("no finite direction from the reference point to the query")
     ad = [abs(c) for c in d]
@@ -217,7 +221,7 @@ class CubeMapIndex3(RadialIndex):
         array (batch cubemap_cell); callers must mask zero directions."""
         res = self.resolution
         uv = np.asarray(_UV, dtype=np.int64)
-        d = np.asarray(points, dtype=float) - self.x_t
+        d = query_points(points, 3) - self.x_t
         axis = np.argmax(np.abs(d), axis=1)
         rows = np.arange(len(d))
         dom = np.abs(d[rows, axis])

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (Aabb, ConvexPolygon, ConvexPolyhedron, SingularAffine,
-                   min_signed_distance, validate_polygon, validate_polyhedron)
+                   min_signed_distance, query_points, validate_polygon, validate_polyhedron)
 
 MAX_ICOSPHERE_LEVEL = 5
 MAX_EXAMPLES = 16          # mismatches a MismatchReport lists
@@ -146,14 +146,10 @@ class GenSpec3:
 
 def gen_convex_polyhedron(spec: GenSpec3) -> ConvexPolyhedron:
     base_v, base_f = icosphere(spec.level)
-    if spec.matrix is None:
-        matrix, translation = random_affine(spec.seed)
-        if spec.translation is not None:
-            translation = np.asarray(spec.translation, dtype=float)
-    else:
-        matrix = np.asarray(spec.matrix, dtype=float)
-        translation = (np.zeros(3) if spec.translation is None
-                       else np.asarray(spec.translation, dtype=float))
+    matrix, translation = (random_affine(spec.seed) if spec.matrix is None
+                           else (np.asarray(spec.matrix, dtype=float), np.zeros(3)))
+    if spec.translation is not None:
+        translation = np.asarray(spec.translation, dtype=float)
     det = float(np.linalg.det(matrix))
     scale = float(np.linalg.norm(matrix)) / np.sqrt(3.0)
     if det <= 1e-12 * scale ** 3:
@@ -206,7 +202,7 @@ class MismatchReport:
 
 
 def compare_methods(shape, points, methods: dict[str, Callable]) -> MismatchReport:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = query_points(points, shape.vertices.shape[1])
     names = tuple(methods)
     if len(names) < 2:
         raise ValueError("need at least two methods to compare")

@@ -98,15 +98,13 @@ def parse_polygon_file(path) -> ConvexPolygon:
 def write_polygon_file(path, poly: ConvexPolygon) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# convex polygon, {poly.n} vertices, one 'x y' row per line\n")
-        for x, y in poly.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
+        np.savetxt(fh, poly.vertices, fmt="%.17g")
 
 
 def write_points_file(path, points) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        for row in pts:
-            fh.write(" ".join(f"{c:.17g}" for c in row) + "\n")
+        np.savetxt(fh, pts, fmt="%.17g")
 
 
 _OBJ_IGNORED = {"vn", "vt", "vp", "o", "g", "s", "usemtl", "mtllib", "l", "p"}

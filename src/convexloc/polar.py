@@ -27,7 +27,7 @@ import numpy as np
 
 from .buckets import (BucketTable, RadialIndex, clamp_budget, locate_radial,
                       locate_radial_batch, reference_point)
-from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection
+from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection, query_points
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
 
@@ -50,8 +50,12 @@ def _exit_param(box: tuple, x_t: tuple, p, eps_len: float) -> float:
     and x_t as a pair of floats."""
     lox, loy, hix, hiy = box
     xt, yt = x_t
-    dx = float(p[0]) - xt
-    dy = float(p[1]) - yt
+    try:
+        px, py = p
+        dx, dy = float(px) - xt, float(py) - yt
+    except (TypeError, ValueError):
+        query_points(p, 2)      # raises for a point of another dimension
+        raise
     if not eps_len < math.hypot(dx, dy) < math.inf:
         raise ZeroDirection("no finite direction from the reference point to the query")
     w = hix - lox
@@ -69,31 +73,26 @@ def _exit_param(box: tuple, x_t: tuple, p, eps_len: float) -> float:
 
 
 def boundary_param_batch(box: Aabb, x_t, points) -> np.ndarray:
-    """Vectorized boundary_param; callers must mask zero directions first."""
-    x_t = np.asarray(x_t, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    dx = pts[:, 0] - x_t[0]
-    dy = pts[:, 1] - x_t[1]
-    lox, loy = float(box.lo[0]), float(box.lo[1])
-    hix, hiy = float(box.hi[0]), float(box.hi[1])
+    """Vectorized boundary_param for x_t strictly inside the box; callers
+    must mask zero directions first."""
+    pts = query_points(points, 2)
+    xt, yt = float(x_t[0]), float(x_t[1])
+    dx = pts[:, 0] - xt
+    dy = pts[:, 1] - yt
+    lox, loy, hix, hiy = (*box.lo.tolist(), *box.hi.tolist())
     w = hix - lox
     h = hiy - loy
-    # tx, ty: the ray parameter at which the ray meets the box side it
-    # heads for in x and in y; inf for a ray parallel to that axis.
-    right, up = dx > 0.0, dy > 0.0
-    tx = np.full(len(pts), np.inf)
-    ty = np.full(len(pts), np.inf)
-    np.divide(np.where(right, hix - x_t[0], lox - x_t[0]), dx, out=tx,
-              where=right | (dx < 0.0))
-    np.divide(np.where(up, hiy - x_t[1], loy - x_t[1]), dy, out=ty,
-              where=up | (dy < 0.0))
-    vertical = tx <= ty
-    with np.errstate(invalid="ignore"):
-        ey = np.clip(x_t[1] + tx * dy, loy, hiy)
-        ex = np.clip(x_t[0] + ty * dx, lox, hix)
-    u = np.where(vertical,
-                 np.where(right, ey - loy, h + w + (hiy - ey)),
-                 np.where(up, h + (hix - ex), 2.0 * h + w + (ex - lox)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # tx, ty: where the ray meets the box side it heads for in x and in
+        # y.  The other side, behind x_t, gives a negative ray parameter; a
+        # ray parallel to the axis (d = +0 or -0) gets +inf from one side.
+        tx = np.maximum((hix - xt) / dx, (lox - xt) / dx)
+        ty = np.maximum((hiy - yt) / dy, (loy - yt) / dy)
+        ey = np.clip(yt + tx * dy, loy, hiy)
+        ex = np.clip(xt + ty * dx, lox, hix)
+    u = np.where(tx <= ty,
+                 np.where(dx > 0.0, ey - loy, h + w + (hiy - ey)),
+                 np.where(dy > 0.0, h + (hix - ex), 2.0 * h + w + (ex - lox)))
     total = 2.0 * (w + h)
     np.subtract(u, total, out=u, where=u >= total)
     return u

@@ -9,13 +9,16 @@ import warnings
 import numpy as np
 import pytest
 
-from convexloc import (CapExceeded, GenSpec2, PolarIndex2, QuerySpec, ReferenceNotInterior,
-                       baselines, build_cubemap_index, build_polar_index, build_sorted_slabs,
-                       build_uniform_slabs, build_wedge_index, centroid, gen_convex_polygon,
+from convexloc import (CapExceeded, CubeMapIndex3, GenSpec2, PolarIndex2, QuerySpec,
+                       ReferenceNotInterior, baselines, boundary_param, build_cubemap_index,
+                       build_polar_index, build_sorted_slabs, build_uniform_slabs,
+                       build_wedge_index, centroid, cubemap_cell, gen_convex_polygon,
                        gen_query_points, icosphere, locate_cubemap, locate_cubemap_batch,
-                       locate_polar, locate_polar_batch,
-                       locate_sorted_slabs_batch, locate_uniform_slabs_batch,
-                       locate_wedge_batch, polar, validate_polygon, validate_polyhedron)
+                       locate_linear_2d, locate_linear_2d_batch, locate_linear_3d,
+                       locate_linear_3d_batch, locate_polar, locate_polar_batch,
+                       locate_sorted_slabs, locate_sorted_slabs_batch, locate_uniform_slabs,
+                       locate_uniform_slabs_batch, locate_wedge, locate_wedge_batch, polar,
+                       validate_polygon, validate_polyhedron)
 from convexloc.buckets import BucketTable, bucketed_min, clamp_budget, locate_radial_batch
 
 from oracles import (boundary_param_batch_reference, bucketed_min_reference, csr_pack,
@@ -175,20 +178,68 @@ def test_reference_point_of_another_shape_is_rejected(build, shape, x_t, want, g
     assert not isinstance(err.value, ReferenceNotInterior)
 
 
+def linear_scan(shape):
+    """The linear scans' index: the shape itself."""
+    return shape
+
+
+def boundary_param_of(idx, p):
+    return boundary_param(idx.box, idx.x_t, p)
+
+
+def cubemap_cell_of(idx, p):
+    return cubemap_cell(idx.x_t, idx.resolution, p)
+
+
+ICOSAHEDRON = validate_polyhedron(*icosphere(0))
+# (build, shape, every scalar and batch locator and direction helper of the index)
+QUERY_FRONT = [
+    (linear_scan, POLYGONS["square"], (locate_linear_2d, locate_linear_2d_batch)),
+    (build_wedge_index, POLYGONS["square"], (locate_wedge, locate_wedge_batch)),
+    (build_sorted_slabs, POLYGONS["square"], (locate_sorted_slabs, locate_sorted_slabs_batch)),
+    (build_uniform_slabs, POLYGONS["square"],
+     (locate_uniform_slabs, locate_uniform_slabs_batch)),
+    (build_polar_index, POLYGONS["square"],
+     (locate_polar, locate_polar_batch, boundary_param_of, PolarIndex2.bucket_of_point,
+      PolarIndex2.bucket_of)),
+    (linear_scan, ICOSAHEDRON, (locate_linear_3d, locate_linear_3d_batch)),
+    (build_cubemap_index, ICOSAHEDRON,
+     (locate_cubemap, locate_cubemap_batch, cubemap_cell_of, CubeMapIndex3.bucket_of_point,
+      CubeMapIndex3.bucket_of)),
+]
+
+
 @pytest.mark.parametrize("build, shape, locate, points, got, want", [
     (build_polar_index, POLYGONS["square"], locate_polar, (100.0, 0.2, 0.3), 3, 2),
     (build_polar_index, POLYGONS["square"], locate_polar_batch, np.zeros((4, 3)), 3, 2),
-    (build_cubemap_index, validate_polyhedron(*icosphere(0)), locate_cubemap, (0.1, 0.2), 2, 3),
-    (build_cubemap_index, validate_polyhedron(*icosphere(0)), locate_cubemap_batch,
-     np.zeros((4, 2)), 2, 3),
-])
+    (build_cubemap_index, ICOSAHEDRON, locate_cubemap, (0.1, 0.2), 2, 3),
+    (build_cubemap_index, ICOSAHEDRON, locate_cubemap_batch, np.zeros((4, 2)), 2, 3),
+] + [pytest.param(build, shape, locate, np.zeros(given), given[-1], dim,
+                   id=f"{build.__name__}-{locate.__name__}-{dim}D-{'x'.join(map(str, given))}")
+     for build, shape, front in QUERY_FRONT
+     for dim in [shape.vertices.shape[1]]
+     for locate in front
+     for given in ((4, 5 - dim), (4, 1), (2, 2, 2), (0,))])
 def test_query_of_another_dimension_is_rejected(build, shape, locate, points, got, want):
-    """A query point with the wrong number of coordinates is named as such
-    before the box test, not located as Outside or failed on an index or
-    a broadcast."""
+    """Every locator, scalar and batch, and every bucket map and direction
+    helper rejects points that are neither one point nor rows of the
+    index's dimension want with the ValueError of core.query_points, which
+    names want and the shape given, before the box test: not located as
+    Outside, failed on an index or a broadcast, nor cut to want
+    coordinates.  got, the given last axis, differs from want unless the
+    array has more than two axes."""
+    assert got != want or np.ndim(points) > 2
     with pytest.raises(ValueError, match=re.escape(
-            f"query points have {got} coordinates, the index is {want}-dimensional")):
+            f"query points must be {want}D, got shape {np.shape(points)}")):
         locate(build(shape), points)
+
+
+@pytest.mark.parametrize("build, shape, locate",
+                         [(build, shape, front[1]) for build, shape, front in QUERY_FRONT])
+def test_empty_batch_gives_empty_codes(build, shape, locate):
+    """A (0, dim) batch is a batch: no error, no codes."""
+    codes = locate(build(shape), np.zeros((0, shape.vertices.shape[1])))
+    assert codes.dtype == np.int8 and codes.shape == (0,)
 
 
 LOCATORS = {build_polar_index: locate_polar_batch, build_wedge_index: locate_wedge_batch,

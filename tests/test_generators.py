@@ -106,6 +106,16 @@ def test_identity_polyhedron_is_unit_icosphere():
                                atol=1e-12)
 
 
+def test_translation_replaces_the_shift_of_either_map():
+    """A given translation is the shift of a random_affine(seed) map as of
+    an explicit matrix."""
+    t = (5.0, -2.0, 0.25)
+    matrix, _ = random_affine(3)
+    for spec_matrix in (None, matrix):
+        poly = gen_convex_polyhedron(GenSpec3(1, 3, matrix=spec_matrix, translation=t))
+        np.testing.assert_array_equal(poly.vertices, icosphere(1)[0] @ matrix.T + np.asarray(t))
+
+
 def test_singular_affine_rejected():
     with pytest.raises(SingularAffine):
         gen_convex_polyhedron(GenSpec3(0, 0, matrix=np.zeros((3, 3))))

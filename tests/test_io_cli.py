@@ -28,6 +28,16 @@ def test_polygon_file_round_trip(tmp_path):
     np.testing.assert_array_equal(back.vertices, poly.vertices)
 
 
+def test_polygon_file_text(tmp_path):
+    """A header line, then one '%.17g' row per vertex, counter-clockwise."""
+    path = tmp_path / "poly.txt"
+    write_polygon_file(path, validate_polygon([(-2.5e-7, 0), (1.0 / 3.0, 1), (1, 0.1)]))
+    assert path.read_bytes() == (b"# convex polygon, 3 vertices, one 'x y' row per line\n"
+                                 b"1 0.10000000000000001\n"
+                                 b"0.33333333333333331 1\n"
+                                 b"-2.4999999999999999e-07 0\n")
+
+
 def test_polygon_file_comments_and_blanks(tmp_path):
     path = tmp_path / "poly.txt"
     path.write_text("# header\n\n 0 0  # origin\n1 0\n\n0.5 1\n")

@@ -2,7 +2,8 @@
 constant-time locators do not depend on the baseline methods and share one
 implementation, only buckets.py knows the bucket-table layout, and only
 core.py knows which field holds a shape's planes and the factors of the
-tolerance rule."""
+tolerance rule, and only core.py (query_points) and io.py shape point
+arrays."""
 
 import ast
 from pathlib import Path
@@ -88,4 +89,15 @@ def test_only_core_names_the_epsilon_factors():
            for name in (getattr(node, "id", None), getattr(node, "attr", None),
                         getattr(node, "name", None))
            if name in factors]
+    assert not bad, bad
+
+
+def test_only_core_and_io_call_atleast_2d():
+    """Every locator, bucket map and the method comparison take their points
+    through core.query_points; no other module makes a second intake with
+    np.atleast_2d."""
+    bad = [f"{path.name}:{node.lineno} calls np.atleast_2d"
+           for path in sorted(SRC.glob("*.py")) if path.name not in ("core.py", "io.py")
+           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+           if isinstance(node, ast.Attribute) and node.attr == "atleast_2d"]
     assert not bad, bad
