@@ -36,7 +36,7 @@ def main():
 
     print("\nslab occupancy:")
     for i in range(idx.n_slabs):
-        edges = idx.slab_edges(i)
+        edges = idx.bucket(i)
         print(f"  slab {i:2}: edges {[int(e) for e in edges]}")
     print(f"\nmax occupancy {idx.max_occupancy}, mean {idx.mean_occupancy:.2f}")
 
@@ -48,7 +48,7 @@ def main():
     for d in dirs:
         e = first_exit_edge(poly.halfplanes, idx.x_t, d)
         u = boundary_param(idx.box, idx.x_t, idx.x_t + d)
-        if e not in idx.slab_edges(int(idx.slab_of(u))):
+        if e not in idx.bucket(int(idx.slab_of(u))):
             bad += 1
     print(f"\n720-direction sweep: {bad} exit edges missing from their slab "
           f"(expected 0)")

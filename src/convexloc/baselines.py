@@ -11,10 +11,10 @@ Four classic strategies, ordered by per-query cost:
 The wedge and both y-slab indexes are buckets.BucketTable subclasses (a
 wedge or a slab is a bucket) and evaluate their candidate edges with the
 kernel of that module, bucketed_min; only the wedge's fan lines are
-evaluated here.  Every scalar locator is a batch of one; the linear and
-wedge ones fill an optional EvalCounter with the counts the batch path
-implies.  A point with a non-finite coordinate is Outside before any plane
-is evaluated.
+evaluated here.  Every scalar locator takes its point through
+core.query_point and is a batch of one; the linear and wedge ones fill an
+optional EvalCounter with the counts the batch path implies.  A point with
+a non-finite coordinate is Outside before any plane is evaluated.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .buckets import BucketTable, bucketed_min, clamp_budget, near
 from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP, classify_min,
-                   line_halfplanes, min_signed_distance, plane_eval, query_points)
+                   line_halfplanes, min_signed_distance, plane_eval, query_point, query_points)
 
 
 def _finite_rows(pts):
@@ -45,8 +45,9 @@ def _finite_rows(pts):
 def locate_linear_2d(shape, p, counter: EvalCounter | None = None) -> Containment:
     """O(N) scan: evaluate every edge half-plane (face half-space in 3D),
     classify by the minimum; counter gets every plane if p is finite."""
-    code = Containment(int(locate_linear_2d_batch(shape, p)[0]))
-    if counter is not None and np.isfinite(p).all():
+    q = query_point(p, shape.vertices.shape[1])
+    code = Containment(int(locate_linear_2d_batch(shape, q)[0]))
+    if counter is not None and all(map(math.isfinite, q)):
         counter.evals += len(shape.planes)
     return code
 
@@ -138,8 +139,9 @@ def locate_wedge(idx: WedgeIndex2, p, counter: EvalCounter | None = None) -> Con
     at the apex or not finite, and bisection_depth wedge and the wedge's
     edge evaluations when it is in the fan.
     """
-    codes, near_apex, in_fan, wedge = _wedge_batch(idx, p)
-    if counter is not None and np.isfinite(p).all():
+    q = query_point(p, 2)
+    codes, near_apex, in_fan, wedge = _wedge_batch(idx, q)
+    if counter is not None and all(map(math.isfinite, q)):
         counter.fan_evals += 0 if near_apex[0] else 2
         if in_fan[0]:
             counter.wedge_evals += idx.bisection_depth
@@ -160,7 +162,7 @@ def locate_y_slabs(idx, p) -> Containment:
     """Sorted (O(log N)) or uniform (O(1)) y-slab query: Outside beyond the
     eps_q band of the y-range or if not finite, else the minimum over the
     edges listed in the point's slab."""
-    return Containment(int(locate_y_slabs_batch(idx, p)[0]))
+    return Containment(int(locate_y_slabs_batch(idx, query_point(p, 2))[0]))
 
 
 def locate_y_slabs_batch(idx, points) -> np.ndarray:
@@ -191,8 +193,6 @@ class SortedSlabIndex2(BucketTable):
     poly: ConvexPolygon
     ys: np.ndarray
 
-    slab_edges = BucketTable.bucket
-
     def slab_of(self, y) -> np.ndarray:
         return np.clip(np.searchsorted(self.ys, y, side="right") - 1, 0, len(self.ys) - 2)
 
@@ -220,8 +220,6 @@ class UniformSlabIndex2(BucketTable):
 
     poly: ConvexPolygon
     n_slabs: int
-
-    slab_edges = BucketTable.bucket
 
     def slab_of(self, y) -> np.ndarray:
         return _y_slab_of(y, self.poly, self.n_slabs)

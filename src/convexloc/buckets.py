@@ -13,7 +13,7 @@ shape's column-major planes.  RadialIndex is the table of the polar and
 cube-map indexes, around the x_t of reference_point; locate_radial (one
 point, Python floats) and locate_radial_batch (numpy) answer their queries
 with one policy and arithmetic on shape.planes, asking the index for the
-bucket of a point (bucket_of_point) or of many (bucket_of).
+bucket of a point (bucket_of_floats) or of many (bucket_of).
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CapExceeded, Containment, ConvexPolygon, ConvexPolyhedron, EvalCounter,
-                   ReferenceNotInterior, centroid, classify_min, plane_eval, query_points)
+                   ReferenceNotInterior, centroid, classify_min, plane_eval, query_point,
+                   query_points)
 
 
 def clamp_budget(what: str, n, cap: int) -> int:
@@ -186,7 +187,7 @@ class RadialIndex(BucketTable):
     """A bucket table of the directions from x_t, a strictly interior
     reference point (reference_point) of the validated shape poly: the base
     of PolarIndex2 and CubeMapIndex3, which map points to buckets with
-    bucket_of (numpy) and bucket_of_point (Python floats).
+    bucket_of (numpy) and bucket_of_floats (one point as Python floats).
 
     Construction also makes the box test and the reference point of
     locate_radial, once and in Python floats: inbox_lo and inbox_hi, the
@@ -207,6 +208,11 @@ class RadialIndex(BucketTable):
         object.__setattr__(self, "inbox_hi", tuple((box.hi + eps_q).tolist()))
         object.__setattr__(self, "x_t_floats", tuple(self.x_t.tolist()))
 
+    def bucket_of_point(self, p) -> int:
+        """Bucket of the direction x_t -> p for one point p; raises
+        query_point's ValueError for anything else."""
+        return self.bucket_of_floats(query_point(p, len(self.x_t_floats)))
+
 
 def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Containment:
     """O(1) classification of one point through a direction-bucket index
@@ -216,27 +222,21 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
     with a non-finite coordinate, is Outside without any plane evaluation;
     a point within eps_len of x_t is Inside by construction.  Any other
     point q (a list of floats) is classified by the minimal signed distance
-    over the planes listed in its bucket idx.bucket_of_point(q);
+    over the planes listed in its bucket idx.bucket_of_floats(q);
     counter.evals grows by their number.  Same policy and arithmetic as
     locate_radial_batch; the only per-call conversion is that of p, and
     each listed plane coefficient is read with planes.item.  Raises
-    query_points' ValueError for a point of another dimension.
+    query_point's ValueError for anything but one point.
     """
     x_t = idx.x_t_floats
-    try:
-        q = [float(c) for c in (p.tolist() if isinstance(p, np.ndarray) else p)]
-    except TypeError:
-        query_points(p, len(x_t))       # raises for a point of another dimension
-        raise
-    if len(q) != len(x_t):
-        query_points(q, len(x_t))       # one point of another dimension: raises
+    q = query_point(p, len(x_t))
     for c, lo, hi in zip(q, idx.inbox_lo, idx.inbox_hi):
         if not lo <= c <= hi:
             return Containment.OUTSIDE
     shape = idx.poly
     if math.dist(q, x_t) <= shape.tol.eps_len:
         return Containment.INSIDE
-    b = idx.bucket_of_point(q)
+    b = idx.bucket_of_floats(q)
     listed = idx.padded_edges[b, :idx.counts.item(b)].tolist()
     if counter is not None:
         counter.evals += len(listed)

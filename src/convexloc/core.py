@@ -15,9 +15,9 @@ Conventions used throughout the library:
   change when a shape is moved, or rescaled from metres to millimetres.
   boundary_param and cubemap_cell, whose one epsilon is the zero-direction
   length, default it to 0.
-- Query points are one point of the shape's dimension d or an (M, d)
-  array.  Every locator, bucket map and direction helper, scalar or batch,
-  raises the ValueError of query_points, naming d and the shape given.
+- Query points have two intakes, each raising a ValueError that names the
+  dimension d and the shape given: query_points for a batch (one point of
+  d coordinates or an (M, d) array), query_point for exactly one point.
 - Classification is three-valued.  A query is Inside when the minimal signed
   distance over the deciding half-planes exceeds +eps_q, OnBoundary within
   [-eps_q, +eps_q], Outside below.
@@ -195,6 +195,20 @@ def query_points(points, dim: int) -> np.ndarray:
     if pts.ndim > 2 or pts.shape[-1:] != (dim,):
         raise ValueError(f"query points must be {dim}D, got shape {pts.shape}")
     return pts.reshape(-1, dim)
+
+
+def query_point(p, dim: int) -> list:
+    """One query point as a list of dim Python floats.  Raises query_points'
+    ValueError for a point of another dimension, and a ValueError naming dim
+    and the shape given for rows, however many, of dim coordinates."""
+    try:
+        q = [float(c) for c in (p.tolist() if isinstance(p, np.ndarray) else p)]
+    except TypeError:
+        q = None
+    if q is None or len(q) != dim:
+        query_points(p, dim)        # raises for a point of another dimension
+        raise ValueError(f"expected one {dim}D query point, got shape {np.shape(p)}")
+    return q
 
 
 def classify_min(min_vals, eps_q: float):

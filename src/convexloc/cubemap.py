@@ -16,8 +16,8 @@ there, so the deciding boundary plane is still listed.
 
 The index is a buckets.BucketTable, one bucket per cell, around the x_t of
 buckets.reference_point.  It maps queries to their cells (bucket_of, and
-bucket_of_point in floats); locate_cubemap and locate_cubemap_batch are
-buckets.locate_radial and locate_radial_batch.
+bucket_of_floats for one point in floats); locate_cubemap and
+locate_cubemap_batch are buckets.locate_radial and locate_radial_batch.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import numpy as np
 
 from .buckets import (BucketTable, RadialIndex, clamp_budget, locate_radial,
                       locate_radial_batch, reference_point, run_expand)
-from .core import Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, query_points, ring_groups
+from .core import (Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, query_point, query_points,
+                   ring_groups)
 
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
@@ -60,16 +61,12 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
     clamped to [0, R-1].  Raises ZeroDirection when p is no farther than
     eps_len from x_t or a coordinate of either is not finite.
     """
-    return _direction_cell([float(b) for b in x_t], resolution, p, eps_len)
+    return _direction_cell([float(b) for b in x_t], resolution, query_point(p, 3), eps_len)
 
 
-def _direction_cell(x_t, resolution: int, p, eps_len: float):
-    """cubemap_cell with x_t as floats."""
-    try:
-        d = [float(a) - b for a, b in zip(p, x_t, strict=True)]
-    except (TypeError, ValueError):
-        query_points(p, 3)      # raises for a point of another dimension
-        raise
+def _direction_cell(x_t, resolution: int, q: list, eps_len: float):
+    """cubemap_cell with x_t and the point q as floats."""
+    d = [a - b for a, b in zip(q, x_t)]
     if not eps_len < math.hypot(*d) < math.inf:
         raise ZeroDirection("no finite direction from the reference point to the query")
     ad = [abs(c) for c in d]
@@ -230,11 +227,9 @@ class CubeMapIndex3(RadialIndex):
         j = _cells(d[rows, uv[axis, 1]] / dom, res)
         return flat_cell(face, i, j, res)
 
-    cell_of = bucket_of
-
-    def bucket_of_point(self, q) -> int:
-        """Flat cell id of the direction x_t -> q, found in Python floats as
-        bucket_of finds it; raises ZeroDirection as cubemap_cell does."""
+    def bucket_of_floats(self, q: list) -> int:
+        """Flat cell id of the direction x_t -> q for q three floats, found
+        as bucket_of finds it; raises ZeroDirection as cubemap_cell does."""
         res = self.resolution
         return flat_cell(*_direction_cell(self.x_t_floats, res, q, self.poly.tol.eps_len), res)
 

@@ -14,8 +14,8 @@ so no slab holds two vertices and none lists more than two candidate edges.
 
 The index is a buckets.BucketTable, one bucket per slab, around the x_t of
 buckets.reference_point.  It maps queries to their slabs (bucket_of, and
-bucket_of_point in floats); locate_polar and locate_polar_batch are
-buckets.locate_radial and locate_radial_batch.
+bucket_of_floats for one point in floats); locate_polar and
+locate_polar_batch are buckets.locate_radial and locate_radial_batch.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buckets import (BucketTable, RadialIndex, clamp_budget, locate_radial,
-                      locate_radial_batch, reference_point)
-from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection, query_points
+from .buckets import (RadialIndex, clamp_budget, locate_radial, locate_radial_batch,
+                      reference_point)
+from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection, query_point, query_points
 
 BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
 
@@ -42,20 +42,15 @@ def boundary_param(box: Aabb, x_t, p, eps_len: float = 0.0) -> float:
     from x_t or a coordinate of either is not finite.
     """
     return _exit_param((*box.lo.tolist(), *box.hi.tolist()), (float(x_t[0]), float(x_t[1])),
-                       p, eps_len)
+                       query_point(p, 2), eps_len)
 
 
-def _exit_param(box: tuple, x_t: tuple, p, eps_len: float) -> float:
+def _exit_param(box: tuple, x_t: tuple, q: list, eps_len: float) -> float:
     """boundary_param with the box as the floats (x_min, y_min, x_max, y_max)
-    and x_t as a pair of floats."""
+    and x_t and the point q as pairs of floats."""
     lox, loy, hix, hiy = box
     xt, yt = x_t
-    try:
-        px, py = p
-        dx, dy = float(px) - xt, float(py) - yt
-    except (TypeError, ValueError):
-        query_points(p, 2)      # raises for a point of another dimension
-        raise
+    dx, dy = q[0] - xt, q[1] - yt
     if not eps_len < math.hypot(dx, dy) < math.inf:
         raise ZeroDirection("no finite direction from the reference point to the query")
     w = hix - lox
@@ -105,15 +100,13 @@ class PolarIndex2(RadialIndex):
     Slab i covers boundary-parameter interval [i*U/n, (i+1)*U/n) and is
     bucket i of the table: it lists the candidate edges.  All arrays are
     immutable.  box_floats is box as (x_min, y_min, x_max, y_max), made
-    once for bucket_of_point.
+    once for bucket_of_floats.
     """
 
     box: Aabb
     perimeter: float
     n_slabs: int
     box_floats: tuple = field(init=False)
-
-    slab_edges = BucketTable.bucket
 
     def __post_init__(self):
         super().__post_init__()
@@ -128,8 +121,8 @@ class PolarIndex2(RadialIndex):
         callers must mask zero directions."""
         return self.slab_of(boundary_param_batch(self.box, self.x_t, points))
 
-    def bucket_of_point(self, q) -> int:
-        """Slab of the direction x_t -> q, found in Python floats as
+    def bucket_of_floats(self, q: list) -> int:
+        """Slab of the direction x_t -> q for q a pair of floats, found as
         bucket_of finds it; raises ZeroDirection as boundary_param does."""
         u = _exit_param(self.box_floats, self.x_t_floats, q, self.poly.tol.eps_len)
         return int(u * (self.n_slabs / self.perimeter)) % self.n_slabs

@@ -160,13 +160,13 @@ def _dy(poly):
 def test_sorted_slabs_square_layout():
     idx = build_sorted_slabs(SQUARE)
     np.testing.assert_allclose(idx.ys, [0.0, 1.0])
-    assert sorted(idx.slab_edges(0)) == [0, 1, 2, 3]
+    assert sorted(idx.bucket(0)) == [0, 1, 2, 3]
 
 
 def test_sorted_slabs_triangle_layout():
     idx = build_sorted_slabs(TRIANGLE)
     np.testing.assert_allclose(idx.ys, [0.0, 1.0])
-    assert sorted(idx.slab_edges(0)) == [0, 1, 2]
+    assert sorted(idx.bucket(0)) == [0, 1, 2]
 
 
 def test_sorted_slabs_chain_structure():
@@ -180,7 +180,7 @@ def test_sorted_slabs_chain_structure():
         dy = _dy(poly)
         last = len(idx.ys) - 2
         for j in range(last + 1):
-            listed = idx.slab_edges(j)
+            listed = idx.bucket(j)
             for chain in (listed[dy[listed] < 0], listed[dy[listed] > 0]):
                 assert len(chain) == 1
                 e = chain[0]
@@ -262,7 +262,7 @@ def test_uniform_slab_arithmetic():
 def _side_counts(idx, poly):
     """Per-slab numbers of listed left-chain and right-chain edges."""
     dy = _dy(poly)
-    listed = [dy[idx.slab_edges(i)] for i in range(idx.n_slabs)]
+    listed = [dy[idx.bucket(i)] for i in range(idx.n_slabs)]
     return (np.array([(d < 0).sum() for d in listed]),
             np.array([(d > 0).sum() for d in listed]))
 
@@ -282,7 +282,7 @@ def test_uniform_edges_cover_their_slab_ranges():
     idx = build_uniform_slabs(poly, 97)
     v = poly.vertices
     listed = {(int(i), int(e)) for i in range(idx.n_slabs)
-              for e in idx.slab_edges(i)}
+              for e in idx.bucket(i)}
     expect = set()
     for e in range(poly.n):
         y0, y1 = sorted([v[e, 1], v[(e + 1) % poly.n, 1]])

@@ -234,6 +234,22 @@ def test_query_of_another_dimension_is_rejected(build, shape, locate, points, go
         locate(build(shape), points)
 
 
+@pytest.mark.parametrize("build, shape, locate, rows", [
+    pytest.param(build, shape, locate, (n, dim), id=f"{build.__name__}-{locate.__name__}-{n}x{dim}")
+    for build, shape, front in QUERY_FRONT
+    for dim in [shape.vertices.shape[1]]
+    for locate in front if not locate.__name__.endswith(("_batch", "bucket_of"))
+    for n in (0, 1, 4)])
+def test_scalar_query_of_rows_is_rejected(build, shape, locate, rows):
+    """Every scalar locator, bucket_of_point and direction helper takes
+    exactly one point: rows of the index's dimension, none, one or many,
+    raise the ValueError of core.query_point, which names the dimension and
+    the shape given; not a code for row 0, an IndexError or a TypeError."""
+    with pytest.raises(ValueError, match=re.escape(
+            f"expected one {rows[1]}D query point, got shape {rows}")):
+        locate(build(shape), np.zeros(rows))
+
+
 @pytest.mark.parametrize("build, shape, locate",
                          [(build, shape, front[1]) for build, shape, front in QUERY_FRONT])
 def test_empty_batch_gives_empty_codes(build, shape, locate):

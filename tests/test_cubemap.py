@@ -216,7 +216,7 @@ def test_cubemap_scalar_equals_batch():
         q = np.asarray(arr, dtype=float)
         reached = reaches_planes(poly, idx.x_t, q)
         want = np.zeros(len(q), dtype=np.int64)
-        want[reached] = idx.counts[idx.cell_of(q[reached])]
+        want[reached] = idx.counts[idx.bucket_of(q[reached])]
         evals = np.array([c.evals for c in counters])
         np.testing.assert_array_equal(evals, want, err_msg=name)
         assert 0 < reached.sum() < len(q)

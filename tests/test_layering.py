@@ -3,7 +3,7 @@ constant-time locators do not depend on the baseline methods and share one
 implementation, only buckets.py knows the bucket-table layout, and only
 core.py knows which field holds a shape's planes and the factors of the
 tolerance rule, and only core.py (query_points) and io.py shape point
-arrays."""
+arrays, and only core.py (query_point) decides what is one point."""
 
 import ast
 from pathlib import Path
@@ -100,4 +100,18 @@ def test_only_core_and_io_call_atleast_2d():
            for path in sorted(SRC.glob("*.py")) if path.name not in ("core.py", "io.py")
            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
            if isinstance(node, ast.Attribute) and node.attr == "atleast_2d"]
+    assert not bad, bad
+
+
+def test_only_core_catches_type_error():
+    """Whether a value is one query point is decided in core.query_point: no
+    other module catches a TypeError, by name, as Exception or bare, to
+    rebuild an error after a failed conversion."""
+    catches = {"TypeError", "Exception", "BaseException"}
+    bad = [f"{path.name}:{node.lineno} catches TypeError"
+           for path in sorted(SRC.glob("*.py")) if path.name != "core.py"
+           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+           if isinstance(node, ast.ExceptHandler)
+           and (node.type is None or catches & {getattr(n, "id", None)
+                                                for n in ast.walk(node.type)})]
     assert not bad, bad

@@ -116,7 +116,7 @@ def test_slabs_cover_all_edges_and_stay_contiguous():
     assert (idx.counts >= 1).all()
     seen = collections.defaultdict(list)
     for i in range(idx.n_slabs):
-        for e in idx.slab_edges(i):
+        for e in idx.bucket(i):
             seen[int(e)].append(i)
     assert sorted(seen) == list(range(poly.n))
     for e, slabs in seen.items():
@@ -184,7 +184,7 @@ def test_exit_edge_always_listed():
         u = boundary_param_batch(idx.box, x_t, x_t + dirs)
         slabs = idx.slab_of(u)
         for k in range(len(dirs)):
-            assert exit_edge[k] in idx.slab_edges(int(slabs[k]))
+            assert exit_edge[k] in idx.bucket(int(slabs[k]))
 
 
 def test_locate_polar_square_cases():
