@@ -45,7 +45,7 @@ def _finite_rows(pts):
 def locate_linear_2d(shape, p, counter: EvalCounter | None = None) -> Containment:
     """O(N) scan: evaluate every edge half-plane (face half-space in 3D),
     classify by the minimum; counter gets every plane if p is finite."""
-    q = query_point(p, shape.vertices.shape[1])
+    q = query_point(p, shape.dim)
     code = Containment(int(locate_linear_2d_batch(shape, q)[0]))
     if counter is not None and all(map(math.isfinite, q)):
         counter.evals += len(shape.planes)
@@ -54,7 +54,7 @@ def locate_linear_2d(shape, p, counter: EvalCounter | None = None) -> Containmen
 
 def locate_linear_2d_batch(shape, points) -> np.ndarray:
     """Batch form of locate_linear_2d: min_signed_distance takes either shape."""
-    pts = query_points(points, shape.vertices.shape[1])
+    pts = query_points(points, shape.dim)
     out, ok = _finite_rows(pts)
     out[ok] = classify_min(min_signed_distance(shape, pts[ok]), shape.tol.eps_q)
     return out

@@ -24,7 +24,6 @@ from .baselines import (build_sorted_slabs, build_uniform_slabs,
                         build_wedge_index, locate_linear_2d_batch,
                         locate_linear_3d_batch, locate_sorted_slabs_batch,
                         locate_uniform_slabs_batch, locate_wedge_batch)
-from .core import ConvexPolygon, ConvexPolyhedron
 from .cubemap import build_cubemap_index, locate_cubemap_batch
 from .generators import compare_methods
 from .polar import build_polar_index, locate_polar_batch
@@ -78,7 +77,7 @@ def make_locator(shape, method: str):
     for an unknown method or one that does not apply to the shape's
     dimension.
     """
-    dim = {ConvexPolygon: 2, ConvexPolyhedron: 3}.get(type(shape))
+    dim = getattr(shape, "dim", None)
     if dim is None:
         raise ValueError(f"unsupported shape type {type(shape).__name__}")
     if (dim, method) not in METHODS:

@@ -33,11 +33,11 @@ def clamp_budget(what: str, n, cap: int) -> int:
     """n as an int, clamped to cap with a CapExceeded warning.
 
     Every bucket budget, derived or requested, goes through here, so every
-    clamp is reported.  Raises ValueError when n < 1.
+    clamp is reported.  Raises ValueError when n < 1 or is not finite.
     """
+    if not 1 <= n < math.inf:
+        raise ValueError(f"{what} must be >= 1 and finite, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValueError(f"{what} must be >= 1")
     if n > cap:
         warnings.warn(f"{what} {n} clamped to {cap}", CapExceeded, stacklevel=3)
         return cap
@@ -164,19 +164,10 @@ def bucketed_min(planes: np.ndarray, table: BucketTable, bucket_ids, q: np.ndarr
     return m
 
 
-def reference_point(shape, x_t=None) -> np.ndarray:
-    """Read-only copy of the reference point x_t of a direction-bucket index,
-    by default the shape's vertex mean.  Raises ValueError unless x_t has
-    the shape (dim,) of the shape's points, and ReferenceNotInterior unless
-    every plane evaluates above eps_q there, so also for a non-finite x_t."""
-    x_t = np.array(centroid(shape) if x_t is None else x_t, dtype=float)
-    dim = shape.planes.shape[1] - 1
-    if x_t.shape != (dim,):
-        raise ValueError(f"reference point must have shape ({dim},), got {x_t.shape}")
-    # inf gives NaN (0 * inf) or -inf; the negated test also rejects NaN.
-    with np.errstate(invalid="ignore"):
-        m = float(plane_eval(shape.planes, x_t).min())
-    if not m > shape.tol.eps_q:
+def reference_point(shape) -> np.ndarray:
+    """Read-only vertex mean of the shape; raises ReferenceNotInterior unless strictly inside."""
+    x_t = centroid(shape)
+    if not float(plane_eval(shape.planes, x_t).min()) > shape.tol.eps_q:
         raise ReferenceNotInterior("reference point must be strictly inside")
     x_t.setflags(write=False)
     return x_t
@@ -184,8 +175,8 @@ def reference_point(shape, x_t=None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RadialIndex(BucketTable):
-    """A bucket table of the directions from x_t, a strictly interior
-    reference point (reference_point) of the validated shape poly: the base
+    """A bucket table of the directions from x_t, the strictly interior
+    vertex mean (reference_point) of the validated shape poly: the base
     of PolarIndex2 and CubeMapIndex3, which map points to buckets with
     bucket_of (numpy) and bucket_of_floats (one point as Python floats).
 
@@ -211,7 +202,7 @@ class RadialIndex(BucketTable):
     def bucket_of_point(self, p) -> int:
         """Bucket of the direction x_t -> p for one point p; raises
         query_point's ValueError for anything else."""
-        return self.bucket_of_floats(query_point(p, len(self.x_t_floats)))
+        return self.bucket_of_floats(query_point(p, self.poly.dim))
 
 
 def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Containment:
@@ -228,13 +219,12 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
     each listed plane coefficient is read with planes.item.  Raises
     query_point's ValueError for anything but one point.
     """
-    x_t = idx.x_t_floats
-    q = query_point(p, len(x_t))
+    shape = idx.poly
+    q = query_point(p, shape.dim)
     for c, lo, hi in zip(q, idx.inbox_lo, idx.inbox_hi):
         if not lo <= c <= hi:
             return Containment.OUTSIDE
-    shape = idx.poly
-    if math.dist(q, x_t) <= shape.tol.eps_len:
+    if math.dist(q, idx.x_t_floats) <= shape.tol.eps_len:
         return Containment.INSIDE
     b = idx.bucket_of_floats(q)
     listed = idx.padded_edges[b, :idx.counts.item(b)].tolist()
@@ -257,7 +247,7 @@ def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     Raises query_points' ValueError for points of another dimension."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
-    pts = query_points(points, len(idx.x_t))
+    pts = query_points(points, shape.dim)
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
     inbox = np.flatnonzero(shape.aabb.contains(pts, pad=eps_q))

@@ -128,7 +128,7 @@ def cmd_gen(args) -> int:
 def cmd_locate(args) -> int:
     shape = load_shape(args.shape)
     pts = parse_points_file(args.points)
-    method = args.method or ("polar" if shape.vertices.shape[1] == 2 else "cubemap")
+    method = args.method or ("polar" if shape.dim == 2 else "cubemap")
     codes = make_locator(shape, method)()[0](pts)
     lines = [f"{i} {_CODE_NAMES[c]}" for i, c in enumerate(codes.tolist())]
     _emit("\n".join(lines) + "\n", args.out)

@@ -15,9 +15,9 @@ Conventions used throughout the library:
   change when a shape is moved, or rescaled from metres to millimetres.
   boundary_param and cubemap_cell, whose one epsilon is the zero-direction
   length, default it to 0.
-- Query points have two intakes, each raising a ValueError that names the
-  dimension d and the shape given: query_points for a batch (one point of
-  d coordinates or an (M, d) array), query_point for exactly one point.
+- Query points have two intakes, each raising a ValueError naming the
+  dimension d (a shape's dim) and what was given: query_points for a batch
+  (a point or an (M, d) array), query_point for one list, tuple or ndarray.
 - Classification is three-valued.  A query is Inside when the minimal signed
   distance over the deciding half-planes exceeds +eps_q, OnBoundary within
   [-eps_q, +eps_q], Outside below.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -81,7 +82,7 @@ class EulerViolation(ValidationError):
 
 
 class ReferenceNotInterior(ValueError):
-    """Chosen reference point is not strictly inside the shape."""
+    """The shape's vertex mean, an index's reference point, is not strictly inside."""
 
 
 class ZeroDirection(ValueError):
@@ -190,23 +191,30 @@ def plane_eval(planes, points):
 
 def query_points(points, dim: int) -> np.ndarray:
     """Query points as an (M, dim) float array, one point of dim coordinates
-    as one row.  Raises ValueError naming dim and the shape for any other."""
-    pts = np.asarray(points, dtype=float)
+    as one row.  Raises ValueError naming dim and what was given for anything else."""
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"query points must be {dim}D numbers: {exc}") from None
     if pts.ndim > 2 or pts.shape[-1:] != (dim,):
         raise ValueError(f"query points must be {dim}D, got shape {pts.shape}")
     return pts.reshape(-1, dim)
 
 
 def query_point(p, dim: int) -> list:
-    """One query point as a list of dim Python floats.  Raises query_points'
-    ValueError for a point of another dimension, and a ValueError naming dim
-    and the shape given for rows, however many, of dim coordinates."""
+    """One query point, a list, tuple or numpy array, as a list of dim floats.
+    Raises query_points' ValueError for a point of another dimension or of
+    non-numbers, and one naming dim and what was given for rows or other types."""
+    # ndarray first: a failed isinstance reads the ndarray's slow __class__.
+    seq = p.tolist() if isinstance(p, np.ndarray) else p if isinstance(p, (list, tuple)) else None
+    if seq is None:
+        raise ValueError(f"expected one {dim}D query point, got {type(p).__name__}")
     try:
-        q = [float(c) for c in (p.tolist() if isinstance(p, np.ndarray) else p)]
-    except TypeError:
+        q = [float(c) for c in seq]
+    except (TypeError, ValueError):
         q = None
     if q is None or len(q) != dim:
-        query_points(p, dim)        # raises for a point of another dimension
+        query_points(p, dim)        # raises for non-numbers or a point of another dimension
         raise ValueError(f"expected one {dim}D query point, got shape {np.shape(p)}")
     return q
 
@@ -307,7 +315,7 @@ def centroid(shape_or_vertices) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConvexPolygon:
-    """Validated strictly convex CCW polygon.
+    """Validated strictly convex CCW polygon; dim is 2.
 
     vertices   -- (N, 2) float64, counter-clockwise, immutable
     halfplanes -- (N, 3) unit-normal inward half-planes, row i for edge
@@ -320,6 +328,7 @@ class ConvexPolygon:
     halfplanes: np.ndarray
     aabb: Aabb
     tol: Tolerances
+    dim: ClassVar[int] = 2
 
     @property
     def n(self) -> int:
@@ -331,7 +340,7 @@ class ConvexPolygon:
 
 @dataclass(frozen=True)
 class ConvexPolyhedron:
-    """Validated convex polyhedron with outward-CCW planar faces.
+    """Validated convex polyhedron with outward-CCW planar faces; dim is 3.
 
     faces stores vertex-index rings; halfspaces holds one unit-normal inward
     half-space (a, b, c, d) per face, same order, stored column-major like
@@ -343,6 +352,7 @@ class ConvexPolyhedron:
     halfspaces: np.ndarray
     aabb: Aabb
     tol: Tolerances
+    dim: ClassVar[int] = 3
 
     @property
     def n_faces(self) -> int:
@@ -369,7 +379,7 @@ def min_signed_distance(shape, points) -> np.ndarray:
     a floor of 50, with both x126-205 (2-vCPU host).
     """
     planes = shape.planes
-    d = shape.vertices.shape[1]
+    d = shape.dim
     pts = query_points(points, d)
     out = np.empty(len(pts))
     step = max(1, _CHUNK_CELLS // max(1, len(planes)))

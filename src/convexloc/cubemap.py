@@ -58,9 +58,11 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
     face 0..5 means +X, -X, +Y, -Y, +Z, -Z; the dominant axis is the largest
     absolute component, ties resolved in X, Y, Z order.  i indexes the first
     remaining axis (ascending), j the second, each by floor((s+1)/2 * R)
-    clamped to [0, R-1].  Raises ZeroDirection when p is no farther than
-    eps_len from x_t or a coordinate of either is not finite.
+    clamped to [0, R-1], R >= 1 (else ValueError).  Raises ZeroDirection when
+    p is no farther than eps_len from x_t or a coordinate of either is not finite.
     """
+    if not resolution >= 1:
+        raise ValueError(f"cube-map resolution must be >= 1, got {resolution!r}")
     return _direction_cell([float(b) for b in x_t], resolution, query_point(p, 3), eps_len)
 
 
@@ -239,13 +241,12 @@ def default_cubemap_resolution(n_faces: int) -> int:
     return max(4, clamp_budget("cube-map resolution", want, RES_CAP))
 
 
-def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None,
-                        x_t=None) -> CubeMapIndex3:
+def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None) -> CubeMapIndex3:
     """Build the cube-map index; O(F + cells) for bounded footprints.
 
-    Raises ReferenceNotInterior when x_t is not strictly inside.
+    Raises ReferenceNotInterior when the vertex mean is not strictly inside.
     """
-    x_t = reference_point(poly, x_t)
+    x_t = reference_point(poly)
     if resolution is None:
         resolution = default_cubemap_resolution(poly.n_faces)
     resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)

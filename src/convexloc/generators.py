@@ -202,7 +202,7 @@ class MismatchReport:
 
 
 def compare_methods(shape, points, methods: dict[str, Callable]) -> MismatchReport:
-    pts = query_points(points, shape.vertices.shape[1])
+    pts = query_points(points, shape.dim)
     names = tuple(methods)
     if len(names) < 2:
         raise ValueError("need at least two methods to compare")

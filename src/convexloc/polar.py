@@ -133,8 +133,7 @@ def _slab_of(u, n_slabs: int, perimeter: float) -> np.ndarray:
     return i.astype(np.int64) % n_slabs
 
 
-def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
-                      x_t=None) -> PolarIndex2:
+def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarIndex2:
     """Build the angular slab index in O(N + n_slabs).
 
     Vertices are mapped to boundary parameters with the same code path used
@@ -142,9 +141,9 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None,
     guaranteed to cover every slab a query ray hitting that edge can map to.
     The default n_slabs is ceil(U / g) + 1 for the smallest cyclic gap g
     between vertex parameters; g == 0 asks for more than SLAB_CAP.
-    Raises ReferenceNotInterior when x_t is not strictly inside.
+    Raises ReferenceNotInterior when the vertex mean is not strictly inside.
     """
-    x_t = reference_point(poly, x_t)
+    x_t = reference_point(poly)
     box = poly.aabb.inflated(BOX_INFLATION)
     w = float(box.hi[0] - box.lo[0])
     h = float(box.hi[1] - box.lo[1])

@@ -238,10 +238,11 @@ def loop_project_face(ring, x_t, resolution, eps_len):
     return cells
 
 
-def loop_build_cubemap_index(poly, resolution=None, x_t=None):
-    """Reference cube-map builder: loop_project_face on every face in turn,
-    then the CSR packing of convexloc.build_cubemap_index."""
-    x_t = np.array(centroid(poly) if x_t is None else x_t, dtype=float)
+def loop_build_cubemap_index(poly, resolution=None):
+    """Reference cube-map builder around the vertex mean: loop_project_face
+    on every face in turn, then the CSR packing of
+    convexloc.build_cubemap_index."""
+    x_t = centroid(poly)
     if float(plane_eval(poly.halfspaces, x_t).min()) <= poly.tol.eps_q:
         raise ReferenceNotInterior("reference point must be strictly inside")
     if resolution is None:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import math
 import re
 import tracemalloc
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from convexloc import (CapExceeded, CubeMapIndex3, GenSpec2, PolarIndex2, QuerySpec,
-                       ReferenceNotInterior, baselines, boundary_param, build_cubemap_index,
+                       baselines, boundary_param, build_cubemap_index,
                        build_polar_index, build_sorted_slabs, build_uniform_slabs,
                        build_wedge_index, centroid, cubemap_cell, gen_convex_polygon,
                        gen_query_points, icosphere, locate_cubemap, locate_cubemap_batch,
@@ -65,6 +66,21 @@ def test_bucket_table_contract(build, shape):
 def test_clamp_budget_rejects_an_empty_budget():
     with pytest.raises(ValueError, match="polar slab count must be >= 1"):
         clamp_budget("polar slab count", 0, 8)
+
+
+@pytest.mark.parametrize("fn, args, what", [
+    pytest.param(cubemap_cell, ((0.0, 0.0, 0.0), r, (1.0, 0.2, 0.3)), "cube-map resolution",
+                 id=f"cubemap_cell-{r}") for r in (0, -2)
+] + [
+    pytest.param(clamp_budget, ("polar slab count", n, 8), "polar slab count",
+                 id=f"clamp_budget-{n}") for n in (math.inf, -math.inf, math.nan, np.float64("nan"))
+])
+def test_budget_below_one_or_not_finite_is_rejected(fn, args, what):
+    """A budget must be a finite number >= 1: a cube-map cell of resolution
+    0 is not cell (face, -1, -1), and an infinite or NaN budget raises the
+    ValueError that names it, not an OverflowError or a conversion error."""
+    with pytest.raises(ValueError, match=f"{what} must be >= 1"):
+        fn(*args)
 
 
 def test_pack_rejects_an_empty_bucket():
@@ -164,20 +180,6 @@ def test_polar_index_keeps_one_table():
     assert retained < 4e6
 
 
-@pytest.mark.parametrize("build, shape, x_t, want, got", [
-    (build_polar_index, POLYGONS["square"], (0.5, 0.5, 0.5), "(2,)", "(3,)"),
-    (build_polar_index, POLYGONS["square"], [[0.5, 0.5]], "(2,)", "(1, 2)"),
-    (build_polar_index, POLYGONS["square"], (0.5,), "(2,)", "(1,)"),
-    (build_cubemap_index, validate_polyhedron(*icosphere(0)), (0.0, 0.0), "(3,)", "(2,)"),
-])
-def test_reference_point_of_another_shape_is_rejected(build, shape, x_t, want, got):
-    """An x_t that is not one point of the shape's dimension is named as
-    such, not as an index, broadcasting or interior fault."""
-    with pytest.raises(ValueError, match=re.escape(f"shape {want}, got {got}")) as err:
-        build(shape, x_t=x_t)
-    assert not isinstance(err.value, ReferenceNotInterior)
-
-
 def linear_scan(shape):
     """The linear scans' index: the shape itself."""
     return shape
@@ -248,6 +250,36 @@ def test_scalar_query_of_rows_is_rejected(build, shape, locate, rows):
     with pytest.raises(ValueError, match=re.escape(
             f"expected one {rows[1]}D query point, got shape {rows}")):
         locate(build(shape), np.zeros(rows))
+
+
+# Values that are no query point, each made from the dim coordinates of one.
+NON_POINTS = {
+    "str": lambda xs: "123"[:len(xs)],
+    "bytes": lambda xs: b"123"[:len(xs)],
+    "set": set,
+    "dict": lambda xs: dict.fromkeys(xs, 1),
+    "generator": lambda xs: (x for x in xs),
+    "ragged-rows": lambda xs: [xs, xs[:-1]],
+    "non-numeric-strings": lambda xs: ["a"] * len(xs),
+}
+
+
+@pytest.mark.parametrize("build, shape, locate, dim, given", [
+    pytest.param(build, shape, locate, dim, given,
+                 id=f"{build.__name__}-{locate.__name__}-{dim}D-{given}")
+    for build, shape, front in QUERY_FRONT
+    for dim in [shape.vertices.shape[1]]
+    for locate in front
+    for given in NON_POINTS])
+def test_non_point_is_rejected(build, shape, locate, dim, given):
+    """Every locator, scalar and batch, and every bucket map and direction
+    helper rejects a value that is no point with the ValueError of
+    core.query_point or core.query_points, which names the dimension: a
+    string is not split into characters, a set or dict not read in hash
+    order, and a generator, ragged rows or non-numeric strings do not raise
+    a TypeError or numpy's own ValueError."""
+    with pytest.raises(ValueError, match=f"(query points must be|expected one) {dim}D"):
+        locate(build(shape), NON_POINTS[given]([0.25, 0.75, 0.5][:dim]))
 
 
 @pytest.mark.parametrize("build, shape, locate",

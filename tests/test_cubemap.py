@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpec,
-                       ReferenceNotInterior, ZeroDirection,
+                       ZeroDirection,
                        build_cubemap_index, centroid, compare_methods, cubemap_cell,
                        gen_convex_polyhedron, gen_query_points, icosphere,
                        locate_cubemap, locate_cubemap_batch,
@@ -238,11 +238,6 @@ def test_translated_icosphere_validates_and_locates(offset):
         "linear": lambda p: locate_linear_3d_batch(poly, p),
         "cubemap": lambda p: locate_cubemap_batch(idx, p)})
     assert report.clean, report.examples
-
-
-def test_reference_point_checked():
-    with pytest.raises(ReferenceNotInterior):
-        build_cubemap_index(CUBE, x_t=(2.0, 0.5, 0.5))
 
 
 def test_eval_counts_bounded_by_occupancy():

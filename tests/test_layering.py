@@ -2,8 +2,9 @@
 constant-time locators do not depend on the baseline methods and share one
 implementation, only buckets.py knows the bucket-table layout, and only
 core.py knows which field holds a shape's planes and the factors of the
-tolerance rule, and only core.py (query_points) and io.py shape point
-arrays, and only core.py (query_point) decides what is one point."""
+tolerance rule and a shape's dimension, and only core.py (query_points) and
+io.py shape point arrays, and only core.py (query_point) decides what is one
+point."""
 
 import ast
 from pathlib import Path
@@ -114,4 +115,23 @@ def test_only_core_catches_type_error():
            if isinstance(node, ast.ExceptHandler)
            and (node.type is None or catches & {getattr(n, "id", None)
                                                 for n in ast.walk(node.type)})]
+    assert not bad, bad
+
+
+def test_only_core_derives_the_dimension():
+    """A shape's dimension is its dim, set in core.py: no other module works
+    it out from the shape of its .vertices or .planes array, or maps the
+    shape classes to dimensions."""
+    classes = {"ConvexPolygon", "ConvexPolyhedron"}
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "shape"
+                    and getattr(node.value, "attr", None) in ("vertices", "planes")):
+                bad.append(f"{path.name}:{node.lineno} reads .{node.value.attr}.shape")
+            elif isinstance(node, ast.Dict) and classes & {getattr(k, "id", None)
+                                                           for k in node.keys}:
+                bad.append(f"{path.name}:{node.lineno} maps shape classes to values")
     assert not bad, bad

@@ -9,7 +9,7 @@ import pytest
 from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
                        QuerySpec, ReferenceNotInterior, SLAB_CAP,
                        ZeroDirection, boundary_param, boundary_param_batch,
-                       build_polar_index, centroid,
+                       build_polar_index,
                        gen_convex_polygon, gen_query_points,
                        locate_linear_2d_batch, locate_polar,
                        locate_polar_batch, validate_polygon)
@@ -163,11 +163,12 @@ def test_doubling_slabs_never_increases_candidates():
     assert (fine.counts <= mapped).all()
 
 
-def test_reference_point_must_be_interior():
+def test_vertex_mean_on_the_boundary_is_rejected():
+    """A sliver triangle validates, but its vertex mean lies within eps_q of
+    its long edge: no index is built around it."""
+    sliver = validate_polygon([(0, 0), (1, 0), (0.5, 3e-9)])
     with pytest.raises(ReferenceNotInterior):
-        build_polar_index(SQUARE, x_t=(1.5, 0.5))
-    with pytest.raises(ReferenceNotInterior):
-        build_polar_index(SQUARE, x_t=(1.0, 0.5))  # on the boundary
+        build_polar_index(sliver)
 
 
 def test_exit_edge_always_listed():
@@ -251,16 +252,6 @@ def test_polar_eval_count_bounded_by_occupancy():
         c = EvalCounter()
         locate_polar(idx, p, c)
         assert c.evals <= idx.max_occupancy
-
-
-def test_explicit_x_t_is_respected():
-    poly = gen_convex_polygon(GenSpec2(12, 4))
-    off = centroid(poly) + [0.05, -0.03]
-    idx = build_polar_index(poly, x_t=off)
-    np.testing.assert_allclose(idx.x_t, off)
-    pts = gen_query_points(poly.aabb, QuerySpec(400, 5))
-    np.testing.assert_array_equal(locate_polar_batch(idx, pts),
-                                  locate_linear_2d_batch(poly, pts))
 
 
 def test_polar_index_immutable():
