@@ -251,9 +251,11 @@ def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
     inbox = np.flatnonzero(shape.aabb.contains(pts, pad=eps_q))
-    sub = pts.take(inbox, axis=0)
-    far = np.flatnonzero(~near(sub, idx.x_t, shape.tol.eps_len))
-    q = sub.take(far, axis=0)
-    out[inbox] = np.int8(Containment.INSIDE)
-    out[inbox[far]] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)
+    q = pts.take(inbox, axis=0)
+    close = near(q, idx.x_t, shape.tol.eps_len)
+    if close.any():             # rare: compact to the points that reach the planes
+        out[inbox] = np.int8(Containment.INSIDE)
+        far = np.flatnonzero(~close)
+        inbox, q = inbox[far], q.take(far, axis=0)
+    out[inbox] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)
     return out

@@ -194,6 +194,9 @@ def query_points(points, dim: int) -> np.ndarray:
     as one row.  Raises ValueError naming dim and what was given for anything else."""
     try:
         pts = np.asarray(points, dtype=float)
+        # numpy casts None to NaN, where float() raises.
+        if pts is not points and np.isnan(pts).any() and None in np.asarray(points, dtype=object):
+            raise TypeError("None is not a number")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"query points must be {dim}D numbers: {exc}") from None
     if pts.ndim > 2 or pts.shape[-1:] != (dim,):

@@ -12,6 +12,12 @@ Build cost is O(N + n_slabs).  The default slab count makes every slab
 narrower than the smallest gap between the vertices' boundary parameters,
 so no slab holds two vertices and none lists more than two candidate edges.
 
+The batch map picks the box side of each ray by integer masking (_select),
+not by nested np.where, which branches per point and mispredicts on random
+sides, and it truncates u * (n_slabs / U) to the slab, wrapping the one
+value that rounds up to n_slabs without a %.  Both give the bits of the
+masked np.where form and of floor-and-modulo.
+
 The index is a buckets.BucketTable, one bucket per slab, around the x_t of
 buckets.reference_point.  It maps queries to their slabs (bucket_of, and
 bucket_of_floats for one point in floats); locate_polar and
@@ -83,14 +89,26 @@ def boundary_param_batch(box: Aabb, x_t, points) -> np.ndarray:
         # ray parallel to the axis (d = +0 or -0) gets +inf from one side.
         tx = np.maximum((hix - xt) / dx, (lox - xt) / dx)
         ty = np.maximum((hiy - yt) / dy, (loy - yt) / dy)
-        ey = np.clip(yt + tx * dy, loy, hiy)
-        ex = np.clip(xt + ty * dx, lox, hix)
-    u = np.where(tx <= ty,
-                 np.where(dx > 0.0, ey - loy, h + w + (hiy - ey)),
-                 np.where(dy > 0.0, h + (hix - ex), 2.0 * h + w + (ex - lox)))
+        # maximum then minimum: np.clip's bits at half its cost per call.
+        ey = np.minimum(np.maximum(yt + tx * dy, loy), hiy)
+        ex = np.minimum(np.maximum(xt + ty * dx, lox), hix)
+    u = _select(tx <= ty,
+                _select(dx > 0.0, ey - loy, h + w + (hiy - ey)),
+                _select(dy > 0.0, h + (hix - ex), 2.0 * h + w + (ex - lox)))
     total = 2.0 * (w + h)
     np.subtract(u, total, out=u, where=u >= total)
     return u
+
+
+def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.where(mask, a, b) for float64 arrays, bit for bit, as b ^ ((a ^ b)
+    * mask) on their int64 views: no branch per element, which np.where
+    takes and mispredicts on random sides, and one temporary array."""
+    bi = b.view(np.int64)
+    r = np.bitwise_xor(a.view(np.int64), bi)
+    r *= mask
+    r ^= bi
+    return r.view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -113,7 +131,7 @@ class PolarIndex2(RadialIndex):
         object.__setattr__(self, "box_floats", (*self.box.lo.tolist(), *self.box.hi.tolist()))
 
     def slab_of(self, u) -> np.ndarray:
-        """Slab of each boundary parameter u."""
+        """Slab of each boundary parameter u in [0, perimeter)."""
         return _slab_of(u, self.n_slabs, self.perimeter)
 
     def bucket_of(self, points) -> np.ndarray:
@@ -129,8 +147,13 @@ class PolarIndex2(RadialIndex):
 
 
 def _slab_of(u, n_slabs: int, perimeter: float) -> np.ndarray:
-    i = np.floor(np.asarray(u, dtype=float) * (n_slabs / perimeter))
-    return i.astype(np.int64) % n_slabs
+    """Slab of each u in [0, perimeter): truncation is floor there, and only
+    u * (n_slabs / perimeter) rounded up to n_slabs needs the wrap to 0."""
+    u = np.asarray(u, dtype=float)
+    # out= keeps a 0-d u a 0-d array, which the masked wrap can write to.
+    i = np.multiply(u, n_slabs / perimeter, out=np.empty_like(u)).astype(np.int64)
+    i[i >= n_slabs] -= n_slabs
+    return i
 
 
 def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarIndex2:

@@ -13,7 +13,8 @@ subdivision one face at a time.  bucketed_min_reference,
 boundary_param_batch_reference and locate_radial_batch_reference are the
 batch query path as it was before the bucket kernel worked on table
 columns: whole-row gathers, a row minimum and boolean row compression;
-classify_min_reference is the batch classification as nested np.where.
+classify_min_reference is the batch classification as nested np.where,
+and slab_of_reference the polar slab map as floor and modulo.
 """
 
 import math
@@ -456,6 +457,12 @@ def boundary_param_batch_reference(box, x_t, points):
                  np.where(dy > 0.0, h + (hix - ex), 2.0 * h + w + (ex - lox)))
     total = 2.0 * (w + h)
     return np.where(u >= total, u - total, u)
+
+
+def slab_of_reference(u, n_slabs, perimeter):
+    """polar's slab map as floor and %: the slab of each u in [0, perimeter)."""
+    i = np.floor(np.asarray(u, dtype=float) * (n_slabs / perimeter))
+    return i.astype(np.int64) % n_slabs
 
 
 def classify_min_reference(m, eps_q):

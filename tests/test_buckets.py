@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+from fractions import Fraction
 import math
 import re
 import tracemalloc
@@ -282,6 +283,45 @@ def test_non_point_is_rejected(build, shape, locate, dim, given):
         locate(build(shape), NON_POINTS[given]([0.25, 0.75, 0.5][:dim]))
 
 
+# Values with a None coordinate, each made from the dim coordinates of one.
+NONE_POINTS = {
+    "none-coordinate": lambda xs: [*xs[:-1], None],
+    "all-none": lambda xs: [None] * len(xs),
+    "none-in-a-row": lambda xs: [xs, [None, *xs[1:]]],
+    "object-array": lambda xs: np.array([*xs[:-1], None], dtype=object),
+}
+
+
+@pytest.mark.parametrize("build, shape, locate, dim, given", [
+    pytest.param(build, shape, locate, dim, given,
+                 id=f"{build.__name__}-{locate.__name__}-{dim}D-{given}")
+    for build, shape, front in QUERY_FRONT
+    for dim in [shape.vertices.shape[1]]
+    for locate in front
+    for given in NONE_POINTS])
+def test_none_coordinate_is_rejected(build, shape, locate, dim, given):
+    """A None coordinate is no number: every locator, scalar and batch, and
+    every bucket map and direction helper raises query_points' ValueError
+    for non-numbers, where numpy would read None as NaN and locate the
+    point as Outside."""
+    with pytest.raises(ValueError, match=f"query points must be {dim}D numbers"):
+        locate(build(shape), NONE_POINTS[given]([0.25, 0.75, 0.5][:dim]))
+
+
+@pytest.mark.parametrize("build, shape, locate", [
+    pytest.param(build, shape, locate, id=f"{build.__name__}-{locate.__name__}")
+    for build, shape, front in QUERY_FRONT for locate in front])
+def test_fraction_coordinates_are_numbers(build, shape, locate):
+    """A point of Fractions, a list or a numeric object array, is the point
+    of their floats."""
+    xs = [0.25, 0.75, 0.5][:shape.vertices.shape[1]]
+    batch = locate.__name__.endswith(("_batch", "bucket_of"))
+    idx = build(shape)
+    want = locate(idx, [xs] if batch else xs)
+    for fr in ([Fraction(x) for x in xs], np.array([Fraction(x) for x in xs], dtype=object)):
+        assert np.array_equal(locate(idx, [fr] if batch else fr), want)
+
+
 @pytest.mark.parametrize("build, shape, locate",
                          [(build, shape, front[1]) for build, shape, front in QUERY_FRONT])
 def test_empty_batch_gives_empty_codes(build, shape, locate):
@@ -374,6 +414,28 @@ def test_kernel_matches_reference_on_the_narrowest_and_widest_tables(monkeypatch
     _assert_kernel_matches_reference(poly, idx)
     pts = gen_query_points(poly.aabb, QuerySpec(1000, 5))
     _assert_codes_match_reference(idx, locate_polar_batch, poly, pts, monkeypatch)
+
+
+@pytest.mark.parametrize("build, shape", [
+    (build_polar_index, POLYGONS["64-gon"]),
+    (build_cubemap_index, validate_polyhedron(*icosphere(1)))])
+def test_radial_codes_match_reference_with_no_point_or_every_point_near_x_t(build, shape):
+    """locate_radial_batch gives the reference's codes on a batch in which
+    no point lies within eps_len of x_t, and on one in which every in-box
+    point does, beside points outside the box and non-finite rows."""
+    idx = build(shape)
+    dim = shape.vertices.shape[1]
+    eps_len = shape.tol.eps_len
+    pts = gen_query_points(shape.aabb, QuerySpec(2000, 11))
+    outside = np.concatenate([shape.aabb.hi + 1.0 + np.abs(pts[:50]), nonfinite_rows(dim)])
+    offsets = np.random.default_rng(12).uniform(-0.5, 0.5, (200, dim)) * eps_len / math.sqrt(dim)
+    for batch in (pts, np.concatenate([idx.x_t + offsets, idx.x_t[None, :], outside])):
+        inbox = shape.aabb.contains(batch, pad=shape.tol.eps_q)
+        close = np.linalg.norm(batch[inbox] - idx.x_t, axis=1) <= eps_len
+        assert inbox.any() and (close.all() or not close.any())
+        got = locate_radial_batch(idx, batch)
+        assert np.array_equal(got, locate_radial_batch_reference(idx, batch))
+        assert got.dtype == np.int8 and len(got) == len(batch)
 
 
 def _batch_peak(poly) -> int:

@@ -12,10 +12,10 @@ from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
                        build_polar_index,
                        gen_convex_polygon, gen_query_points,
                        locate_linear_2d_batch, locate_polar,
-                       locate_polar_batch, validate_polygon)
+                       locate_polar_batch, polar, validate_polygon)
 
 from oracles import (boundary_param_batch_reference, brute_exit_edges, nonfinite_rows,
-                     point_types, policy_edge_points, reaches_planes)
+                     point_types, policy_edge_points, reaches_planes, slab_of_reference)
 
 UNIT_BOX = Aabb(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -97,6 +97,47 @@ def test_boundary_param_batch_equals_reference_bit_for_bit(corpus2d):
         assert np.array_equal(boundary_param_batch(box, x_t, q),
                               boundary_param_batch_reference(box, x_t, q))
     assert (np.signbit(d[:, 0]) & (d[:, 0] == 0.0)).sum() == 1000
+
+
+def test_select_equals_where_bit_for_bit():
+    """The integer-mask select gives np.where's bits, and leaves its inputs
+    as they were, on random masks over +-0, +-inf, subnormals and NaNs with
+    payloads and either sign."""
+    nans = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF4000000000123, 0x7FFFFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    special = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.5, -2.0], nans])
+    rng = np.random.default_rng(19)
+    for n in (0, 1, 10_000):
+        a, b = rng.choice(special, n), rng.choice(special, n)
+        mask = rng.random(n) < 0.5
+        a0, b0 = a.copy(), b.copy()
+        got = polar._select(mask, a, b)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), np.where(mask, a, b).view(np.int64))
+        assert np.array_equal(a.view(np.int64), a0.view(np.int64))
+        assert np.array_equal(b.view(np.int64), b0.view(np.int64))
+
+
+def test_slab_of_equals_floor_and_modulo(corpus2d):
+    """The truncating slab map with its single wrap gives the floor-and-%
+    slab: on the u of every corpus polygon's in-box points, at 0 and at the
+    largest u below U, for an array and for a Python float (a 0-d result).
+    At n = 3 and U = 7.3 the largest u below U maps to 3.0, the one value
+    the wrap sends to slab 0."""
+    entries, _ = corpus2d
+    for poly, pts, idx in entries:
+        u = boundary_param_batch(idx.box, idx.x_t, pts[reaches_planes(poly, idx.x_t, pts)])
+        ends = np.array([0.0, np.nextafter(idx.perimeter, 0.0)])
+        for v in (u, ends, *ends.tolist(), *u[:3].tolist()):
+            got = idx.slab_of(v)
+            want = slab_of_reference(v, idx.n_slabs, idx.perimeter)
+            assert got.dtype == np.int64 and got.shape == np.shape(v)
+            assert np.array_equal(got, want)
+    top = np.nextafter(7.3, 0.0)
+    assert top * (3 / 7.3) == 3.0
+    for v in (top, np.array([0.0, top])):
+        assert np.array_equal(polar._slab_of(v, 3, 7.3), slab_of_reference(v, 3, 7.3))
+    assert int(polar._slab_of(top, 3, 7.3)) == 0
 
 
 def test_occupancy_multiset_square_and_diamond():
