@@ -15,8 +15,8 @@ Timing methodology (single-threaded, perf_counter_ns):
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,9 +27,6 @@ from .baselines import (build_sorted_slabs, build_uniform_slabs,
 from .cubemap import build_cubemap_index, locate_cubemap_batch
 from .generators import compare_methods
 from .polar import build_polar_index, locate_polar_batch
-
-CSV_HEADER = "method,N,M,build_ns,mean_query_ns,p99_query_ns,max_occupancy,mismatches"
-
 
 # (dimension, method name) -> (build(shape) -> index, locate_batch(index,
 # points) -> int8 codes); a linear scan's index is the shape.  Every bucket
@@ -49,8 +46,10 @@ METHODS_3D = tuple(name for dim, name in METHODS if dim == 3)
 QUERY_CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; the fields, in order, are the columns."""
+
     method: str
     N: int
     M: int
@@ -61,9 +60,10 @@ class BenchRecord:
     mismatches: int
 
     def csv_row(self) -> str:
-        return (f"{self.method},{self.N},{self.M},{self.build_ns},"
-                f"{self.mean_query_ns},{self.p99_query_ns},"
-                f"{self.max_occupancy},{self.mismatches}")
+        return ",".join(map(str, dataclasses.astuple(self)))
+
+
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(BenchRecord))
 
 
 def records_to_csv(records) -> str:

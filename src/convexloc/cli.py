@@ -20,19 +20,14 @@ import numpy as np
 
 from .bench import METHODS_2D, METHODS_3D, bench_one, make_locator, records_to_csv
 from .core import Containment, ValidationError
-from .generators import (GenSpec2, GenSpec3, QuerySpec, compare_methods,
-                         gen_convex_polygon, gen_convex_polyhedron,
-                         gen_query_points)
+from .generators import (CORPUS_AXES, GenSpec2, GenSpec3, QuerySpec, compare_methods,
+                         gen_convex_polygon, gen_convex_polyhedron, gen_query_points)
 from .io import (ParseError, load_shape, parse_points_file, write_obj_file,
                  write_polygon_file)
 
 _CODE_NAMES = {int(Containment.OUTSIDE): "Outside",
                int(Containment.ON_BOUNDARY): "OnBoundary",
                int(Containment.INSIDE): "Inside"}
-
-# Axis/rotation cycle for verification corpora; modest eccentricity keeps
-# the default polar slab budget far below SLAB_CAP.
-_CORPUS_AXES = ((1.0, 1.0), (1.3, 0.9), (1.5, 1.0), (0.8, 1.2))
 
 
 def _csv_ints(text: str):
@@ -144,7 +139,7 @@ def cmd_verify(args) -> int:
             for s in range(args.shape_seeds):
                 k = len(jobs)
                 spec = GenSpec2(n=n, seed=args.seed + 101 * k + s,
-                                semi_axes=_CORPUS_AXES[k % len(_CORPUS_AXES)],
+                                semi_axes=CORPUS_AXES[k % len(CORPUS_AXES)],
                                 rotation=0.3 * k)
                 jobs.append((gen_convex_polygon(spec), f"polygon n={n} seed={spec.seed}",
                              METHODS_2D))

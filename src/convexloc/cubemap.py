@@ -249,7 +249,8 @@ def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None) -
     x_t = reference_point(poly)
     if resolution is None:
         resolution = default_cubemap_resolution(poly.n_faces)
-    resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
+    else:
+        resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
 
     # One batch per ring length; the table lists each cell's faces in ring
     # order, as a face-by-face build would.

@@ -26,6 +26,9 @@ from .core import (Aabb, ConvexPolygon, ConvexPolyhedron, SingularAffine,
 
 MAX_ICOSPHERE_LEVEL = 5
 MAX_EXAMPLES = 16          # mismatches a MismatchReport lists
+# Ellipse semi-axes cycled over verification corpora; aspect ratios stay
+# modest so the default polar slab budget stays far below SLAB_CAP.
+CORPUS_AXES = ((1.0, 1.0), (1.3, 0.9), (1.5, 1.0), (0.8, 1.2))
 
 
 def _rng(seed: int) -> np.random.Generator:

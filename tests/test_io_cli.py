@@ -13,7 +13,7 @@ from convexloc import (GenSpec2, GenSpec3, ParseError, gen_convex_polygon,
                        gen_convex_polyhedron, load_shape, parse_obj_file,
                        parse_points_file, parse_polygon_file, validate_polygon,
                        write_obj_file, write_points_file, write_polygon_file)
-from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, make_locator
+from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, BenchRecord, make_locator
 from convexloc.cli import main
 
 from oracles import line_read_rows
@@ -344,6 +344,13 @@ def test_cli_verify_small_corpus(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "0 mismatches" in out
+
+
+def test_bench_csv_bytes():
+    """CSV_HEADER and csv_row derive from BenchRecord's fields; these
+    literals catch a field that is reordered or renamed."""
+    assert CSV_HEADER == "method,N,M,build_ns,mean_query_ns,p99_query_ns,max_occupancy,mismatches"
+    assert BenchRecord("polar", 64, 2000, 1, 2, 3, 2, 0).csv_row() == "polar,64,2000,1,2,3,2,0"
 
 
 def test_cli_bench_csv(tmp_path, capsys):
