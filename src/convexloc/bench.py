@@ -9,8 +9,9 @@ Timing methodology (single-threaded, perf_counter_ns):
   percentile of per-chunk mean query times, which bounds tail behaviour at
   chunk granularity rather than per-call (per-call timers would measure
   mostly timer overhead at these speeds);
-- mismatches is computed untimed against the linear scan, counting only
-  disagreements farther than 2 * eps_q from the boundary.
+- mismatches is counted against one untimed linear scan per shape, whose
+  codes every method of the shape shares; only disagreements farther than
+  2 * eps_q from the boundary count.
 """
 
 from __future__ import annotations
@@ -113,26 +114,22 @@ def time_queries(query_fn, points, reps: int):
     return float(np.median(means)), float(np.percentile(chunk_means, 99))
 
 
-def bench_one(shape, method: str, points, reps: int = 3) -> BenchRecord:
+def bench_one(shape, method: str, points, reference, reps: int = 3) -> BenchRecord:
+    """Time one method on a shape; count its mismatches against reference,
+    the codes of an untimed linear scan of the same points."""
+    if reps < 1:
+        raise ValueError(f"bench needs at least one repetition, got {reps}")
     builder = make_locator(shape, method)
     build_times = []
-    query_fn = None
-    occ = 0
-    for _ in range(max(1, reps)):
+    for _ in range(reps):
         t0 = time.perf_counter_ns()
         query_fn, occ = builder()
         build_times.append(time.perf_counter_ns() - t0)
-    mean_ns, p99_ns = time_queries(query_fn, points, max(1, reps))
-
-    if method == "linear":
-        mismatches = 0
-    else:
-        linear_fn, _ = make_locator(shape, "linear")()
-        report = compare_methods(shape, points,
-                                 {"linear": linear_fn, method: query_fn})
-        mismatches = report.n_mismatches
+    mean_ns, p99_ns = time_queries(query_fn, points, reps)
+    report = compare_methods(shape, points,
+                             {"reference": lambda _: reference, method: query_fn})
     return BenchRecord(method=method, N=len(shape.planes), M=len(points),
                        build_ns=int(np.median(build_times)),
                        mean_query_ns=int(round(mean_ns)),
                        p99_query_ns=int(round(p99_ns)),
-                       max_occupancy=occ, mismatches=mismatches)
+                       max_occupancy=occ, mismatches=report.n_mismatches)

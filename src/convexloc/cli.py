@@ -179,7 +179,8 @@ def cmd_bench(args) -> int:
     records = []
     for shape in shapes:
         pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + 1))
-        records += [bench_one(shape, m, pts, reps=args.reps) for m in methods]
+        reference = make_locator(shape, "linear")()[0](pts)
+        records += [bench_one(shape, m, pts, reference, reps=args.reps) for m in methods]
     _emit(records_to_csv(records), args.out)
     if args.out:
         print(f"wrote {len(records)} rows to {args.out}")

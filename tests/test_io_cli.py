@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convexloc import (GenSpec2, GenSpec3, ParseError, gen_convex_polygon,
+from convexloc import (Containment, GenSpec2, GenSpec3, ParseError, gen_convex_polygon,
                        gen_convex_polyhedron, load_shape, parse_obj_file,
                        parse_points_file, parse_polygon_file, validate_polygon,
                        write_obj_file, write_points_file, write_polygon_file)
+from convexloc import bench
 from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, BenchRecord, make_locator
 from convexloc.cli import main
 
@@ -297,6 +298,7 @@ def test_cli_locate_center_is_inside(tmp_path, capsys):
     ["verify", "--dim", "3", "--levels", ","],
     ["frobnicate"],
     [],
+    ["bench", "--dim", "2", "--sizes", "8", "--reps", "0"],
 ])
 def test_cli_error_exit_codes(argv, capsys, tmp_path):
     assert main(argv) == 2
@@ -388,3 +390,34 @@ def test_cli_bench_reports_occupancy_of_every_bucketed_method(argv, capsys):
     occupancy = {row[0]: int(row[6]) for row in rows}
     assert set(occupancy) == set(METHODS_2D if argv[1] == "2" else METHODS_3D)
     assert all(occ >= 1 for method, occ in occupancy.items() if method != "linear"), occupancy
+
+
+def test_cli_bench_counts_a_wrong_method(monkeypatch, capsys):
+    build_polar, _ = bench.METHODS[(2, "polar")]
+    monkeypatch.setitem(bench.METHODS, (2, "polar"), (
+        build_polar, lambda idx, pts: np.full(len(pts), Containment.INSIDE, dtype=np.int8)))
+    assert main(["bench", "--dim", "2", "--methods", "linear,polar", "--sizes", "16",
+                 "--points", "500", "--reps", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    mismatches = {row[0]: int(row[7]) for row in rows}
+    assert mismatches["linear"] == 0
+    assert mismatches["polar"] > 0
+
+
+@pytest.mark.parametrize("argv, dim, shapes", [
+    (["--dim", "2", "--methods", "wedge,polar", "--sizes", "16,64"], 2, 2),
+    (["--dim", "3", "--methods", "cubemap", "--levels", "0"], 3, 1),
+])
+def test_cli_bench_scans_each_shape_once(argv, dim, shapes, monkeypatch, capsys):
+    """Every method of a shape is checked against one linear scan."""
+    n_points = 2000
+    full_scans = []
+    build_linear, locate_linear = bench.METHODS[(dim, "linear")]
+
+    def counting(idx, pts):
+        full_scans.append(len(pts) == n_points)
+        return locate_linear(idx, pts)
+    monkeypatch.setitem(bench.METHODS, (dim, "linear"), (build_linear, counting))
+    assert main(["bench", *argv, "--points", str(n_points), "--reps", "1"]) == 0
+    capsys.readouterr()
+    assert sum(full_scans) == shapes
