@@ -13,7 +13,10 @@ shape's column-major planes.  RadialIndex is the table of the polar and
 cube-map indexes, around the x_t of reference_point; locate_radial (one
 point, Python floats) and locate_radial_batch (numpy) answer their queries
 with one policy and arithmetic on shape.planes, asking the index for the
-bucket of a point (bucket_of_floats) or of many (bucket_of).
+bucket of a point (bucket_of_floats) or of many (bucket_of).  A point
+within the index's inside_radius of x_t, never less than eps_len, is
+Inside with no plane evaluation: above that floor, the ball of that
+radius lies at least 2*eps_q inside every plane.
 """
 
 from __future__ import annotations
@@ -184,6 +187,12 @@ class RadialIndex(BucketTable):
     locate_radial, once and in Python floats: inbox_lo and inbox_hi, the
     shape's bounding box grown by eps_q on every side, and x_t_floats.
     eps_len and eps_q it reads from poly.tol, which holds them as floats.
+    It also makes inside_radius, the radius about x_t within which a point
+    is Inside with no evaluation: x_t's least plane distance less 2*eps_q.
+    The planes have unit normals, so every point of that ball is at least
+    2*eps_q inside every plane, and the kernel would call it Inside too.
+    The radius is never below eps_len, so no zero direction reaches the
+    direction maps.  Either ball lies in the box.
     """
 
     poly: ConvexPolygon | ConvexPolyhedron
@@ -191,13 +200,16 @@ class RadialIndex(BucketTable):
     inbox_lo: tuple = field(init=False)
     inbox_hi: tuple = field(init=False)
     x_t_floats: tuple = field(init=False)
+    inside_radius: float = field(init=False)
 
     def __post_init__(self):
-        box, eps_q = self.poly.aabb, self.poly.tol.eps_q
+        box, tol = self.poly.aabb, self.poly.tol
+        depth = float(plane_eval(self.poly.planes, self.x_t).min())
         # The dataclass is frozen; these fields derive from poly and x_t.
-        object.__setattr__(self, "inbox_lo", tuple((box.lo - eps_q).tolist()))
-        object.__setattr__(self, "inbox_hi", tuple((box.hi + eps_q).tolist()))
+        object.__setattr__(self, "inbox_lo", tuple((box.lo - tol.eps_q).tolist()))
+        object.__setattr__(self, "inbox_hi", tuple((box.hi + tol.eps_q).tolist()))
         object.__setattr__(self, "x_t_floats", tuple(self.x_t.tolist()))
+        object.__setattr__(self, "inside_radius", max(tol.eps_len, depth - 2.0 * tol.eps_q))
 
     def bucket_of_point(self, p) -> int:
         """Bucket of the direction x_t -> p for one point p; raises
@@ -211,20 +223,20 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
 
     A point outside the shape's bounding box (beyond the eps_q band), or
     with a non-finite coordinate, is Outside without any plane evaluation;
-    a point within eps_len of x_t is Inside by construction.  Any other
-    point q (a list of floats) is classified by the minimal signed distance
-    over the planes listed in its bucket idx.bucket_of_floats(q);
-    counter.evals grows by their number.  Same policy and arithmetic as
-    locate_radial_batch; the only per-call conversion is that of p, and
-    each listed plane coefficient is read with planes.item.  Raises
-    query_point's ValueError for anything but one point.
+    a point within idx.inside_radius (never below eps_len) of x_t is Inside
+    without one.  Any other point q (a list of floats) is classified by the
+    minimal signed distance over the planes listed in its bucket
+    idx.bucket_of_floats(q); counter.evals grows by their number.  Same
+    policy and arithmetic as locate_radial_batch; the only per-call
+    conversion is that of p, and each listed plane coefficient is read with
+    planes.item.  Raises query_point's ValueError for anything but one point.
     """
     shape = idx.poly
     q = query_point(p, shape.dim)
     for c, lo, hi in zip(q, idx.inbox_lo, idx.inbox_hi):
         if not lo <= c <= hi:
             return Containment.OUTSIDE
-    if math.dist(q, idx.x_t_floats) <= shape.tol.eps_len:
+    if math.dist(q, idx.x_t_floats) <= idx.inside_radius:
         return Containment.INSIDE
     b = idx.bucket_of_floats(q)
     listed = idx.padded_edges[b, :idx.counts.item(b)].tolist()
@@ -242,20 +254,23 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
 
 
 def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
-    """Batch form of locate_radial: int8 Containment codes, one per point;
-    idx.bucket_of maps the points that reach the planes to their buckets.
+    """Batch form of locate_radial: int8 Containment codes, one per point.
+    A point within idx.inside_radius of x_t is Inside and one outside the
+    box Outside, both with no evaluation; idx.bucket_of maps the rest to
+    their buckets.  The same straight-line steps run for every batch.
     Raises query_points' ValueError for points of another dimension."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = query_points(points, shape.dim)
-    out = np.full(len(pts), np.int8(Containment.OUTSIDE))
+    # A coordinate near 1e300 squares to inf, which is outside the ball.
+    with np.errstate(over="ignore"):
+        close = near(pts, idx.x_t, idx.inside_radius)
+    # Inside (1) on the ball, which lies in the box, and Outside (-1) elsewhere.
+    out = close.view(np.int8) * 2 - 1
     # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
-    inbox = np.flatnonzero(shape.aabb.contains(pts, pad=eps_q))
-    q = pts.take(inbox, axis=0)
-    close = near(q, idx.x_t, shape.tol.eps_len)
-    if close.any():             # rare: compact to the points that reach the planes
-        out[inbox] = np.int8(Containment.INSIDE)
-        far = np.flatnonzero(~close)
-        inbox, q = inbox[far], q.take(far, axis=0)
-    out[inbox] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)
+    reach = shape.aabb.contains(pts, pad=eps_q)
+    reach &= ~close
+    rows = np.flatnonzero(reach)
+    q = pts.take(rows, axis=0)
+    out[rows] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)
     return out

@@ -412,14 +412,15 @@ def point_types(pts):
             "float32": (single, list(single)), "int": (finite, list(finite))}
 
 
-def reaches_planes(shape, x_t, points):
+def reaches_planes(shape, x_t, points, radius):
     """Mask of the points a direction-bucket locator must evaluate planes
-    for: inside the bounding box grown by eps_q and farther than eps_len
-    from x_t."""
+    for: inside the bounding box grown by eps_q and farther than radius
+    from x_t (the index's inside_radius, or eps_len for the points that
+    have a direction)."""
     pts = np.asarray(points, dtype=float)
     pad = shape.tol.eps_q
     inbox = ((pts >= shape.aabb.lo - pad) & (pts <= shape.aabb.hi + pad)).all(axis=1)
-    return inbox & (np.linalg.norm(pts - x_t, axis=1) > shape.tol.eps_len)
+    return inbox & (np.linalg.norm(pts - x_t, axis=1) > radius)
 
 
 def bucketed_min_reference(planes, table, bucket_ids, q):

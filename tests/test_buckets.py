@@ -11,21 +11,24 @@ import warnings
 import numpy as np
 import pytest
 
-from convexloc import (CapExceeded, CubeMapIndex3, GenSpec2, PolarIndex2, QuerySpec,
-                       baselines, boundary_param, build_cubemap_index,
-                       build_polar_index, build_sorted_slabs, build_uniform_slabs,
-                       build_wedge_index, centroid, cubemap_cell, gen_convex_polygon,
-                       gen_query_points, icosphere, locate_cubemap, locate_cubemap_batch,
-                       locate_linear_2d, locate_linear_2d_batch, locate_linear_3d,
-                       locate_linear_3d_batch, locate_polar, locate_polar_batch,
+from convexloc import (CapExceeded, Containment, CubeMapIndex3, EvalCounter, GenSpec2,
+                       GenSpec3, PolarIndex2, QuerySpec, baselines, boundary_param,
+                       build_cubemap_index, build_polar_index, build_sorted_slabs,
+                       build_uniform_slabs, build_wedge_index, centroid, cubemap_cell,
+                       gen_convex_polygon, gen_convex_polyhedron, gen_query_points, icosphere,
+                       locate_cubemap, locate_cubemap_batch, locate_linear_2d,
+                       locate_linear_2d_batch, locate_linear_3d, locate_linear_3d_batch,
+                       locate_polar, locate_polar_batch,
                        locate_sorted_slabs, locate_sorted_slabs_batch, locate_uniform_slabs,
-                       locate_uniform_slabs_batch, locate_wedge, locate_wedge_batch, polar,
-                       validate_polygon, validate_polyhedron)
-from convexloc.buckets import BucketTable, bucketed_min, clamp_budget, locate_radial_batch
+                       locate_uniform_slabs_batch, locate_wedge, locate_wedge_batch,
+                       plane_eval, polar, validate_polygon, validate_polyhedron)
+from convexloc import buckets
+from convexloc.buckets import (BucketTable, bucketed_min, clamp_budget, locate_radial,
+                               locate_radial_batch)
 
 from oracles import (boundary_param_batch_reference, bucketed_min_reference, csr_pack,
                      locate_radial_batch_reference, nonfinite_rows, policy_edge_points,
-                     regular_polygon, runs_pairs)
+                     reaches_planes, regular_polygon, runs_pairs)
 
 POLYGONS = {
     "triangle": validate_polygon([(0, 0), (1, 0), (0.5, 1)]),
@@ -438,6 +441,131 @@ def test_radial_codes_match_reference_with_no_point_or_every_point_near_x_t(buil
         assert got.dtype == np.int8 and len(got) == len(batch)
 
 
+def _moved(shape, offset):
+    """The shape translated by offset along every axis, validated again."""
+    if shape.dim == 2:
+        return validate_polygon(shape.vertices + offset)
+    return validate_polyhedron(shape.vertices + offset, shape.faces)
+
+
+def _sphere(idx, scale, n, seed):
+    """Points at scale * inside_radius from x_t: n in random directions,
+    then one towards each plane, where the sphere comes closest to it."""
+    d = np.random.default_rng(seed).normal(size=(n, idx.poly.dim))
+    d /= np.linalg.norm(d, axis=1)[:, None]
+    d = np.concatenate([d, -idx.poly.planes[:, :idx.poly.dim]])
+    return idx.x_t + (scale * idx.inside_radius) * d
+
+
+RADIAL_SHAPES = [
+    pytest.param(build, shape, id=name) for build, name, shape in [
+        (build_polar_index, "64-gon", POLYGONS["64-gon"]),
+        (build_polar_index, "100to1-256-gon",
+         gen_convex_polygon(GenSpec2(256, 8, semi_axes=(100.0, 1.0), rotation=0.3))),
+        (build_polar_index, "64-gon-at-1e3", _moved(POLYGONS["64-gon"], 1e3)),
+        (build_cubemap_index, "icosphere1", validate_polyhedron(*icosphere(1))),
+        (build_cubemap_index, "affine-level2", gen_convex_polyhedron(GenSpec3(2, 9))),
+        (build_cubemap_index, "icosphere1-at-1e3",
+         _moved(validate_polyhedron(*icosphere(1)), 1e3)),
+    ]]
+SLIVERS = [
+    pytest.param(build_polar_index, validate_polygon([(0, 0), (1, 0), (0.5, 4.5e-9)]),
+                 id="triangle"),
+    pytest.param(build_cubemap_index, validate_polyhedron(
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-8)],
+        [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]), id="tetrahedron"),
+]
+
+
+@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
+def test_inside_radius_ball_is_2_eps_q_inside_every_plane(build, shape):
+    """inside_radius is never below eps_len, and every plane is at least
+    2*eps_q at points sampled on the sphere of that radius about x_t, up to
+    the rounding of the sampled coordinates (the shapes moved by 1e3)."""
+    idx = build(shape)
+    assert idx.inside_radius >= shape.tol.eps_len
+    sphere = _sphere(idx, 1.0, 2000, 31)
+    slack = 16 * np.spacing(np.abs(sphere).max())
+    assert plane_eval(shape.planes, sphere).min() >= 2.0 * shape.tol.eps_q - slack
+
+
+@pytest.mark.parametrize("build, shape", SLIVERS)
+def test_inside_radius_is_eps_len_on_slivers(build, shape):
+    """x_t of a sliver lies less than eps_len + 2*eps_q inside a plane, so
+    the radius is eps_len; such a shape still validates, builds and gives
+    the reference's codes."""
+    idx = build(shape)
+    assert idx.inside_radius == shape.tol.eps_len
+    pts = np.concatenate([gen_query_points(shape.aabb, QuerySpec(2000, 13)),
+                          _sphere(idx, 0.5, 50, 14), _sphere(idx, 2.0, 50, 15)])
+    assert np.array_equal(locate_radial_batch(idx, pts), locate_radial_batch_reference(idx, pts))
+
+
+@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
+def test_codes_at_the_inside_radius_match_the_reference(build, shape):
+    """Points at inside_radius * (1 -+ 1e-9) from x_t, on both sides of
+    the near-x_t test, are Inside on the batch and scalar paths alike, as
+    the reference, which evaluates every point past eps_len, says."""
+    idx = build(shape)
+    pts = np.concatenate([_sphere(idx, 1.0 - 1e-9, 1000, 16), _sphere(idx, 1.0 + 1e-9, 1000, 16)])
+    got = locate_radial_batch(idx, pts)
+    assert np.array_equal(got, locate_radial_batch_reference(idx, pts))
+    assert (got == Containment.INSIDE).all()
+    assert [int(locate_radial(idx, p)) for p in pts] == got.tolist()
+
+
+@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
+def test_batch_evaluates_only_the_points_past_the_ball(build, shape, monkeypatch):
+    """locate_radial_batch hands the kernel exactly the in-box points
+    farther than inside_radius from x_t, in batch order."""
+    idx = build(shape)
+    pts = np.concatenate([gen_query_points(shape.aabb, QuerySpec(2000, 18)),
+                          _sphere(idx, 0.5, 200, 19), nonfinite_rows(shape.dim)])
+    seen = []
+
+    def recording(planes, table, bucket_ids, q):
+        seen.append(q.copy())
+        return bucketed_min(planes, table, bucket_ids, q)
+
+    monkeypatch.setattr(buckets, "bucketed_min", recording)
+    locate_radial_batch(idx, pts)
+    want = pts[reaches_planes(shape, idx.x_t, pts, idx.inside_radius)]
+    assert len(seen) == 1 and 0 < len(want) < len(pts) - 200
+    assert np.array_equal(seen[0], want)
+
+
+@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
+def test_in_ball_scalar_query_costs_no_evaluation(build, shape):
+    """A point within inside_radius of x_t but farther than eps_len is
+    Inside with no plane evaluation."""
+    idx = build(shape)
+    pts = _sphere(idx, 0.5, 200, 17)
+    assert (np.linalg.norm(pts - idx.x_t, axis=1) > shape.tol.eps_len).all()
+    for p in pts:
+        counter = EvalCounter()
+        assert locate_radial(idx, p, counter) == Containment.INSIDE
+        assert counter.evals == 0
+
+
+@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
+def test_huge_coordinate_is_outside_without_warning(build, shape):
+    """A finite coordinate of 1e300, whose square overflows in the
+    near-x_t test, is Outside and warns nothing on either path."""
+    idx = build(shape)
+    rows = []
+    for k in range(shape.dim):
+        for value in (1e300, -1e300):
+            row = idx.x_t.copy()
+            row[k] = value
+            rows.append(row)
+    pts = np.concatenate([rows, [np.full(shape.dim, 1e300), idx.x_t]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = locate_radial_batch(idx, pts)
+        scalar = [int(locate_radial(idx, p)) for p in pts]
+    assert got.tolist() == scalar == [Containment.OUTSIDE] * (len(pts) - 1) + [Containment.INSIDE]
+
+
 def _batch_peak(poly) -> int:
     """Peak bytes allocated by one 1024-point locate_polar_batch call."""
     idx = build_polar_index(poly)
@@ -464,18 +592,23 @@ def test_batch_allocation_does_not_grow_with_the_shape():
 
 def _first_scalar_peak(build, shape, locate) -> int:
     """Peak bytes allocated by the first scalar call right after the build,
-    on a point halfway from the reference point to vertex 0, which reaches
-    the planes."""
+    on a point of the ray from the reference point to vertex 0, midway
+    between the sphere of inside_radius and the vertex, which reaches the
+    planes."""
     idx = build(shape)
-    p = tuple((0.5 * (idx.x_t + shape.vertices[0])).tolist())
+    ray = shape.vertices[0] - idx.x_t
+    reach = float(np.linalg.norm(ray))
+    p = tuple((idx.x_t + (0.5 * (idx.inside_radius + reach) / reach) * ray).tolist())
+    counter = EvalCounter()
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        locate(idx, p)
+        locate(idx, p, counter)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert counter.evals > 0
     return peak - base
 
 

@@ -214,7 +214,7 @@ def test_cubemap_scalar_equals_batch():
         scalar = [int(locate_cubemap(idx, p, c)) for p, c in zip(rows, counters)]
         np.testing.assert_array_equal(batch, scalar, err_msg=name)
         q = np.asarray(arr, dtype=float)
-        reached = reaches_planes(poly, idx.x_t, q)
+        reached = reaches_planes(poly, idx.x_t, q, idx.inside_radius)
         want = np.zeros(len(q), dtype=np.int64)
         want[reached] = idx.counts[idx.bucket_of(q[reached])]
         evals = np.array([c.evals for c in counters])

@@ -11,8 +11,7 @@ import pytest
 from convexloc import (Aabb, Containment, EvalCounter, GenSpec2, GenSpec3,
                        ZeroDirection, boundary_param,
                        build_cubemap_index, build_polar_index, build_sorted_slabs,
-                       build_uniform_slabs, build_wedge_index, centroid,
-                       cubemap_cell,
+                       build_uniform_slabs, build_wedge_index, cubemap_cell,
                        gen_convex_polygon, gen_convex_polyhedron,
                        locate_cubemap, locate_cubemap_batch, locate_linear_2d,
                        locate_linear_2d_batch, locate_linear_3d,
@@ -22,6 +21,8 @@ from convexloc import (Aabb, Containment, EvalCounter, GenSpec2, GenSpec3,
                        locate_wedge, locate_wedge_batch,
                        project_face_conservative, validate_polygon,
                        validate_polyhedron)
+
+from oracles import reaches_planes
 
 # method -> (dimension, build(shape) -> index, scalar locate, batch locate)
 METHODS = {
@@ -34,6 +35,7 @@ METHODS = {
     "linear-3d": (3, lambda s: s, locate_linear_3d, locate_linear_3d_batch),
     "cubemap": (3, build_cubemap_index, locate_cubemap, locate_cubemap_batch),
 }
+RADIAL = {2: build_polar_index, 3: build_cubemap_index}
 CASES = [(m, k, v) for m, (dim, *_) in METHODS.items()
          for k in range(dim) for v in (np.nan, np.inf, -np.inf)]
 
@@ -45,11 +47,17 @@ def shapes():
 
 
 def _case(shapes, method, coord, value):
-    """(index, a point off x_t but well inside, that point with one
-    coordinate replaced by value, scalar locate, batch locate)."""
+    """(index, a point well inside that the radial indexes evaluate planes
+    for, that point with one coordinate replaced by value, scalar locate,
+    batch locate).  The point lies on the ray from x_t to vertex 0, midway
+    between the sphere of inside_radius and the vertex."""
     dim, build, locate, locate_batch = METHODS[method]
     shape = shapes[dim]
-    inner = 0.7 * centroid(shape) + 0.3 * shape.vertices[0]
+    radial = RADIAL[dim](shape)
+    ray = shape.vertices[0] - radial.x_t
+    reach = float(np.linalg.norm(ray))
+    inner = radial.x_t + (0.5 * (radial.inside_radius + reach) / reach) * ray
+    assert reaches_planes(shape, radial.x_t, [inner], radial.inside_radius)[0]
     bad = inner.copy()
     bad[coord] = value
     return build(shape), inner, bad, locate, locate_batch
@@ -79,7 +87,7 @@ def test_non_finite_scalar_costs_no_evaluation(shapes, method, coord, value):
     counter = EvalCounter()
     locate(idx, bad, counter)
     assert counter.total() == 0
-    locate(idx, inner, counter)
+    assert locate(idx, inner, counter) == Containment.INSIDE
     assert counter.total() > 0
 
 

@@ -126,7 +126,8 @@ def test_slab_of_equals_floor_and_modulo(corpus2d):
     the wrap sends to slab 0."""
     entries, _ = corpus2d
     for poly, pts, idx in entries:
-        u = boundary_param_batch(idx.box, idx.x_t, pts[reaches_planes(poly, idx.x_t, pts)])
+        directed = reaches_planes(poly, idx.x_t, pts, poly.tol.eps_len)
+        u = boundary_param_batch(idx.box, idx.x_t, pts[directed])
         ends = np.array([0.0, np.nextafter(idx.perimeter, 0.0)])
         for v in (u, ends, *ends.tolist(), *u[:3].tolist()):
             got = idx.slab_of(v)
@@ -261,8 +262,10 @@ def test_polar_scalar_equals_batch():
     """Same codes on both paths, also at the edges of the shared policy, and
     the scalar path evaluates exactly the slab the batch path picks, which
     bucket_of_point finds as bucket_of does; for tuples and for float64,
-    float32 and int rows alike.  Non-finite points cost no evaluation."""
-    poly = gen_convex_polygon(GenSpec2(21, 17))
+    float32 and int rows alike.  Non-finite points cost no evaluation.  The
+    semi-axes put integer points in the box outside the inside_radius ball,
+    so the int rows reach the planes too."""
+    poly = gen_convex_polygon(GenSpec2(21, 17, semi_axes=(3.0, 2.0)))
     idx = build_polar_index(poly)
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(300, 18)),
                      poly.vertices, policy_edge_points(poly, idx.x_t), nonfinite_rows(2)])
@@ -272,7 +275,7 @@ def test_polar_scalar_equals_batch():
         scalar = [int(locate_polar(idx, p, c)) for p, c in zip(rows, counters)]
         np.testing.assert_array_equal(batch, scalar, err_msg=name)
         q = np.asarray(arr, dtype=float)
-        reached = reaches_planes(poly, idx.x_t, q)
+        reached = reaches_planes(poly, idx.x_t, q, idx.inside_radius)
         want = np.zeros(len(q), dtype=np.int64)
         want[reached] = idx.counts[idx.slab_of(boundary_param_batch(idx.box, idx.x_t,
                                                                     q[reached]))]
