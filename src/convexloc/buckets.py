@@ -13,10 +13,13 @@ shape's column-major planes.  RadialIndex is the table of the polar and
 cube-map indexes, around the x_t of reference_point; locate_radial (one
 point, Python floats) and locate_radial_batch (numpy) answer their queries
 with one policy and arithmetic on shape.planes, asking the index for the
-bucket of a point (bucket_of_floats) or of many (bucket_of).  A point
-within the index's inside_radius of x_t, never less than eps_len, is
-Inside with no plane evaluation: above that floor, the ball of that
-radius lies at least 2*eps_q inside every plane.
+bucket of a point (bucket_of_floats) or of many (bucket_of).  Most points
+need no bucket: the index's frame, a quadratic form r^2 about x_t made from
+the vertex covariance, has an inner bound within which every point lies
+2*eps_q inside every plane (Inside), and an outer bound beyond which every
+point lies 2*eps_q outside the plane its bucket lists for it (Outside).
+Only the points in the annulus between the two reach the box test, the
+direction map and bucketed_min.
 """
 
 from __future__ import annotations
@@ -167,6 +170,11 @@ def bucketed_min(planes: np.ndarray, table: BucketTable, bucket_ids, q: np.ndarr
     return m
 
 
+def row_norm2(a: np.ndarray) -> np.ndarray:
+    """Squared length of each row of a 2-D array."""
+    return np.einsum("ij,ij->i", a, a)
+
+
 def reference_point(shape) -> np.ndarray:
     """Read-only vertex mean of the shape; raises ReferenceNotInterior unless strictly inside."""
     x_t = centroid(shape)
@@ -174,6 +182,36 @@ def reference_point(shape) -> np.ndarray:
         raise ReferenceNotInterior("reference point must be strictly inside")
     x_t.setflags(write=False)
     return x_t
+
+
+def covariance_frame(v: np.ndarray) -> tuple:
+    """(L, U), dim x dim lists of rows of Python floats, for the covariance
+    C of the rows of v (vertices less their mean): U upper triangular with
+    U U^T = C (the Cholesky factor of C with its rows and columns
+    reversed), and L = U^-T, the lower Cholesky factor of C^-1, so that
+    |L^T d| is d's length in units of the vertex spread along d and
+    L^-1 = U^T.  C is never inverted.  NaNs when C is not positive definite
+    in floating point, as on a sliver.  In floats, not numpy.linalg: at
+    2x2 or 3x3 its per-call overhead is most of the cost of a small shape's
+    frame."""
+    c = (v.T @ v / len(v)).tolist()
+    n = len(c)
+    u = [[0.0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i, -1, -1):
+            s = c[j][i] - sum(u[j][k] * u[i][k] for k in range(i + 1, n))
+            if j < i:
+                u[j][i] = s / u[i][i]
+            elif s > 0.0:
+                u[i][i] = math.sqrt(s)
+            else:
+                return [[math.nan] * n] * n, [[math.nan] * n] * n
+    x = [[0.0] * n for _ in range(n)]       # U^-1, upper triangular
+    for i in reversed(range(n)):
+        x[i][i] = 1.0 / u[i][i]
+        for j in range(i + 1, n):
+            x[i][j] = -sum(u[i][k] * x[k][j] for k in range(i + 1, j + 1)) / u[i][i]
+    return [list(row) for row in zip(*x)], u
 
 
 @dataclass(frozen=True)
@@ -187,12 +225,39 @@ class RadialIndex(BucketTable):
     locate_radial, once and in Python floats: inbox_lo and inbox_hi, the
     shape's bounding box grown by eps_q on every side, and x_t_floats.
     eps_len and eps_q it reads from poly.tol, which holds them as floats.
-    It also makes inside_radius, the radius about x_t within which a point
-    is Inside with no evaluation: x_t's least plane distance less 2*eps_q.
-    The planes have unit normals, so every point of that ball is at least
-    2*eps_q inside every plane, and the kernel would call it Inside too.
-    The radius is never below eps_len, so no zero direction reaches the
-    direction maps.  Either ball lies in the box.
+
+    It also makes the frame that decides deep and far points with no
+    bucket: L, lower triangular with L L^T the inverse covariance of the
+    vertices about x_t (covariance_frame), r^2(q) = |L^T (q - x_t)|^2
+    (radius2), and two bounds on r^2, inner2 = rho_in^2 and
+    outer2 = rho_out^2.  With depth_i the distance of x_t inside plane i
+    (unit normal n_i) and d_min the least depth:
+
+    - rho_in = min_i (depth_i - 2*eps_q) / |L^-1 n_i|.  Plane i at
+      q = x_t + L^-T y is depth_i + (L^-1 n_i).y >= depth_i - |y| |L^-1 n_i|,
+      so a point with r^2 <= inner2 lies at least 2*eps_q inside every
+      plane, and the kernel would call it Inside.
+    - rho_out = s * max_v r(v), s = 1 + 2*eps_q / d_min.  The ellipse
+      r <= max_v r(v) is convex and holds every vertex, so it holds the
+      shape, and r <= rho_out holds the shape scaled by s about x_t.  A
+      point q with r^2 > outer2 is x_t + t (e - x_t), with e where its ray
+      from x_t leaves the shape and t > s.  Its bucket lists the plane f of
+      that exit, and plane f at q is -(t - 1) depth_f < -(s - 1) d_min =
+      -2*eps_q, so the kernel would call it Outside.
+
+    Both bounds keep 2*eps_q where the kernel needs eps_q: the other eps_q
+    absorbs the rounding of r^2, of the bounds and of the kernel's plane
+    evaluation.  s is made from d_min - eps_len, a lower bound on the least
+    depth, so that rounding does not make s too small.
+
+    The covariance frame is kept only if its inner ellipse holds the ball
+    of radius 2*eps_len about x_t (rho_in >= 2*eps_len*|L|_F, the Frobenius
+    norm bounding L^T's largest stretch), so every point within eps_len of
+    x_t, which has no direction, is Inside before any bucket map.  A
+    sliver, where rho_in <= 0, keeps the identity frame instead, with
+    rho_in the radius of the ball about x_t that lies 2*eps_q inside every
+    plane, never below eps_len.  L_floats holds L's lower triangle, column
+    by column, as Python floats for locate_radial and radius2.
     """
 
     poly: ConvexPolygon | ConvexPolyhedron
@@ -200,16 +265,78 @@ class RadialIndex(BucketTable):
     inbox_lo: tuple = field(init=False)
     inbox_hi: tuple = field(init=False)
     x_t_floats: tuple = field(init=False)
-    inside_radius: float = field(init=False)
+    L: np.ndarray = field(init=False)
+    L_floats: tuple = field(init=False)
+    inner2: float = field(init=False)
+    outer2: float = field(init=False)
 
     def __post_init__(self):
-        box, tol = self.poly.aabb, self.poly.tol
-        depth = float(plane_eval(self.poly.planes, self.x_t).min())
+        poly = self.poly
+        box, tol, dim = poly.aabb, poly.tol, poly.dim
+        v = poly.vertices - self.x_t
+        depth = plane_eval(poly.planes, self.x_t)
+        d_min = float(depth.min())
+        rows, u = covariance_frame(v)
+        # |L^-1 n_i| = |U^T n_i|, and the Frobenius norm |L|_F.
+        reach = np.sqrt(row_norm2(poly.planes[:, :dim] @ np.array(u)))
+        rho_in = float(((depth - 2.0 * tol.eps_q) / reach).min())
+        if not rho_in >= 2.0 * tol.eps_len * math.sqrt(sum(x * x for r in rows for x in r)):
+            rows, rho_in = np.eye(dim).tolist(), max(tol.eps_len, d_min - 2.0 * tol.eps_q)
+        L = np.array(rows)
+        L.setflags(write=False)
+        s = 1.0 + 2.0 * tol.eps_q / (d_min - tol.eps_len)
         # The dataclass is frozen; these fields derive from poly and x_t.
-        object.__setattr__(self, "inbox_lo", tuple((box.lo - tol.eps_q).tolist()))
-        object.__setattr__(self, "inbox_hi", tuple((box.hi + tol.eps_q).tolist()))
-        object.__setattr__(self, "x_t_floats", tuple(self.x_t.tolist()))
-        object.__setattr__(self, "inside_radius", max(tol.eps_len, depth - 2.0 * tol.eps_q))
+        for name, value in (("inbox_lo", tuple((box.lo - tol.eps_q).tolist())),
+                            ("inbox_hi", tuple((box.hi + tol.eps_q).tolist())),
+                            ("x_t_floats", tuple(self.x_t.tolist())), ("L", L),
+                            ("L_floats", tuple(rows[j][k] for k in range(dim)
+                                               for j in range(k, dim))),
+                            ("inner2", rho_in * rho_in),
+                            ("outer2", s * s * float(row_norm2(v @ L).max()))):
+            object.__setattr__(self, name, value)
+
+    def radius2(self, pts: np.ndarray) -> np.ndarray:
+        """r^2 = |L^T (q - x_t)|^2 of each row q of an (M, dim) array, with
+        locate_radial's arithmetic, one column at a time and in place: every
+        fresh array of a large batch costs page faults, and every numpy call
+        on a small one costs its overhead.  A coordinate near 1e300
+        overflows to inf and a non-finite one gives inf or NaN, with numpy's
+        warnings for it left to the caller."""
+        if len(self.x_t_floats) == 2:
+            (tx, ty), (a, b, c) = self.x_t_floats, self.L_floats
+            u = pts[:, 0] - tx
+            w = pts[:, 1] - ty
+            u *= a
+            u += w * b
+            w *= c
+            u *= u
+        else:
+            (tx, ty, tz), (a, b, c, e, f, g) = self.x_t_floats, self.L_floats
+            u = pts[:, 0] - tx
+            v = pts[:, 1] - ty
+            w = pts[:, 2] - tz
+            u *= a
+            u += v * b
+            u += w * c
+            v *= e
+            v += w * f
+            w *= g
+            u *= u
+            v *= v
+            u += v
+        w *= w
+        u += w
+        return u
+
+    def in_box(self, pts: np.ndarray) -> np.ndarray:
+        """Mask of the rows of an (M, dim) array within inbox_lo and
+        inbox_hi, locate_radial's box test, column by column."""
+        inside = None
+        for k, (lo, hi) in enumerate(zip(self.inbox_lo, self.inbox_hi)):
+            col = pts[:, k]
+            m = (col >= lo) & (col <= hi)
+            inside = m if inside is None else np.logical_and(inside, m, out=inside)
+        return inside
 
     def bucket_of_point(self, p) -> int:
         """Bucket of the direction x_t -> p for one point p; raises
@@ -221,11 +348,12 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
     """O(1) classification of one point through a direction-bucket index
     around its strictly interior reference point idx.x_t.
 
-    A point outside the shape's bounding box (beyond the eps_q band), or
-    with a non-finite coordinate, is Outside without any plane evaluation;
-    a point within idx.inside_radius (never below eps_len) of x_t is Inside
-    without one.  Any other point q (a list of floats) is classified by the
-    minimal signed distance over the planes listed in its bucket
+    A point with r^2 <= idx.inner2 in the index's frame is Inside and one
+    with r^2 > idx.outer2, or a non-finite coordinate, is Outside, both
+    without any plane evaluation; so is a point outside the shape's
+    bounding box (beyond the eps_q band).  Any other point q (a list of
+    floats), in the annulus between the two, is classified by the minimal
+    signed distance over the planes listed in its bucket
     idx.bucket_of_floats(q); counter.evals grows by their number.  Same
     policy and arithmetic as locate_radial_batch; the only per-call
     conversion is that of p, and each listed plane coefficient is read with
@@ -233,21 +361,33 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
     """
     shape = idx.poly
     q = query_point(p, shape.dim)
+    # Products, not **: a Python float power raises on overflow, a product is inf.
+    if len(q) == 2:
+        (x, y), (tx, ty), (a, b, c) = q, idx.x_t_floats, idx.L_floats
+        u = a * (x - tx) + b * (y - ty)
+        w = c * (y - ty)
+        r2 = u * u + w * w
+    else:
+        (x, y, z), (tx, ty, tz), (a, b, c, e, f, g) = q, idx.x_t_floats, idx.L_floats
+        u = a * (x - tx) + b * (y - ty) + c * (z - tz)
+        v = e * (y - ty) + f * (z - tz)
+        w = g * (z - tz)
+        r2 = u * u + v * v + w * w
+    if r2 <= idx.inner2:
+        return Containment.INSIDE
+    if not r2 <= idx.outer2:
+        return Containment.OUTSIDE
     for c, lo, hi in zip(q, idx.inbox_lo, idx.inbox_hi):
         if not lo <= c <= hi:
             return Containment.OUTSIDE
-    if math.dist(q, idx.x_t_floats) <= idx.inside_radius:
-        return Containment.INSIDE
     b = idx.bucket_of_floats(q)
     listed = idx.padded_edges[b, :idx.counts.item(b)].tolist()
     if counter is not None:
         counter.evals += len(listed)
     coef = shape.planes.item
     if len(q) == 2:
-        x, y = q
         m = min([coef(i, 0) * x + coef(i, 1) * y + coef(i, 2) for i in listed])
     else:
-        x, y, z = q
         m = min([coef(i, 0) * x + coef(i, 1) * y + coef(i, 2) * z + coef(i, 3)
                  for i in listed])
     return classify_min(m, shape.tol.eps_q)
@@ -255,22 +395,26 @@ def locate_radial(idx: RadialIndex, p, counter: EvalCounter | None = None) -> Co
 
 def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     """Batch form of locate_radial: int8 Containment codes, one per point.
-    A point within idx.inside_radius of x_t is Inside and one outside the
-    box Outside, both with no evaluation; idx.bucket_of maps the rest to
-    their buckets.  The same straight-line steps run for every batch.
-    Raises query_points' ValueError for points of another dimension."""
+    r^2 (idx.radius2) is computed over the whole batch: a point with
+    r^2 <= idx.inner2 is Inside, and every other point Outside unless it
+    lies in the annulus r^2 <= idx.outer2.  Only the annulus points go on
+    to the box test, and idx.bucket_of maps those in the box to their
+    buckets.  The same straight-line steps run for every batch.  Raises
+    query_points' ValueError for points of another dimension."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = query_points(points, shape.dim)
-    # A coordinate near 1e300 squares to inf, which is outside the ball.
-    with np.errstate(over="ignore"):
-        close = near(pts, idx.x_t, idx.inside_radius)
-    # Inside (1) on the ball, which lies in the box, and Outside (-1) elsewhere.
-    out = close.view(np.int8) * 2 - 1
-    # Row ids and take: numpy compresses 2-D arrays by boolean rows slowly.
-    reach = shape.aabb.contains(pts, pad=eps_q)
-    reach &= ~close
-    rows = np.flatnonzero(reach)
+    # A coordinate near 1e300 squares to inf, which lies past outer2; a
+    # non-finite one gives inf or NaN, which lies in neither bound.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = idx.radius2(pts)
+    deep = r2 <= idx.inner2
+    out = deep.view(np.int8) * 2 - 1
+    annulus = r2 <= idx.outer2
+    annulus ^= deep
+    # Row ids, take and compress: numpy selects by boolean index slowly.
+    rows = np.flatnonzero(annulus)
+    rows = rows.compress(idx.in_box(pts.take(rows, axis=0)))
     q = pts.take(rows, axis=0)
     out[rows] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)
     return out

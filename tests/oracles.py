@@ -15,18 +15,24 @@ batch query path as it was before the bucket kernel worked on table
 columns: whole-row gathers, a row minimum and boolean row compression;
 classify_min_reference is the batch classification as nested np.where,
 and slab_of_reference the polar slab map as floor and modulo.
+frame_radius2 is a radial index's r^2 as one matrix product and a row sum,
+and reaches_planes the rule for which points must reach the planes;
+frame_points, least_plane, frame_shapes and sliver_shapes serve the tests
+of the frame's two bounds.
 """
 
+import functools
 import math
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
 from convexloc import (Aabb, Containment, ConvexPolyhedron, CubeMapIndex3, DegenerateEdge,
-                       DegenerateFace, EulerViolation, InteriorOnPlane,
+                       DegenerateFace, EulerViolation, GenSpec2, GenSpec3, InteriorOnPlane,
                        NonPlanarFace, NotConvex, ParseError, ReferenceNotInterior,
                        Tolerances, TooFewVertices, ValidationError, centroid,
-                       icosphere, plane_eval)
+                       gen_convex_polygon, gen_convex_polyhedron, icosphere, plane_eval,
+                       validate_polygon, validate_polyhedron)
 from convexloc.buckets import clamp_budget, near
 from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
@@ -412,15 +418,91 @@ def point_types(pts):
             "float32": (single, list(single)), "int": (finite, list(finite))}
 
 
-def reaches_planes(shape, x_t, points, radius):
+def frame_radius2(idx, points):
+    """r^2 = |L^T (q - x_t)|^2 in a radial index's frame, as one matrix
+    product and a row sum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = (np.asarray(points, dtype=float) - idx.x_t) @ idx.L
+        return (y * y).sum(axis=1)
+
+
+def reaches_planes(idx, points):
     """Mask of the points a direction-bucket locator must evaluate planes
-    for: inside the bounding box grown by eps_q and farther than radius
-    from x_t (the index's inside_radius, or eps_len for the points that
-    have a direction)."""
+    for: inside the bounding box grown by eps_q and in the annulus
+    inner2 < r^2 <= outer2 of the index's frame."""
     pts = np.asarray(points, dtype=float)
+    shape = idx.poly
     pad = shape.tol.eps_q
     inbox = ((pts >= shape.aabb.lo - pad) & (pts <= shape.aabb.hi + pad)).all(axis=1)
-    return inbox & (np.linalg.norm(pts - x_t, axis=1) > radius)
+    r2 = frame_radius2(idx, pts)
+    return inbox & (r2 > idx.inner2) & (r2 <= idx.outer2)
+
+
+def annulus_point(idx, vertex):
+    """The point of the ray from x_t to a vertex of the shape whose r lies
+    midway between the index's inner bound and the vertex's r: strictly
+    inside the shape, and in the annulus."""
+    t = 0.5 * (math.sqrt(idx.inner2 / frame_radius2(idx, [vertex])[0]) + 1.0)
+    return idx.x_t + t * (np.asarray(vertex, dtype=float) - idx.x_t)
+
+
+def frame_points(idx, r, n, seed, towards):
+    """Points at r in the frame of a radial index: n in random directions,
+    then one per plane where the ellipse of that r comes nearest to it
+    (towards="planes") or one on the ray to each vertex (towards="vertices")."""
+    shape = idx.poly
+    inverse = np.linalg.inv(idx.L)
+    extra = (-(shape.planes[:, :shape.dim] @ inverse.T) if towards == "planes"
+             else (shape.vertices - idx.x_t) @ idx.L)
+    u = np.concatenate([np.random.default_rng(seed).normal(size=(n, shape.dim)), extra])
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    return idx.x_t + (r * u) @ inverse
+
+
+def least_plane(shape, points, chunk=128):
+    """Least plane_eval over all of the shape's planes at each point, a
+    chunk of points at a time."""
+    return np.concatenate([plane_eval(shape.planes, points[k:k + chunk]).min(axis=1)
+                           for k in range(0, len(points), chunk)])
+
+
+@functools.cache
+def frame_shapes():
+    """Named shapes for the frame of the radial indexes, name -> validated
+    shape: the polar-batch 16384-gon, angular shapes, 100:1 4096-gons plain
+    and rotated, affine icospheres and a level-4 icosphere flattened to
+    z x 0.01, then each of them moved by 1e3 along every axis."""
+    v4, f4 = icosphere(4)
+    shapes = {
+        "polar-batch": gen_convex_polygon(GenSpec2(16384, 1, jitter=0.9,
+                                                   semi_axes=(1.5, 1.0))),
+        "triangle": validate_polygon([(0, 0), (1, 0), (0.5, 1)]),
+        "square": validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]),
+        "GenSpec2(8,3)": gen_convex_polygon(GenSpec2(8, 3)),
+        "100to1": gen_convex_polygon(GenSpec2(4096, 1, semi_axes=(100.0, 1.0))),
+        "100to1-rotated": gen_convex_polygon(GenSpec2(4096, 1, semi_axes=(100.0, 1.0),
+                                                      rotation=0.3)),
+        "GenSpec3(0,1)": gen_convex_polyhedron(GenSpec3(0, 1)),
+        "GenSpec3(4,1)": gen_convex_polyhedron(GenSpec3(4, 1)),
+        "icosphere4-flat": validate_polyhedron(v4 * (1.0, 1.0, 0.01), f4),
+    }
+    return shapes | {f"{name}-at-1e3": moved(shape, 1e3) for name, shape in shapes.items()}
+
+
+def sliver_shapes():
+    """Named slivers, whose vertex mean lies less than 2*eps_q inside a
+    plane: a triangle of height 4.5e-9 and a tetrahedron of height 1e-8."""
+    return {"sliver-triangle": validate_polygon([(0, 0), (1, 0), (0.5, 4.5e-9)]),
+            "sliver-tetrahedron": validate_polyhedron(
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-8)],
+                [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)])}
+
+
+def moved(shape, offset):
+    """The shape translated by offset along every axis, validated again."""
+    if shape.dim == 2:
+        return validate_polygon(shape.vertices + offset)
+    return validate_polyhedron(shape.vertices + offset, shape.faces)
 
 
 def bucketed_min_reference(planes, table, bucket_ids, q):

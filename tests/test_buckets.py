@@ -1,6 +1,7 @@
 """The bucket-table contract every bucketed index shares (buckets.BucketTable)."""
 
 import dataclasses
+import functools
 import gc
 from fractions import Fraction
 import math
@@ -12,23 +13,24 @@ import numpy as np
 import pytest
 
 from convexloc import (CapExceeded, Containment, CubeMapIndex3, EvalCounter, GenSpec2,
-                       GenSpec3, PolarIndex2, QuerySpec, baselines, boundary_param,
+                       PolarIndex2, QuerySpec, baselines, boundary_param,
                        build_cubemap_index, build_polar_index, build_sorted_slabs,
                        build_uniform_slabs, build_wedge_index, centroid, cubemap_cell,
-                       gen_convex_polygon, gen_convex_polyhedron, gen_query_points, icosphere,
+                       gen_convex_polygon, gen_query_points, icosphere,
                        locate_cubemap, locate_cubemap_batch, locate_linear_2d,
                        locate_linear_2d_batch, locate_linear_3d, locate_linear_3d_batch,
                        locate_polar, locate_polar_batch,
                        locate_sorted_slabs, locate_sorted_slabs_batch, locate_uniform_slabs,
                        locate_uniform_slabs_batch, locate_wedge, locate_wedge_batch,
-                       plane_eval, polar, validate_polygon, validate_polyhedron)
+                       polar, validate_polygon, validate_polyhedron)
 from convexloc import buckets
 from convexloc.buckets import (BucketTable, bucketed_min, clamp_budget, locate_radial,
                                locate_radial_batch)
 
-from oracles import (boundary_param_batch_reference, bucketed_min_reference, csr_pack,
+from oracles import (annulus_point, boundary_param_batch_reference, bucketed_min_reference,
+                     csr_pack, frame_points, frame_shapes, least_plane,
                      locate_radial_batch_reference, nonfinite_rows, policy_edge_points,
-                     reaches_planes, regular_polygon, runs_pairs)
+                     reaches_planes, regular_polygon, runs_pairs, sliver_shapes)
 
 POLYGONS = {
     "triangle": validate_polygon([(0, 0), (1, 0), (0.5, 1)]),
@@ -441,86 +443,97 @@ def test_radial_codes_match_reference_with_no_point_or_every_point_near_x_t(buil
         assert got.dtype == np.int8 and len(got) == len(batch)
 
 
-def _moved(shape, offset):
-    """The shape translated by offset along every axis, validated again."""
-    if shape.dim == 2:
-        return validate_polygon(shape.vertices + offset)
-    return validate_polyhedron(shape.vertices + offset, shape.faces)
+@functools.cache
+def _frame_index(name):
+    """The radial index of frame_shapes()[name]; the 100:1 4096-gons need
+    1,995,114 slabs, so their polar budget clamps, with its warning."""
+    shape = frame_shapes()[name]
+    build = build_polar_index if shape.dim == 2 else build_cubemap_index
+    if not name.startswith("100to1"):
+        return build(shape)
+    with pytest.warns(CapExceeded):
+        return build(shape)
 
 
-def _sphere(idx, scale, n, seed):
-    """Points at scale * inside_radius from x_t: n in random directions,
-    then one towards each plane, where the sphere comes closest to it."""
-    d = np.random.default_rng(seed).normal(size=(n, idx.poly.dim))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    d = np.concatenate([d, -idx.poly.planes[:, :idx.poly.dim]])
-    return idx.x_t + (scale * idx.inside_radius) * d
+FRAME_SHAPES = list(frame_shapes())
 
 
-RADIAL_SHAPES = [
-    pytest.param(build, shape, id=name) for build, name, shape in [
-        (build_polar_index, "64-gon", POLYGONS["64-gon"]),
-        (build_polar_index, "100to1-256-gon",
-         gen_convex_polygon(GenSpec2(256, 8, semi_axes=(100.0, 1.0), rotation=0.3))),
-        (build_polar_index, "64-gon-at-1e3", _moved(POLYGONS["64-gon"], 1e3)),
-        (build_cubemap_index, "icosphere1", validate_polyhedron(*icosphere(1))),
-        (build_cubemap_index, "affine-level2", gen_convex_polyhedron(GenSpec3(2, 9))),
-        (build_cubemap_index, "icosphere1-at-1e3",
-         _moved(validate_polyhedron(*icosphere(1)), 1e3)),
-    ]]
-SLIVERS = [
-    pytest.param(build_polar_index, validate_polygon([(0, 0), (1, 0), (0.5, 4.5e-9)]),
-                 id="triangle"),
-    pytest.param(build_cubemap_index, validate_polyhedron(
-        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-8)],
-        [(0, 2, 1), (0, 1, 3), (1, 2, 3), (0, 3, 2)]), id="tetrahedron"),
-]
+def _radii(idx):
+    """The inner and the outer bound of the index's frame, as radii."""
+    return math.sqrt(idx.inner2), math.sqrt(idx.outer2)
 
 
-@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
-def test_inside_radius_ball_is_2_eps_q_inside_every_plane(build, shape):
-    """inside_radius is never below eps_len, and every plane is at least
-    2*eps_q at points sampled on the sphere of that radius about x_t, up to
-    the rounding of the sampled coordinates (the shapes moved by 1e3)."""
-    idx = build(shape)
-    assert idx.inside_radius >= shape.tol.eps_len
-    sphere = _sphere(idx, 1.0, 2000, 31)
-    slack = 16 * np.spacing(np.abs(sphere).max())
-    assert plane_eval(shape.planes, sphere).min() >= 2.0 * shape.tol.eps_q - slack
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_inner_ellipse_is_2_eps_q_inside_every_plane(name):
+    """The index keeps the covariance frame, and every plane is at least
+    2*eps_q at points just inside the inner ellipse, in 2000 random
+    directions and where the ellipse comes nearest each plane."""
+    idx = _frame_index(name)
+    shape = idx.poly
+    assert not np.array_equal(idx.L, np.eye(shape.dim))
+    pts = frame_points(idx, _radii(idx)[0] * (1.0 - 1e-9), 2000, 31, "planes")
+    assert least_plane(shape, pts).min() >= 2.0 * shape.tol.eps_q
 
 
-@pytest.mark.parametrize("build, shape", SLIVERS)
-def test_inside_radius_is_eps_len_on_slivers(build, shape):
-    """x_t of a sliver lies less than eps_len + 2*eps_q inside a plane, so
-    the radius is eps_len; such a shape still validates, builds and gives
-    the reference's codes."""
-    idx = build(shape)
-    assert idx.inside_radius == shape.tol.eps_len
-    pts = np.concatenate([gen_query_points(shape.aabb, QuerySpec(2000, 13)),
-                          _sphere(idx, 0.5, 50, 14), _sphere(idx, 2.0, 50, 15)])
-    assert np.array_equal(locate_radial_batch(idx, pts), locate_radial_batch_reference(idx, pts))
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_outer_ellipse_is_2_eps_q_outside_some_plane(name):
+    """Points just outside the outer ellipse, in 2000 random directions and
+    on the ray to each vertex, lie more than 2*eps_q outside some plane."""
+    idx = _frame_index(name)
+    shape = idx.poly
+    pts = frame_points(idx, _radii(idx)[1] * (1.0 + 1e-9), 2000, 32, "vertices")
+    assert least_plane(shape, pts).max() < -2.0 * shape.tol.eps_q
 
 
-@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
-def test_codes_at_the_inside_radius_match_the_reference(build, shape):
-    """Points at inside_radius * (1 -+ 1e-9) from x_t, on both sides of
-    the near-x_t test, are Inside on the batch and scalar paths alike, as
-    the reference, which evaluates every point past eps_len, says."""
-    idx = build(shape)
-    pts = np.concatenate([_sphere(idx, 1.0 - 1e-9, 1000, 16), _sphere(idx, 1.0 + 1e-9, 1000, 16)])
+def _radius_points(idx, n, seed):
+    """Points at both bounds of the frame times 1 -+ 1e-9, in n random
+    directions, nearest each plane and on the ray to each vertex."""
+    return np.concatenate([frame_points(idx, r * f, n, seed, towards)
+                           for r in _radii(idx) for f in (1.0 - 1e-9, 1.0 + 1e-9)
+                           for towards in ("planes", "vertices")])
+
+
+def _assert_codes_agree(idx, pts):
+    """Batch codes equal the reference's and the scalar path's."""
     got = locate_radial_batch(idx, pts)
     assert np.array_equal(got, locate_radial_batch_reference(idx, pts))
-    assert (got == Containment.INSIDE).all()
     assert [int(locate_radial(idx, p)) for p in pts] == got.tolist()
 
 
-@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
-def test_batch_evaluates_only_the_points_past_the_ball(build, shape, monkeypatch):
-    """locate_radial_batch hands the kernel exactly the in-box points
-    farther than inside_radius from x_t, in batch order."""
-    idx = build(shape)
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_codes_at_both_bounds_match_the_reference(name):
+    """At both bounds times 1 -+ 1e-9, on both sides of each test, the
+    batch codes, the scalar codes and the reference (which evaluates every
+    in-box point past eps_len) agree."""
+    idx = _frame_index(name)
+    _assert_codes_agree(idx, _radius_points(idx, 500, 16))
+
+
+@pytest.mark.parametrize("name", list(sliver_shapes()))
+def test_slivers_keep_the_identity_frame(name):
+    """x_t of a sliver lies less than 2*eps_q inside a plane, so rho_in <= 0
+    in any frame: the index keeps the identity frame with the eps_len ball.
+    The outer bound still holds, and the codes at both bounds and over the
+    box match the reference."""
+    shape = sliver_shapes()[name]
+    idx = (build_polar_index if shape.dim == 2 else build_cubemap_index)(shape)
+    assert np.array_equal(idx.L, np.eye(shape.dim)) and idx.inner2 == shape.tol.eps_len ** 2
+    pts = frame_points(idx, _radii(idx)[1] * (1.0 + 1e-9), 2000, 33, "vertices")
+    assert least_plane(shape, pts).max() < -2.0 * shape.tol.eps_q
+    _assert_codes_agree(idx, np.concatenate([gen_query_points(shape.aabb, QuerySpec(2000, 13)),
+                                             _radius_points(idx, 50, 14)]))
+
+
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_batch_evaluates_only_the_annulus_points(name, monkeypatch):
+    """locate_radial_batch hands the kernel exactly the in-box points of
+    the annulus inner2 < r^2 <= outer2, in batch order."""
+    idx = _frame_index(name)
+    shape = idx.poly
     pts = np.concatenate([gen_query_points(shape.aabb, QuerySpec(2000, 18)),
-                          _sphere(idx, 0.5, 200, 19), nonfinite_rows(shape.dim)])
+                          [annulus_point(idx, v) for v in shape.vertices[:200]],
+                          frame_points(idx, 0.5 * _radii(idx)[0], 200, 19, "planes"),
+                          nonfinite_rows(shape.dim)])
     seen = []
 
     def recording(planes, table, bucket_ids, q):
@@ -529,36 +542,37 @@ def test_batch_evaluates_only_the_points_past_the_ball(build, shape, monkeypatch
 
     monkeypatch.setattr(buckets, "bucketed_min", recording)
     locate_radial_batch(idx, pts)
-    want = pts[reaches_planes(shape, idx.x_t, pts, idx.inside_radius)]
+    want = pts[reaches_planes(idx, pts)]
     assert len(seen) == 1 and 0 < len(want) < len(pts) - 200
     assert np.array_equal(seen[0], want)
 
 
-@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
-def test_in_ball_scalar_query_costs_no_evaluation(build, shape):
-    """A point within inside_radius of x_t but farther than eps_len is
-    Inside with no plane evaluation."""
-    idx = build(shape)
-    pts = _sphere(idx, 0.5, 200, 17)
-    assert (np.linalg.norm(pts - idx.x_t, axis=1) > shape.tol.eps_len).all()
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_deep_scalar_query_costs_no_evaluation(name):
+    """A point inside the inner ellipse but farther than eps_len from x_t
+    is Inside with no plane evaluation."""
+    idx = _frame_index(name)
+    pts = frame_points(idx, 0.5 * _radii(idx)[0], 200, 17, "planes")
+    assert (np.linalg.norm(pts - idx.x_t, axis=1) > idx.poly.tol.eps_len).all()
     for p in pts:
         counter = EvalCounter()
         assert locate_radial(idx, p, counter) == Containment.INSIDE
         assert counter.evals == 0
 
 
-@pytest.mark.parametrize("build, shape", RADIAL_SHAPES)
-def test_huge_coordinate_is_outside_without_warning(build, shape):
-    """A finite coordinate of 1e300, whose square overflows in the
-    near-x_t test, is Outside and warns nothing on either path."""
-    idx = build(shape)
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_huge_coordinate_is_outside_without_warning(name):
+    """A finite coordinate of 1e300, whose square overflows in r^2, is
+    Outside and warns nothing on either path."""
+    idx = _frame_index(name)
+    dim = idx.poly.dim
     rows = []
-    for k in range(shape.dim):
+    for k in range(dim):
         for value in (1e300, -1e300):
             row = idx.x_t.copy()
             row[k] = value
             rows.append(row)
-    pts = np.concatenate([rows, [np.full(shape.dim, 1e300), idx.x_t]])
+    pts = np.concatenate([rows, [np.full(dim, 1e300), idx.x_t]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = locate_radial_batch(idx, pts)
@@ -592,13 +606,11 @@ def test_batch_allocation_does_not_grow_with_the_shape():
 
 def _first_scalar_peak(build, shape, locate) -> int:
     """Peak bytes allocated by the first scalar call right after the build,
-    on a point of the ray from the reference point to vertex 0, midway
-    between the sphere of inside_radius and the vertex, which reaches the
+    on a point of the ray from the reference point to vertex 0 in the
+    annulus of the index's frame (oracles.annulus_point), which reaches the
     planes."""
     idx = build(shape)
-    ray = shape.vertices[0] - idx.x_t
-    reach = float(np.linalg.norm(ray))
-    p = tuple((idx.x_t + (0.5 * (idx.inside_radius + reach) / reach) * ray).tolist())
+    p = tuple(annulus_point(idx, shape.vertices[0]).tolist())
     counter = EvalCounter()
     gc.collect()
     tracemalloc.start()

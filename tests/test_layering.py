@@ -1,10 +1,10 @@
 """Module layering: no module imports a private name from another, the
 constant-time locators do not depend on the baseline methods and share one
-implementation, only buckets.py knows the bucket-table layout, and only
-core.py knows which field holds a shape's planes and the factors of the
-tolerance rule and a shape's dimension, and only core.py (query_points) and
-io.py shape point arrays, and only core.py (query_point) decides what is one
-point."""
+implementation, only buckets.py knows the bucket-table layout and the frame
+of the radial indexes, and only core.py knows which field holds a shape's
+planes and the factors of the tolerance rule and a shape's dimension, and
+only core.py (query_points) and io.py shape point arrays, and only core.py
+(query_point) decides what is one point."""
 
 import ast
 from pathlib import Path
@@ -67,6 +67,18 @@ def test_only_buckets_reads_the_bucket_table_format():
                     and node.attr in ("padded_edges", "offsets", "edges")
                     and id(node) not in allowed):
                 bad.append(f"{path.name}:{node.lineno} reads .{node.attr}")
+    assert not bad, bad
+
+
+def test_only_buckets_reads_the_frame():
+    """The frame that decides deep and far points of a radial index, L (as
+    an array and as L_floats) and its bounds inner2 and outer2, is made and
+    read in buckets.py alone."""
+    fields = {"L", "L_floats", "inner2", "outer2"}
+    bad = [f"{path.name}:{node.lineno} reads .{node.attr}"
+           for path in sorted(SRC.glob("*.py")) if path.name != "buckets.py"
+           for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+           if isinstance(node, ast.Attribute) and node.attr in fields]
     assert not bad, bad
 
 

@@ -22,7 +22,7 @@ from convexloc import (Aabb, Containment, EvalCounter, GenSpec2, GenSpec3,
                        project_face_conservative, validate_polygon,
                        validate_polyhedron)
 
-from oracles import reaches_planes
+from oracles import annulus_point, reaches_planes
 
 # method -> (dimension, build(shape) -> index, scalar locate, batch locate)
 METHODS = {
@@ -49,15 +49,13 @@ def shapes():
 def _case(shapes, method, coord, value):
     """(index, a point well inside that the radial indexes evaluate planes
     for, that point with one coordinate replaced by value, scalar locate,
-    batch locate).  The point lies on the ray from x_t to vertex 0, midway
-    between the sphere of inside_radius and the vertex."""
+    batch locate).  The point lies on the ray from x_t to vertex 0, in the
+    annulus of the radial index's frame (oracles.annulus_point)."""
     dim, build, locate, locate_batch = METHODS[method]
     shape = shapes[dim]
     radial = RADIAL[dim](shape)
-    ray = shape.vertices[0] - radial.x_t
-    reach = float(np.linalg.norm(ray))
-    inner = radial.x_t + (0.5 * (radial.inside_radius + reach) / reach) * ray
-    assert reaches_planes(shape, radial.x_t, [inner], radial.inside_radius)[0]
+    inner = annulus_point(radial, shape.vertices[0])
+    assert reaches_planes(radial, [inner])[0]
     bad = inner.copy()
     bad[coord] = value
     return build(shape), inner, bad, locate, locate_batch

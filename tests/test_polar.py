@@ -14,7 +14,7 @@ from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
                        locate_linear_2d_batch, locate_polar,
                        locate_polar_batch, polar, validate_polygon)
 
-from oracles import (boundary_param_batch_reference, brute_exit_edges, nonfinite_rows,
+from oracles import (annulus_point, boundary_param_batch_reference, brute_exit_edges, nonfinite_rows,
                      point_types, policy_edge_points, reaches_planes, slab_of_reference)
 
 UNIT_BOX = Aabb(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
@@ -120,13 +120,13 @@ def test_select_equals_where_bit_for_bit():
 
 def test_slab_of_equals_floor_and_modulo(corpus2d):
     """The truncating slab map with its single wrap gives the floor-and-%
-    slab: on the u of every corpus polygon's in-box points, at 0 and at the
+    slab: on the u of every corpus polygon's points, at 0 and at the
     largest u below U, for an array and for a Python float (a 0-d result).
     At n = 3 and U = 7.3 the largest u below U maps to 3.0, the one value
     the wrap sends to slab 0."""
     entries, _ = corpus2d
     for poly, pts, idx in entries:
-        directed = reaches_planes(poly, idx.x_t, pts, poly.tol.eps_len)
+        directed = np.linalg.norm(pts - idx.x_t, axis=1) > poly.tol.eps_len
         u = boundary_param_batch(idx.box, idx.x_t, pts[directed])
         ends = np.array([0.0, np.nextafter(idx.perimeter, 0.0)])
         for v in (u, ends, *ends.tolist(), *u[:3].tolist()):
@@ -262,20 +262,22 @@ def test_polar_scalar_equals_batch():
     """Same codes on both paths, also at the edges of the shared policy, and
     the scalar path evaluates exactly the slab the batch path picks, which
     bucket_of_point finds as bucket_of does; for tuples and for float64,
-    float32 and int rows alike.  Non-finite points cost no evaluation.  The
-    semi-axes put integer points in the box outside the inside_radius ball,
-    so the int rows reach the planes too."""
-    poly = gen_convex_polygon(GenSpec2(21, 17, semi_axes=(3.0, 2.0)))
+    float32 and int rows alike.  Non-finite points cost no evaluation.  One
+    point on the ray to each vertex lies in the annulus of the index's frame
+    (oracles.annulus_point), and the semi-axes make the annulus some units
+    wide, so the int rows, truncated, reach the planes too."""
+    poly = gen_convex_polygon(GenSpec2(21, 17, semi_axes=(300.0, 200.0)))
     idx = build_polar_index(poly)
-    pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(300, 18)),
-                     poly.vertices, policy_edge_points(poly, idx.x_t), nonfinite_rows(2)])
+    pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(300, 18)), poly.vertices,
+                     [annulus_point(idx, v) for v in poly.vertices],
+                     policy_edge_points(poly, idx.x_t), nonfinite_rows(2)])
     for name, (arr, rows) in point_types(pts).items():
         batch = locate_polar_batch(idx, arr)
         counters = [EvalCounter() for _ in rows]
         scalar = [int(locate_polar(idx, p, c)) for p, c in zip(rows, counters)]
         np.testing.assert_array_equal(batch, scalar, err_msg=name)
         q = np.asarray(arr, dtype=float)
-        reached = reaches_planes(poly, idx.x_t, q, idx.inside_radius)
+        reached = reaches_planes(idx, q)
         want = np.zeros(len(q), dtype=np.int64)
         want[reached] = idx.counts[idx.slab_of(boundary_param_batch(idx.box, idx.x_t,
                                                                     q[reached]))]
