@@ -18,7 +18,10 @@ need no bucket: the index's frame, a quadratic form r^2 about x_t made from
 the vertex covariance, has an inner bound within which every point lies
 2*eps_q inside every plane (Inside), and an outer bound beyond which every
 point lies 2*eps_q outside the plane its bucket lists for it (Outside).
-Only the points in the annulus between the two reach the box test, the
+The frame's matrix is held once, as the Python floats L_floats, and
+RadialIndex.radius2 is the one batch r^2, in every dimension; it also
+makes the outer bound from the vertices.  Only the points in the annulus
+between the two bounds reach the box test (Aabb.contains in a batch), the
 direction map and bucketed_min.
 """
 
@@ -135,14 +138,6 @@ class BucketTable:
         return edges
 
 
-def near(points: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
-    """Mask of the points within r of center, summed column by column: numpy sums rows slowly."""
-    dist2 = (points[:, 0] - center[0]) ** 2
-    for k in range(1, points.shape[1]):
-        dist2 += (points[:, k] - center[k]) ** 2
-    return dist2 <= r ** 2
-
-
 def bucketed_min(planes: np.ndarray, table: BucketTable, bucket_ids, q: np.ndarray) -> np.ndarray:
     """Minimal signed distance of each point q[k] over the planes listed in
     bucket bucket_ids[k] of the table.
@@ -187,15 +182,16 @@ def reference_point(shape) -> np.ndarray:
 
 
 def covariance_frame(v: np.ndarray) -> tuple:
-    """(L, U), dim x dim lists of rows of Python floats, for the covariance
-    C of the rows of v (vertices less their mean): U upper triangular with
-    U U^T = C (the Cholesky factor of C with its rows and columns
-    reversed), and L = U^-T, the lower Cholesky factor of C^-1, so that
-    |L^T d| is d's length in units of the vertex spread along d and
-    L^-1 = U^T.  C is never inverted.  NaNs when C is not positive definite
-    in floating point, as on a sliver.  In floats, not numpy.linalg: at
-    2x2 or 3x3 its per-call overhead is most of the cost of a small shape's
-    frame."""
+    """(L, U) in Python floats for the covariance C of the rows of v
+    (vertices less their mean).  U, a dim x dim list of rows, is upper
+    triangular with U U^T = C (the Cholesky factor of C with its rows and
+    columns reversed).  L = U^-T is the lower Cholesky factor of C^-1, so
+    that |L^T d| is d's length in units of the vertex spread along d and
+    L^-1 = U^T; it comes as its lower triangle, column by column (the
+    layout of RadialIndex.L_floats).  C is never inverted.  NaNs when C is
+    not positive definite in floating point, as on a sliver.  In floats,
+    not numpy.linalg: at 2x2 or 3x3 its per-call overhead is most of the
+    cost of a small shape's frame."""
     c = (v.T @ v / len(v)).tolist()
     n = len(c)
     u = [[0.0] * n for _ in range(n)]
@@ -207,13 +203,14 @@ def covariance_frame(v: np.ndarray) -> tuple:
             elif s > 0.0:
                 u[i][i] = math.sqrt(s)
             else:
-                return [[math.nan] * n] * n, [[math.nan] * n] * n
+                return (math.nan,) * (n * (n + 1) // 2), [[math.nan] * n] * n
     x = [[0.0] * n for _ in range(n)]       # U^-1, upper triangular
     for i in reversed(range(n)):
         x[i][i] = 1.0 / u[i][i]
         for j in range(i + 1, n):
             x[i][j] = -sum(u[i][k] * x[k][j] for k in range(i + 1, j + 1)) / u[i][i]
-    return [list(row) for row in zip(*x)], u
+    # Row k of U^-1, from column k on, is column k of L, from row k on.
+    return tuple(x[k][j] for k in range(n) for j in range(k, n)), u
 
 
 @dataclass(frozen=True)
@@ -230,16 +227,19 @@ class RadialIndex(BucketTable):
 
     It also makes the frame that decides deep and far points with no
     bucket: L, lower triangular with L L^T the inverse covariance of the
-    vertices about x_t (covariance_frame), r^2(q) = |L^T (q - x_t)|^2
-    (radius2), and two bounds on r^2, inner2 = rho_in^2 and
-    outer2 = rho_out^2.  With depth_i the distance of x_t inside plane i
-    (unit normal n_i) and d_min the least depth:
+    vertices about x_t (covariance_frame), held once as L_floats, its
+    lower triangle column by column in Python floats;
+    r^2(q) = |L^T (q - x_t)|^2, computed by radius2 for a batch and
+    unrolled in locate_radial for one point; and two bounds on r^2,
+    inner2 = rho_in^2 and outer2 = rho_out^2.  With depth_i the distance
+    of x_t inside plane i (unit normal n_i) and d_min the least depth:
 
     - rho_in = min_i (depth_i - 2*eps_q) / |L^-1 n_i|.  Plane i at
       q = x_t + L^-T y is depth_i + (L^-1 n_i).y >= depth_i - |y| |L^-1 n_i|,
       so a point with r^2 <= inner2 lies at least 2*eps_q inside every
       plane, and the kernel would call it Inside.
-    - rho_out = s * max_v r(v), s = 1 + 2*eps_q / d_min.  The ellipse
+    - rho_out = s * max_v r(v), s = 1 + 2*eps_q / d_min, with r^2(v)
+      from radius2, the queries' own arithmetic.  The ellipse
       r <= max_v r(v) is convex and holds every vertex, so it holds the
       shape, and r <= rho_out holds the shape scaled by s about x_t.  A
       point q with r^2 > outer2 is x_t + t (e - x_t), with e where its ray
@@ -258,8 +258,7 @@ class RadialIndex(BucketTable):
     x_t, which has no direction, is Inside before any bucket map.  A
     sliver, where rho_in <= 0, keeps the identity frame instead, with
     rho_in the radius of the ball about x_t that lies 2*eps_q inside every
-    plane, never below eps_len.  L_floats holds L's lower triangle, column
-    by column, as Python floats for locate_radial and radius2.
+    plane, never below eps_len.
     """
 
     poly: ConvexPolygon | ConvexPolyhedron
@@ -267,7 +266,6 @@ class RadialIndex(BucketTable):
     inbox_lo: tuple = field(init=False)
     inbox_hi: tuple = field(init=False)
     x_t_floats: tuple = field(init=False)
-    L: np.ndarray = field(init=False)
     L_floats: tuple = field(init=False)
     inner2: float = field(init=False)
     outer2: float = field(init=False)
@@ -275,70 +273,47 @@ class RadialIndex(BucketTable):
     def __post_init__(self):
         poly = self.poly
         box, tol, dim = poly.aabb, poly.tol, poly.dim
-        v = poly.vertices - self.x_t
         depth = plane_eval(poly.planes, self.x_t)
         d_min = float(depth.min())
-        rows, u = covariance_frame(v)
+        lower, u = covariance_frame(poly.vertices - self.x_t)
         # |L^-1 n_i| = |U^T n_i|, and the Frobenius norm |L|_F.
         reach = np.sqrt(row_norm2(poly.planes[:, :dim] @ np.array(u)))
         rho_in = float(((depth - 2.0 * tol.eps_q) / reach).min())
-        if not rho_in >= 2.0 * tol.eps_len * math.sqrt(sum(x * x for r in rows for x in r)):
-            rows, rho_in = np.eye(dim).tolist(), max(tol.eps_len, d_min - 2.0 * tol.eps_q)
-        L = np.array(rows)
-        L.setflags(write=False)
+        if not rho_in >= 2.0 * tol.eps_len * math.sqrt(sum(x * x for x in lower)):
+            lower = tuple(float(j == k) for k in range(dim) for j in range(k, dim))
+            rho_in = max(tol.eps_len, d_min - 2.0 * tol.eps_q)
         s = 1.0 + 2.0 * tol.eps_q / (d_min - tol.eps_len)
-        # The dataclass is frozen; these fields derive from poly and x_t.
+        # The dataclass is frozen; these fields derive from poly and x_t,
+        # and outer2 from radius2, which reads x_t_floats and L_floats.
         for name, value in (("inbox_lo", tuple((box.lo - tol.eps_q).tolist())),
                             ("inbox_hi", tuple((box.hi + tol.eps_q).tolist())),
-                            ("x_t_floats", tuple(self.x_t.tolist())), ("L", L),
-                            ("L_floats", tuple(rows[j][k] for k in range(dim)
-                                               for j in range(k, dim))),
-                            ("inner2", rho_in * rho_in),
-                            ("outer2", s * s * float(row_norm2(v @ L).max()))):
+                            ("x_t_floats", tuple(self.x_t.tolist())), ("L_floats", lower),
+                            ("inner2", rho_in * rho_in)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "outer2", s * s * float(self.radius2(poly.vertices).max()))
 
     def radius2(self, pts: np.ndarray) -> np.ndarray:
-        """r^2 = |L^T (q - x_t)|^2 of each row q of an (M, dim) array, with
-        locate_radial's arithmetic, one column at a time and in place: every
-        fresh array of a large batch costs page faults, and every numpy call
-        on a small one costs its overhead.  A coordinate near 1e300
-        overflows to inf and a non-finite one gives inf or NaN, with numpy's
-        warnings for it left to the caller."""
-        if len(self.x_t_floats) == 2:
-            (tx, ty), (a, b, c) = self.x_t_floats, self.L_floats
-            u = pts[:, 0] - tx
-            w = pts[:, 1] - ty
-            u *= a
-            u += w * b
-            w *= c
+        """r^2 = |L^T (q - x_t)|^2 of each row q of an (M, dim) array, in
+        any dimension, with locate_radial's arithmetic: row k of L^T
+        (column k of L, the next entries of L_floats) times q - x_t, summed
+        left to right, then the squares of the rows summed in order.  One
+        column at a time and in place: every fresh array of a large batch
+        costs page faults, and every numpy call on a small one costs its
+        overhead.  A coordinate near 1e300 overflows to inf and a
+        non-finite one gives inf or NaN, with numpy's warnings for it left
+        to the caller."""
+        d = [pts[:, k] - t for k, t in enumerate(self.x_t_floats)]
+        coef = iter(self.L_floats)
+        for k, u in enumerate(d):
+            u *= next(coef)
+            for w in d[k + 1:]:
+                u += w * next(coef)
+        r2, *rest = d
+        r2 *= r2
+        for u in rest:
             u *= u
-        else:
-            (tx, ty, tz), (a, b, c, e, f, g) = self.x_t_floats, self.L_floats
-            u = pts[:, 0] - tx
-            v = pts[:, 1] - ty
-            w = pts[:, 2] - tz
-            u *= a
-            u += v * b
-            u += w * c
-            v *= e
-            v += w * f
-            w *= g
-            u *= u
-            v *= v
-            u += v
-        w *= w
-        u += w
-        return u
-
-    def in_box(self, pts: np.ndarray) -> np.ndarray:
-        """Mask of the rows of an (M, dim) array within inbox_lo and
-        inbox_hi, locate_radial's box test, column by column."""
-        inside = None
-        for k, (lo, hi) in enumerate(zip(self.inbox_lo, self.inbox_hi)):
-            col = pts[:, k]
-            m = (col >= lo) & (col <= hi)
-            inside = m if inside is None else np.logical_and(inside, m, out=inside)
-        return inside
+            r2 += u
+        return r2
 
     def bucket_of_point(self, p) -> int:
         """Bucket of the direction x_t -> p for one point p; raises
@@ -400,9 +375,11 @@ def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     r^2 (idx.radius2) is computed over the whole batch: a point with
     r^2 <= idx.inner2 is Inside, and every other point Outside unless it
     lies in the annulus r^2 <= idx.outer2.  Only the annulus points go on
-    to the box test, and idx.bucket_of maps those in the box to their
-    buckets.  The same straight-line steps run for every batch.  Raises
-    query_points' ValueError for points of another dimension."""
+    to the box test, the shape's Aabb.contains with pad eps_q (the bounds
+    of locate_radial's inbox_lo and inbox_hi), and idx.bucket_of maps
+    those in the box to their buckets.  The same straight-line steps run
+    for every batch.  Raises query_points' ValueError for points of
+    another dimension."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = query_points(points, shape.dim)
@@ -416,7 +393,7 @@ def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     annulus ^= deep
     # Row ids, take and compress: numpy selects by boolean index slowly.
     rows = np.flatnonzero(annulus)
-    rows = rows.compress(idx.in_box(pts.take(rows, axis=0)))
+    rows = rows.compress(shape.aabb.contains(pts.take(rows, axis=0), pad=eps_q))
     q = pts.take(rows, axis=0)
     out[rows] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)
     return out

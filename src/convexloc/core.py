@@ -426,8 +426,10 @@ def validate_polygon(vertices) -> ConvexPolygon:
     ValidationError subclass naming the first violated invariant.
     """
     v, aabb, tol = _vertex_array(vertices, 2, "polygon", "an (N, 2)")
-    # Winding repair: negative shoelace area means clockwise input.
-    x, y = v[:, 0], v[:, 1]
+    # Winding repair: negative shoelace area means clockwise input.  Summed
+    # on the vertices less the first, so that far from the origin the
+    # products do not round by more than the area.
+    x, y = (v - v[0]).T
     area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
     if area2 < 0.0:
         v = v[::-1].copy()

@@ -15,8 +15,10 @@ batch query path as it was before the bucket kernel worked on table
 columns: whole-row gathers, a row minimum and boolean row compression;
 classify_min_reference is the batch classification as nested np.where,
 and slab_of_reference the polar slab map as floor and modulo.
-frame_radius2 is a radial index's r^2 as one matrix product and a row sum,
-and reaches_planes the rule for which points must reach the planes;
+frame_matrix rebuilds a radial index's frame matrix L from its floats,
+frame_radius2 is its r^2 as one matrix product and a row sum,
+radius2_reference the batch r^2 as it was unrolled for 2D and 3D, and
+reaches_planes the rule for which points must reach the planes;
 frame_points, least_plane, frame_shapes and sliver_shapes serve the tests
 of the frame's two bounds.
 """
@@ -33,7 +35,8 @@ from convexloc import (Aabb, Containment, ConvexPolyhedron, CubeMapIndex3, Degen
                        Tolerances, TooFewVertices, ValidationError, centroid,
                        gen_convex_polygon, gen_convex_polyhedron, icosphere, plane_eval,
                        validate_polygon, validate_polyhedron)
-from convexloc.buckets import clamp_budget, near
+from convexloc.baselines import near
+from convexloc.buckets import clamp_budget
 from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
 
@@ -418,12 +421,51 @@ def point_types(pts):
             "float32": (single, list(single)), "int": (finite, list(finite))}
 
 
+def frame_matrix(idx):
+    """A radial index's frame matrix L, lower triangular, rebuilt from
+    L_floats, its lower triangle column by column."""
+    dim = len(idx.x_t)
+    L = np.zeros((dim, dim))
+    L.T[np.triu_indices(dim)] = idx.L_floats
+    return L
+
+
 def frame_radius2(idx, points):
     """r^2 = |L^T (q - x_t)|^2 in a radial index's frame, as one matrix
     product and a row sum."""
     with np.errstate(over="ignore", invalid="ignore"):
-        y = (np.asarray(points, dtype=float) - idx.x_t) @ idx.L
+        y = (np.asarray(points, dtype=float) - idx.x_t) @ frame_matrix(idx)
         return (y * y).sum(axis=1)
+
+
+def radius2_reference(idx, pts):
+    """RadialIndex.radius2 as it was written for 2D and 3D apart, each
+    unrolled over the entries of L_floats."""
+    if len(idx.x_t_floats) == 2:
+        (tx, ty), (a, b, c) = idx.x_t_floats, idx.L_floats
+        u = pts[:, 0] - tx
+        w = pts[:, 1] - ty
+        u *= a
+        u += w * b
+        w *= c
+        u *= u
+    else:
+        (tx, ty, tz), (a, b, c, e, f, g) = idx.x_t_floats, idx.L_floats
+        u = pts[:, 0] - tx
+        v = pts[:, 1] - ty
+        w = pts[:, 2] - tz
+        u *= a
+        u += v * b
+        u += w * c
+        v *= e
+        v += w * f
+        w *= g
+        u *= u
+        v *= v
+        u += v
+    w *= w
+    u += w
+    return u
 
 
 def reaches_planes(idx, points):
@@ -451,9 +493,10 @@ def frame_points(idx, r, n, seed, towards):
     then one per plane where the ellipse of that r comes nearest to it
     (towards="planes") or one on the ray to each vertex (towards="vertices")."""
     shape = idx.poly
-    inverse = np.linalg.inv(idx.L)
+    L = frame_matrix(idx)
+    inverse = np.linalg.inv(L)
     extra = (-(shape.planes[:, :shape.dim] @ inverse.T) if towards == "planes"
-             else (shape.vertices - idx.x_t) @ idx.L)
+             else (shape.vertices - idx.x_t) @ L)
     u = np.concatenate([np.random.default_rng(seed).normal(size=(n, shape.dim)), extra])
     u /= np.linalg.norm(u, axis=1)[:, None]
     return idx.x_t + (r * u) @ inverse

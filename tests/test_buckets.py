@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from convexloc import (CapExceeded, Containment, CubeMapIndex3, EvalCounter, GenSpec2,
-                       PolarIndex2, QuerySpec, baselines, boundary_param,
+                       GenSpec3, PolarIndex2, QuerySpec, baselines, boundary_param,
                        build_cubemap_index, build_polar_index, build_sorted_slabs,
                        build_uniform_slabs, build_wedge_index, centroid, cubemap_cell,
-                       gen_convex_polygon, gen_query_points, icosphere,
+                       gen_convex_polygon, gen_convex_polyhedron, gen_query_points, icosphere,
                        locate_cubemap, locate_cubemap_batch, locate_linear_2d,
                        locate_linear_2d_batch, locate_linear_3d, locate_linear_3d_batch,
                        locate_polar, locate_polar_batch,
@@ -28,9 +28,10 @@ from convexloc.buckets import (BucketTable, bucketed_min, clamp_budget, locate_r
                                locate_radial_batch)
 
 from oracles import (annulus_point, boundary_param_batch_reference, bucketed_min_reference,
-                     csr_pack, frame_points, frame_shapes, least_plane,
-                     locate_radial_batch_reference, nonfinite_rows, policy_edge_points,
-                     reaches_planes, regular_polygon, runs_pairs, sliver_shapes)
+                     csr_pack, frame_matrix, frame_points, frame_shapes, least_plane,
+                     locate_radial_batch_reference, nonfinite_rows, point_types,
+                     policy_edge_points, radius2_reference, reaches_planes, regular_polygon,
+                     runs_pairs, sliver_shapes)
 
 POLYGONS = {
     "triangle": validate_polygon([(0, 0), (1, 0), (0.5, 1)]),
@@ -470,7 +471,7 @@ def test_inner_ellipse_is_2_eps_q_inside_every_plane(name):
     directions and where the ellipse comes nearest each plane."""
     idx = _frame_index(name)
     shape = idx.poly
-    assert not np.array_equal(idx.L, np.eye(shape.dim))
+    assert not np.array_equal(frame_matrix(idx), np.eye(shape.dim))
     pts = frame_points(idx, _radii(idx)[0] * (1.0 - 1e-9), 2000, 31, "planes")
     assert least_plane(shape, pts).min() >= 2.0 * shape.tol.eps_q
 
@@ -517,7 +518,8 @@ def test_slivers_keep_the_identity_frame(name):
     box match the reference."""
     shape = sliver_shapes()[name]
     idx = (build_polar_index if shape.dim == 2 else build_cubemap_index)(shape)
-    assert np.array_equal(idx.L, np.eye(shape.dim)) and idx.inner2 == shape.tol.eps_len ** 2
+    assert np.array_equal(frame_matrix(idx), np.eye(shape.dim))
+    assert idx.inner2 == shape.tol.eps_len ** 2
     pts = frame_points(idx, _radii(idx)[1] * (1.0 + 1e-9), 2000, 33, "vertices")
     assert least_plane(shape, pts).max() < -2.0 * shape.tol.eps_q
     _assert_codes_agree(idx, np.concatenate([gen_query_points(shape.aabb, QuerySpec(2000, 13)),
@@ -560,11 +562,9 @@ def test_deep_scalar_query_costs_no_evaluation(name):
         assert counter.evals == 0
 
 
-@pytest.mark.parametrize("name", FRAME_SHAPES)
-def test_huge_coordinate_is_outside_without_warning(name):
-    """A finite coordinate of 1e300, whose square overflows in r^2, is
-    Outside and warns nothing on either path."""
-    idx = _frame_index(name)
+def _huge_rows(idx):
+    """x_t with one coordinate at 1e300 or -1e300, each axis in turn, then
+    the point with every coordinate at 1e300."""
     dim = idx.poly.dim
     rows = []
     for k in range(dim):
@@ -572,12 +572,103 @@ def test_huge_coordinate_is_outside_without_warning(name):
             row = idx.x_t.copy()
             row[k] = value
             rows.append(row)
-    pts = np.concatenate([rows, [np.full(dim, 1e300), idx.x_t]])
+    return np.concatenate([rows, [np.full(dim, 1e300)]])
+
+
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_huge_coordinate_is_outside_without_warning(name):
+    """A finite coordinate of 1e300, whose square overflows in r^2, is
+    Outside and warns nothing on either path."""
+    idx = _frame_index(name)
+    pts = np.concatenate([_huge_rows(idx), [idx.x_t]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = locate_radial_batch(idx, pts)
         scalar = [int(locate_radial(idx, p)) for p in pts]
     assert got.tolist() == scalar == [Containment.OUTSIDE] * (len(pts) - 1) + [Containment.INSIDE]
+
+
+def _assert_radius2_pinned(idx, pts):
+    """radius2, the one loop for every dimension, equals the unrolled 2D
+    and 3D forms bit for bit on the points and on 1e300, NaN and +-inf
+    rows, under the errstate of locate_radial_batch."""
+    pts = np.concatenate([pts, _huge_rows(idx), nonfinite_rows(idx.poly.dim)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = idx.radius2(pts), radius2_reference(idx, pts)
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_radius2_is_the_unrolled_formula_on_the_corpora(corpus2d, corpus3d):
+    for poly, pts, idx in corpus2d[0] + corpus3d[0]:
+        _assert_radius2_pinned(idx, np.concatenate([pts, poly.vertices]))
+
+
+@pytest.mark.parametrize("name", FRAME_SHAPES + list(sliver_shapes()))
+def test_radius2_is_the_unrolled_formula_on_the_frame_shapes(name):
+    """On the named shapes of the frame tests, and on the slivers, whose
+    identity frame adds products by 0."""
+    if name in FRAME_SHAPES:
+        idx = _frame_index(name)
+    else:
+        shape = sliver_shapes()[name]
+        idx = (build_polar_index if shape.dim == 2 else build_cubemap_index)(shape)
+    shape = idx.poly
+    _assert_radius2_pinned(idx, np.concatenate([gen_query_points(shape.aabb, QuerySpec(2000, 41)),
+                                                shape.vertices, _radius_points(idx, 50, 42)]))
+
+
+AFFINE = gen_convex_polyhedron(GenSpec3(1, 55))
+RADIAL_CASES = [
+    pytest.param(build_polar_index, gen_convex_polygon(GenSpec2(21, 17, semi_axes=(300.0, 200.0))),
+                 QuerySpec(300, 18), id="polar"),
+    pytest.param(build_cubemap_index, validate_polyhedron(AFFINE.vertices * 100.0, AFFINE.faces),
+                 QuerySpec(400, 56), id="cubemap"),
+]
+
+
+@pytest.mark.parametrize("build, poly, spec", RADIAL_CASES)
+def test_radial_scalar_equals_batch(build, poly, spec):
+    """Same codes on both paths, also at the edges of the shared policy, and
+    the scalar path evaluates exactly the bucket the batch path picks, which
+    bucket_of_point finds as bucket_of does; for tuples and for float64,
+    float32 and int rows alike.  Non-finite points cost no evaluation.  One
+    point on the ray to each vertex lies in the annulus of the index's frame
+    (oracles.annulus_point), and the size of the shapes (semi-axes 300 and
+    200; an affine polyhedron scaled by 100) makes the annulus some units
+    wide, so the int rows, truncated, reach the planes too."""
+    idx = build(poly)
+    pts = np.vstack([gen_query_points(poly.aabb, spec), poly.vertices,
+                     [annulus_point(idx, v) for v in poly.vertices],
+                     policy_edge_points(poly, idx.x_t), nonfinite_rows(poly.dim)])
+    for name, (arr, rows) in point_types(pts).items():
+        batch = locate_radial_batch(idx, arr)
+        counters = [EvalCounter() for _ in rows]
+        scalar = [int(locate_radial(idx, p, c)) for p, c in zip(rows, counters)]
+        np.testing.assert_array_equal(batch, scalar, err_msg=name)
+        q = np.asarray(arr, dtype=float)
+        reached = reaches_planes(idx, q)
+        want = np.zeros(len(q), dtype=np.int64)
+        want[reached] = idx.counts[idx.bucket_of(q[reached])]
+        evals = np.array([c.evals for c in counters])
+        np.testing.assert_array_equal(evals, want, err_msg=name)
+        assert 0 < reached.sum() < len(q)
+        assert ([idx.bucket_of_point(p) for p, hit in zip(rows, reached) if hit]
+                == idx.bucket_of(q[reached]).tolist()), name
+        bad = ~np.isfinite(q).all(axis=1)
+        assert (batch[bad] == Containment.OUTSIDE).all() and not evals[bad].any()
+
+
+@pytest.mark.parametrize("build, poly, spec", [
+    pytest.param(build_polar_index, gen_convex_polygon(GenSpec2(128, 21)), QuerySpec(500, 22),
+                 id="polar"),
+    pytest.param(build_cubemap_index, gen_convex_polyhedron(GenSpec3(2, 9)), QuerySpec(400, 10),
+                 id="cubemap")])
+def test_radial_eval_count_bounded_by_occupancy(build, poly, spec):
+    idx = build(poly)
+    for p in gen_query_points(poly.aabb, spec):
+        c = EvalCounter()
+        locate_radial(idx, p, c)
+        assert c.evals <= idx.max_occupancy
 
 
 def _batch_peak(poly) -> int:

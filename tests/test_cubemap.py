@@ -12,8 +12,7 @@ from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpe
                        validate_polyhedron)
 from convexloc.cubemap import default_cubemap_resolution
 
-from oracles import (annulus_point, brute_exit_edges, loop_build_cubemap_index, nonfinite_rows,
-                     point_types, policy_edge_points, prism_mesh, reaches_planes)
+from oracles import brute_exit_edges, loop_build_cubemap_index, prism_mesh
 
 CUBE = validate_polyhedron(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -199,38 +198,6 @@ def test_cubemap_matches_linear():
                                       locate_linear_3d_batch(poly, pts))
 
 
-def test_cubemap_scalar_equals_batch():
-    """Same codes on both paths, also at the edges of the shared policy, and
-    the scalar path evaluates exactly the cell the batch path picks, which
-    bucket_of_point finds as bucket_of does; for tuples and for float64,
-    float32 and int rows alike.  Non-finite points cost no evaluation.  One
-    point on the ray to each vertex lies in the annulus of the index's frame
-    (oracles.annulus_point), and the shape, scaled by 100, makes the annulus
-    some units wide, so the int rows, truncated, reach the planes too."""
-    affine = gen_convex_polyhedron(GenSpec3(1, 55))
-    poly = validate_polyhedron(affine.vertices * 100.0, affine.faces)
-    idx = build_cubemap_index(poly)
-    pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(400, 56)), poly.vertices,
-                     [annulus_point(idx, v) for v in poly.vertices],
-                     policy_edge_points(poly, idx.x_t), nonfinite_rows(3)])
-    for name, (arr, rows) in point_types(pts).items():
-        batch = locate_cubemap_batch(idx, arr)
-        counters = [EvalCounter() for _ in rows]
-        scalar = [int(locate_cubemap(idx, p, c)) for p, c in zip(rows, counters)]
-        np.testing.assert_array_equal(batch, scalar, err_msg=name)
-        q = np.asarray(arr, dtype=float)
-        reached = reaches_planes(idx, q)
-        want = np.zeros(len(q), dtype=np.int64)
-        want[reached] = idx.counts[idx.bucket_of(q[reached])]
-        evals = np.array([c.evals for c in counters])
-        np.testing.assert_array_equal(evals, want, err_msg=name)
-        assert 0 < reached.sum() < len(q)
-        assert ([idx.bucket_of_point(p) for p, hit in zip(rows, reached) if hit]
-                == idx.bucket_of(q[reached]).tolist()), name
-        bad = ~np.isfinite(q).all(axis=1)
-        assert (batch[bad] == Containment.OUTSIDE).all() and not evals[bad].any()
-
-
 @pytest.mark.parametrize("offset", [3e3, 1e5, 1e6])
 def test_translated_icosphere_validates_and_locates(offset):
     """A level-2 icosphere (diagonal ~4) far from the origin validates, and
@@ -243,13 +210,3 @@ def test_translated_icosphere_validates_and_locates(offset):
         "linear": lambda p: locate_linear_3d_batch(poly, p),
         "cubemap": lambda p: locate_cubemap_batch(idx, p)})
     assert report.clean, report.examples
-
-
-def test_eval_counts_bounded_by_occupancy():
-    poly = gen_convex_polyhedron(GenSpec3(2, 9))
-    idx = build_cubemap_index(poly)
-    pts = gen_query_points(poly.aabb, QuerySpec(400, 10))
-    for p in pts:
-        c = EvalCounter()
-        locate_cubemap(idx, p, c)
-        assert c.evals <= idx.max_occupancy

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexloc import (Aabb, CapExceeded, Containment, NotConvex, QuerySpec, ValidationError,
+from convexloc import (Aabb, CapExceeded, Containment, QuerySpec, ValidationError,
                        ZeroDirection, boundary_param, build_cubemap_index, build_polar_index,
                        cubemap_cell, gen_query_points, project_face_conservative,
                        validate_polygon, validate_polyhedron)
@@ -188,11 +188,10 @@ def test_corpus_codes_do_not_depend_on_position(corpus2d, corpus3d, data, exp, m
     _check_similar(shape, exp, move, turn, seed)
 
 
-@pytest.mark.xfail(strict=True, raises=NotConvex,
-                   reason="ROADMAP item 3: polygon validation works in absolute coordinates")
 def test_sliver_validates_far_from_the_origin():
     """The sliver triangle scaled by 10**1.5, turned by 4 radians and moved
-    by (9526, 4761) diagonals still validates.  It does not today: 3e5 from
-    the origin, the shoelace area's products round by more than the area,
-    so the winding test reverses the counter-clockwise vertices."""
+    by (9526, 4761) diagonals still validates.  3e5 from the origin, a
+    shoelace area of absolute coordinates rounds by more than the area and
+    reverses the counter-clockwise vertices; validate_polygon sums it on
+    the vertices less the first."""
     _similar(sliver_shapes()["sliver-triangle"], 1.5, (9526.0, 4761.0, 0.0), (4.0, 0.0, 0.0))

@@ -71,10 +71,10 @@ def test_only_buckets_reads_the_bucket_table_format():
 
 
 def test_only_buckets_reads_the_frame():
-    """The frame that decides deep and far points of a radial index, L (as
-    an array and as L_floats) and its bounds inner2 and outer2, is made and
-    read in buckets.py alone."""
-    fields = {"L", "L_floats", "inner2", "outer2"}
+    """The frame that decides deep and far points of a radial index, its
+    matrix L_floats and its bounds inner2 and outer2, is made and read in
+    buckets.py alone, and no other module computes its r^2 (radius2)."""
+    fields = {"L_floats", "inner2", "outer2", "radius2"}
     bad = [f"{path.name}:{node.lineno} reads .{node.attr}"
            for path in sorted(SRC.glob("*.py")) if path.name != "buckets.py"
            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))

@@ -14,8 +14,7 @@ from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
                        locate_linear_2d_batch, locate_polar,
                        locate_polar_batch, polar, validate_polygon)
 
-from oracles import (annulus_point, boundary_param_batch_reference, brute_exit_edges, nonfinite_rows,
-                     point_types, policy_edge_points, reaches_planes, slab_of_reference)
+from oracles import boundary_param_batch_reference, brute_exit_edges, slab_of_reference
 
 UNIT_BOX = Aabb(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -256,48 +255,6 @@ def test_polar_matches_linear():
         pts = gen_query_points(poly.aabb, QuerySpec(800, seed + 60))
         np.testing.assert_array_equal(locate_polar_batch(idx, pts),
                                       locate_linear_2d_batch(poly, pts))
-
-
-def test_polar_scalar_equals_batch():
-    """Same codes on both paths, also at the edges of the shared policy, and
-    the scalar path evaluates exactly the slab the batch path picks, which
-    bucket_of_point finds as bucket_of does; for tuples and for float64,
-    float32 and int rows alike.  Non-finite points cost no evaluation.  One
-    point on the ray to each vertex lies in the annulus of the index's frame
-    (oracles.annulus_point), and the semi-axes make the annulus some units
-    wide, so the int rows, truncated, reach the planes too."""
-    poly = gen_convex_polygon(GenSpec2(21, 17, semi_axes=(300.0, 200.0)))
-    idx = build_polar_index(poly)
-    pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(300, 18)), poly.vertices,
-                     [annulus_point(idx, v) for v in poly.vertices],
-                     policy_edge_points(poly, idx.x_t), nonfinite_rows(2)])
-    for name, (arr, rows) in point_types(pts).items():
-        batch = locate_polar_batch(idx, arr)
-        counters = [EvalCounter() for _ in rows]
-        scalar = [int(locate_polar(idx, p, c)) for p, c in zip(rows, counters)]
-        np.testing.assert_array_equal(batch, scalar, err_msg=name)
-        q = np.asarray(arr, dtype=float)
-        reached = reaches_planes(idx, q)
-        want = np.zeros(len(q), dtype=np.int64)
-        want[reached] = idx.counts[idx.slab_of(boundary_param_batch(idx.box, idx.x_t,
-                                                                    q[reached]))]
-        evals = np.array([c.evals for c in counters])
-        np.testing.assert_array_equal(evals, want, err_msg=name)
-        assert 0 < reached.sum() < len(q)
-        assert ([idx.bucket_of_point(p) for p, hit in zip(rows, reached) if hit]
-                == idx.bucket_of(q[reached]).tolist()), name
-        bad = ~np.isfinite(q).all(axis=1)
-        assert (batch[bad] == Containment.OUTSIDE).all() and not evals[bad].any()
-
-
-def test_polar_eval_count_bounded_by_occupancy():
-    poly = gen_convex_polygon(GenSpec2(128, 21))
-    idx = build_polar_index(poly)
-    pts = gen_query_points(poly.aabb, QuerySpec(500, 22))
-    for p in pts:
-        c = EvalCounter()
-        locate_polar(idx, p, c)
-        assert c.evals <= idx.max_occupancy
 
 
 def test_polar_index_immutable():
