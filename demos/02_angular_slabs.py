@@ -1,7 +1,7 @@
 """A look inside the polar slab index.
 
 Every direction from the interior reference point x_t maps to a parameter u
-on the inflated bounding box boundary (counter-clockwise arc length from the
+on the polygon's bounding box boundary (counter-clockwise arc length from the
 corner (x_max, y_min)).  Cutting [0, U) into equal slabs and listing each
 edge in every slab its angular interval touches gives an index whose slab
 lists stay tiny: a query evaluates only its own slab's edges.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import BucketTable, bucketed_min, clamp_budget
+from .buckets import BucketTable, bucketed_min, clamp_budget, row_norm2
 from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP, classify_min,
                    line_halfplanes, min_signed_distance, plane_eval, query_point, query_points)
 
@@ -39,11 +39,8 @@ def _finite_rows(pts):
 
 
 def near(points: np.ndarray, center: np.ndarray, r: float) -> np.ndarray:
-    """Mask of the points within r of center, summed column by column: numpy sums rows slowly."""
-    dist2 = (points[:, 0] - center[0]) ** 2
-    for k in range(1, points.shape[1]):
-        dist2 += (points[:, k] - center[k]) ** 2
-    return dist2 <= r ** 2
+    """Mask of the points within r of center."""
+    return row_norm2(points - center) <= r * r
 
 
 # ---------------------------------------------------------------------------

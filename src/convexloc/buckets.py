@@ -377,9 +377,8 @@ def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     lies in the annulus r^2 <= idx.outer2.  Only the annulus points go on
     to the box test, the shape's Aabb.contains with pad eps_q (the bounds
     of locate_radial's inbox_lo and inbox_hi), and idx.bucket_of maps
-    those in the box to their buckets.  The same straight-line steps run
-    for every batch.  Raises query_points' ValueError for points of
-    another dimension."""
+    those in the box to their buckets.  Raises query_points' ValueError for
+    points of another dimension."""
     shape = idx.poly
     eps_q = shape.tol.eps_q
     pts = query_points(points, shape.dim)
@@ -393,6 +392,8 @@ def locate_radial_batch(idx: RadialIndex, points) -> np.ndarray:
     annulus ^= deep
     # Row ids, take and compress: numpy selects by boolean index slowly.
     rows = np.flatnonzero(annulus)
+    if not len(rows):
+        return out
     rows = rows.compress(shape.aabb.contains(pts.take(rows, axis=0), pad=eps_q))
     q = pts.take(rows, axis=0)
     out[rows] = classify_min(bucketed_min(shape.planes, idx, idx.bucket_of(q), q), eps_q)

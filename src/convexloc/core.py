@@ -224,25 +224,25 @@ def query_point(p, dim: int) -> list:
 
 def classify_min(min_vals, eps_q: float):
     """Map minimal signed distances to Containment codes: one Containment
-    for a float or a 0-d input, an int8 array otherwise.  NaN is Outside."""
-    if not isinstance(min_vals, float):
-        m = np.asarray(min_vals)
-        if m.ndim:
-            # Outside -1, OnBoundary 0, Inside 1 are the two masks' sum
-            # minus 1: no data-dependent branch per element, which a nested
-            # np.where takes and mispredicts on unordered distances.
-            codes = (m > eps_q).view(np.int8)
-            codes += (m >= -eps_q).view(np.int8)
-            codes -= 1
-            return codes
-        min_vals = float(m)
-    return (Containment.INSIDE if min_vals > eps_q else
-            Containment.ON_BOUNDARY if min_vals >= -eps_q else Containment.OUTSIDE)
+    for a Python float (np.float64 included), an int8 array for an array.
+    NaN is Outside."""
+    if isinstance(min_vals, float):
+        return (Containment.INSIDE if min_vals > eps_q else
+                Containment.ON_BOUNDARY if min_vals >= -eps_q else Containment.OUTSIDE)
+    # Outside -1, OnBoundary 0, Inside 1 are the two masks' sum minus 1: no
+    # data-dependent branch per element, which a nested np.where takes and
+    # mispredicts on unordered distances.
+    m = np.asarray(min_vals)
+    codes = (m > eps_q).view(np.int8)
+    codes += (m >= -eps_q).view(np.int8)
+    codes -= 1
+    return codes
 
 
 def line_halfplanes(starts: np.ndarray, ends: np.ndarray, eps_len: float) -> np.ndarray:
     """Unit-normal half-planes (a, b, c) of the lines starts[i] -> ends[i],
-    positive on the left; a one-row array broadcasts.  Raises DegenerateEdge
+    positive on the left, as an (N, 3) column-major array (the layout the
+    bucket kernel reads); a one-row array broadcasts.  Raises DegenerateEdge
     when a line is shorter than eps_len or of zero length."""
     d = ends - starts
     length = np.hypot(d[:, 0], d[:, 1])
@@ -252,7 +252,7 @@ def line_halfplanes(starts: np.ndarray, ends: np.ndarray, eps_len: float) -> np.
     a = -d[:, 1] / length
     b = d[:, 0] / length
     c = -(a * starts[:, 0] + b * starts[:, 1])
-    return np.column_stack([a, b, c])
+    return np.array([a, b, c]).T
 
 
 def _face_planes(rings: np.ndarray, interior: np.ndarray, eps_len: float,
@@ -467,7 +467,6 @@ def validate_polygon(vertices) -> ConvexPolygon:
         if (a * w[:, 0] + b * w[:, 1] + c).min() < -tol.eps_plane:
             raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     v.setflags(write=False)
-    halfplanes = np.asfortranarray(halfplanes)
     halfplanes.setflags(write=False)
     return ConvexPolygon(vertices=v, halfplanes=halfplanes, aabb=aabb, tol=tol)
 

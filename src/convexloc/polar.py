@@ -2,8 +2,8 @@
 
 The polygon boundary is radially monotone around any strictly interior
 reference point x_T: every ray from x_T crosses exactly one edge.  Rays are
-keyed by where they exit an inflated bounding box, measured as arc length u
-along the box perimeter.  Dividing [0, U) into n_slabs equal intervals and
+keyed by where they exit the polygon's bounding box, measured as arc length
+u along the box perimeter.  Dividing [0, U) into n_slabs equal intervals and
 listing, per interval, every edge whose angular span touches it yields an
 index with O(1) expected candidates per query: one multiply-and-floor finds
 the slab, and only its few listed edges are evaluated.
@@ -34,8 +34,6 @@ import numpy as np
 from .buckets import (RadialIndex, clamp_budget, locate_radial, locate_radial_batch,
                       reference_point)
 from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection, query_point, query_points
-
-BOX_INFLATION = 1.01       # keeps box corners off polygon vertices
 
 
 def boundary_param(box: Aabb, x_t, p, eps_len: float = 0.0) -> float:
@@ -167,7 +165,7 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarI
     Raises ReferenceNotInterior when the vertex mean is not strictly inside.
     """
     x_t = reference_point(poly)
-    box = poly.aabb.inflated(BOX_INFLATION)
+    box = poly.aabb
     w = float(box.hi[0] - box.lo[0])
     h = float(box.hi[1] - box.lo[1])
     perimeter = 2.0 * (w + h)

@@ -8,13 +8,15 @@ validator and cube-map builder written face by face in Python loops, the
 form the batched library code must reproduce; csr_pack is the bucket-table
 packing in two passes, a CSR sort and then a padding pass, which
 buckets.BucketTable.pack does in one; wedge_fan_lines is the wedge
-builder's own former fan-line formula, and dict_icosphere the icosphere
-subdivision one face at a time.  bucketed_min_reference,
+builder's own former fan-line formula on line_halfplanes_reference, the
+line planes as np.column_stack built them, and dict_icosphere the
+icosphere subdivision one face at a time.  bucketed_min_reference,
 boundary_param_batch_reference and locate_radial_batch_reference are the
 batch query path as it was before the bucket kernel worked on table
 columns: whole-row gathers, a row minimum and boolean row compression;
 classify_min_reference is the batch classification as nested np.where,
-and slab_of_reference the polar slab map as floor and modulo.
+slab_of_reference the polar slab map as floor and modulo, and
+near_reference the near-x_t mask as a loop over the columns.
 frame_matrix rebuilds a radial index's frame matrix L from its floats,
 frame_radius2 is its r^2 as one matrix product and a row sum,
 radius2_reference the batch r^2 as it was unrolled for 2D and 3D, and
@@ -35,7 +37,6 @@ from convexloc import (Aabb, Containment, ConvexPolyhedron, CubeMapIndex3, Degen
                        Tolerances, TooFewVertices, ValidationError, centroid,
                        gen_convex_polygon, gen_convex_polyhedron, icosphere, plane_eval,
                        validate_polygon, validate_polyhedron)
-from convexloc.baselines import near
 from convexloc.buckets import clamp_budget
 from convexloc.cubemap import RES_CAP, default_cubemap_resolution
 
@@ -302,14 +303,20 @@ def wedge_fan_lines(vertices):
     vertices[0] and vertices[i] (row 0 NaN padding), in the formula the
     wedge builder used before it shared core.line_halfplanes."""
     v = np.asarray(vertices, dtype=float)
-    d = v[1:] - v[0]
+    g = np.full((len(v), 3), np.nan)
+    g[1:] = line_halfplanes_reference(v[:1], v[1:])
+    return g
+
+
+def line_halfplanes_reference(starts, ends):
+    """core.line_halfplanes without its length check, as an np.column_stack
+    of the three coefficient columns (a C-ordered array)."""
+    d = ends - starts
     length = np.hypot(d[:, 0], d[:, 1])
     a = -d[:, 1] / length
     b = d[:, 0] / length
-    c = -(a * v[0, 0] + b * v[0, 1])
-    g = np.full((len(v), 3), np.nan)
-    g[1:] = np.column_stack([a, b, c])
-    return g
+    c = -(a * starts[:, 0] + b * starts[:, 1])
+    return np.column_stack([a, b, c])
 
 
 def brute_exit_edges(halfplanes, x_t, dirs, eps=1e-15, chunk=8192):
@@ -598,6 +605,14 @@ def classify_min_reference(m, eps_q):
                              np.int8(Containment.OUTSIDE))).astype(np.int8, copy=False)
 
 
+def near_reference(points, center, r):
+    """baselines.near summed in a loop over the columns, squared by **."""
+    dist2 = (points[:, 0] - center[0]) ** 2
+    for k in range(1, points.shape[1]):
+        dist2 += (points[:, k] - center[k]) ** 2
+    return dist2 <= r ** 2
+
+
 def locate_radial_batch_reference(idx, points):
     """buckets.locate_radial_batch with boolean row compression,
     bucketed_min_reference and classify_min_reference."""
@@ -607,7 +622,7 @@ def locate_radial_batch_reference(idx, points):
     out = np.full(len(pts), np.int8(Containment.OUTSIDE))
     inbox = shape.aabb.contains(pts, pad=eps_q)
     sub = pts[inbox]
-    far = ~near(sub, idx.x_t, shape.tol.eps_len)
+    far = ~near_reference(sub, idx.x_t, shape.tol.eps_len)
     codes = np.full(len(sub), np.int8(Containment.INSIDE))
     q = sub[far]
     codes[far] = classify_min_reference(

@@ -17,8 +17,10 @@ from convexloc import (CapExceeded, Containment, EvalCounter, build_polar_index,
                        locate_uniform_slabs, locate_uniform_slabs_batch,
                        locate_wedge, locate_wedge_batch, min_signed_distance,
                        validate_polygon, validate_polyhedron)
+from convexloc.baselines import near
 
-from oracles import crossing_number_inside, qhull_min_signed_distance, wedge_fan_lines
+from oracles import (crossing_number_inside, near_reference, nonfinite_rows,
+                     qhull_min_signed_distance, wedge_fan_lines)
 
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = validate_polygon([(0, 0), (1, 0), (0.5, 1)])
@@ -125,6 +127,21 @@ def test_wedge_fan_lines_match_reference(corpus2d):
     for poly, _, _ in corpus2d[0]:
         got = build_wedge_index(poly).g_planes
         assert got.tobytes() == wedge_fan_lines(poly.vertices).tobytes()
+
+
+def test_near_matches_the_column_loop(corpus2d, corpus3d):
+    """near, one row_norm2, gives the mask of its former column loop on the
+    corpus query points at radii from eps_len to the farthest point, and on
+    NaN, +-inf and 1e300 rows."""
+    for shape, pts, _ in corpus2d[0] + corpus3d[0]:
+        center = shape.vertices[0]
+        dist = np.linalg.norm(pts - center, axis=1)
+        huge = np.full((3, shape.dim), 1e300) * [[1.0], [-1.0], [0.0]]
+        rows = np.concatenate([pts, nonfinite_rows(shape.dim), huge, huge + center])
+        for r in (shape.tol.eps_len, *np.quantile(dist, [0.0, 0.5, 1.0]).tolist()):
+            assert np.array_equal(near(pts, center, r), near_reference(pts, center, r))
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.array_equal(near(rows, center, r), near_reference(rows, center, r))
 
 
 def test_wedge_matches_linear():

@@ -550,6 +550,30 @@ def test_batch_evaluates_only_the_annulus_points(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_batch_with_no_annulus_point_maps_no_bucket(name, monkeypatch):
+    """A batch whose points are all inside the inner ellipse, beyond the
+    outer one or not finite makes no bucket_of and no bucketed_min call,
+    and it gets the reference's codes."""
+    idx = _frame_index(name)
+    inner, outer = _radii(idx)
+    pts = np.concatenate([frame_points(idx, 0.5 * inner, 200, 20, "planes"),
+                          frame_points(idx, 2.0 * outer, 200, 21, "vertices"),
+                          nonfinite_rows(idx.poly.dim)])
+    assert not reaches_planes(idx, pts).any()
+    want = locate_radial_batch_reference(idx, pts)
+    calls = []
+
+    def counting(f):
+        return lambda *args: calls.append(f.__name__) or f(*args)
+
+    monkeypatch.setattr(type(idx), "bucket_of", counting(type(idx).bucket_of))
+    monkeypatch.setattr(buckets, "bucketed_min", counting(bucketed_min))
+    got = locate_radial_batch(idx, pts)
+    assert calls == []
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", FRAME_SHAPES)
 def test_deep_scalar_query_costs_no_evaluation(name):
     """A point inside the inner ellipse but farther than eps_len from x_t
     is Inside with no plane evaluation."""

@@ -19,7 +19,8 @@ from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
 from convexloc.core import line_halfplanes
 
 from oracles import (all_pairs_validate_polygon, classify_min_reference,
-                     loop_validate_polyhedron, prism_mesh, regular_polygon)
+                     line_halfplanes_reference, loop_validate_polyhedron, prism_mesh,
+                     regular_polygon)
 
 SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 
@@ -324,6 +325,20 @@ def test_polygon_halfplane_rows_match_edges():
     v = poly.vertices
     expect = line_halfplanes(v, np.roll(v, -1, axis=0), poly.tol.eps_len)
     np.testing.assert_allclose(poly.halfplanes, expect, atol=1e-15)
+
+
+def test_line_halfplanes_are_column_major():
+    """line_halfplanes returns its table column-major, the layout the bucket
+    kernel reads, with the values of its former np.column_stack form: on
+    random lines, on a polygon's edges and with one start broadcast."""
+    rng = np.random.default_rng(11)
+    p = rng.normal(size=(500, 2)) * 10
+    q = p + rng.normal(size=(500, 2))
+    v = gen_convex_polygon(GenSpec2(64, 7)).vertices
+    for starts, ends in ((p, q), (v, np.roll(v, -1, axis=0)), (p[:1], q)):
+        h = line_halfplanes(starts, ends, 0.0)
+        assert h.flags.f_contiguous
+        assert np.array_equal(h, line_halfplanes_reference(starts, ends))
 
 
 def test_tolerances_scale_with_diagonal():

@@ -2,6 +2,7 @@
 
 import gzip
 import os
+import re
 import threading
 
 import numpy as np
@@ -402,6 +403,23 @@ def test_cli_bench_counts_a_wrong_method(monkeypatch, capsys):
     mismatches = {row[0]: int(row[7]) for row in rows}
     assert mismatches["linear"] == 0
     assert mismatches["polar"] > 0
+
+
+def test_cli_verify_prints_a_wrong_method(monkeypatch, capsys):
+    """verify reports a method that disagrees with the others, prints up to
+    four examples, and exits 1."""
+    build_polar, _ = bench.METHODS[(2, "polar")]
+    monkeypatch.setitem(bench.METHODS, (2, "polar"), (
+        build_polar, lambda idx, pts: np.full(len(pts), Containment.INSIDE, dtype=np.int8)))
+    assert main(["verify", "--dim", "2", "--sizes", "8", "--shape-seeds", "1",
+                 "--points", "200"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "MISMATCHES" in lines[0]
+    examples = lines[1:-1]
+    assert 1 <= len(examples) <= 4
+    for line in examples:
+        assert re.fullmatch(r"  point \(.+\) distance \S+ codes \{.*'polar': 1\}", line), line
+    assert lines[-1].startswith("verified 1 shapes, ") and not lines[-1].endswith(" 0 mismatches")
 
 
 @pytest.mark.parametrize("argv, dim, shapes", [

@@ -214,11 +214,14 @@ def test_vertex_mean_on_the_boundary_is_rejected():
 
 def test_exit_edge_always_listed():
     """Superset property: for a dense direction sweep, the edge the ray
-    actually exits through must be among the slab's candidates."""
-    for spec in (GenSpec2(16, 1), GenSpec2(64, 2, semi_axes=(1.5, 1.0)),
-                 GenSpec2(257, 3, rotation=0.8)):
-        poly = gen_convex_polygon(spec)
+    actually exits through must be among the slab's candidates.  The slab
+    map's box is the polygon's bounding box, so the square's vertices are
+    its corners and the diamond's lie on its sides."""
+    for poly in (SQUARE, DIAMOND, *map(gen_convex_polygon, (
+            GenSpec2(16, 1), GenSpec2(64, 2, semi_axes=(1.5, 1.0)),
+            GenSpec2(257, 3, rotation=0.8)))):
         idx = build_polar_index(poly)
+        assert idx.box is poly.aabb
         x_t = idx.x_t
         th = np.arange(4096) * (2 * np.pi / 4096)
         dirs = np.column_stack([np.cos(th), np.sin(th)])
