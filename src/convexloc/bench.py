@@ -2,13 +2,16 @@
 
 Timing methodology (single-threaded, perf_counter_ns):
 
-- build_ns is the median build wall time over the requested repetitions;
+- build_ns is the fastest build wall time over the requested repetitions;
 - queries run through the batch code paths in chunks of 1024 points after
-  one untimed warmup pass; mean_query_ns is the median over repetitions of
-  total elapsed time divided by the point count; p99_query_ns is the 99th
+  one untimed warmup pass; mean_query_ns is the fastest repetition's total
+  elapsed time divided by the point count; p99_query_ns is the 99th
   percentile of per-chunk mean query times, which bounds tail behaviour at
   chunk granularity rather than per-call (per-call timers would measure
   mostly timer overhead at these speeds);
+- the fastest repetition, not the median, because a host that changes
+  speed between repetitions only ever slows one down: the fastest is the
+  one least disturbed;
 - mismatches is counted against one untimed linear scan per shape, whose
   codes every method of the shape shares; only disagreements farther than
   2 * eps_q from the boundary count.
@@ -93,7 +96,8 @@ def make_locator(shape, method: str):
 
 
 def time_queries(query_fn, points, reps: int):
-    """(mean_query_ns, p99_query_ns) over reps repetitions; one warmup."""
+    """(mean_query_ns, p99_query_ns) over reps repetitions, the mean from
+    the fastest one; one warmup."""
     pts = np.asarray(points, dtype=float)
     m = len(pts)
     if m == 0:
@@ -111,7 +115,7 @@ def time_queries(query_fn, points, reps: int):
             total += dt
             chunk_means.append(dt / (e - s))
         means.append(total / m)
-    return float(np.median(means)), float(np.percentile(chunk_means, 99))
+    return min(means), float(np.percentile(chunk_means, 99))
 
 
 def bench_one(shape, method: str, points, reference, reps: int = 3) -> BenchRecord:
@@ -129,7 +133,7 @@ def bench_one(shape, method: str, points, reference, reps: int = 3) -> BenchReco
     report = compare_methods(shape, points,
                              {"reference": lambda _: reference, method: query_fn})
     return BenchRecord(method=method, N=len(shape.planes), M=len(points),
-                       build_ns=int(np.median(build_times)),
+                       build_ns=min(build_times),
                        mean_query_ns=int(round(mean_ns)),
                        p99_query_ns=int(round(p99_ns)),
                        max_occupancy=occ, mismatches=report.n_mismatches)

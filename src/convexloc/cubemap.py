@@ -211,10 +211,6 @@ class CubeMapIndex3(RadialIndex):
     def padded_faces(self) -> np.ndarray:
         return self.padded_edges
 
-    def cell_faces(self, face: int, i: int, j: int) -> np.ndarray:
-        """Faces listed in cell (face, i, j)."""
-        return self.bucket(flat_cell(face, i, j, self.resolution))
-
     def bucket_of(self, points) -> np.ndarray:
         """Flat cell ids of the directions x_t -> points[k] for an (n, 3)
         array (batch cubemap_cell); callers must mask zero directions."""

@@ -193,7 +193,6 @@ class MismatchReport:
     """
 
     n_points: int
-    methods: tuple
     n_disagreements: int
     n_mismatches: int
     band: float
@@ -226,7 +225,6 @@ def compare_methods(shape, points, methods: dict[str, Callable]) -> MismatchRepo
         (int(i), tuple(float(c) for c in pts[i]), float(oracle[i]),
          {name: int(codes[name][i]) for name in names})
         for i in idx[:MAX_EXAMPLES])
-    return MismatchReport(n_points=len(pts), methods=names,
-                          n_disagreements=n_disagreements,
+    return MismatchReport(n_points=len(pts), n_disagreements=n_disagreements,
                           n_mismatches=int(counted.sum()),
                           band=band, examples=examples)

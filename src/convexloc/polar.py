@@ -115,11 +115,11 @@ class PolarIndex2(RadialIndex):
 
     Slab i covers boundary-parameter interval [i*U/n, (i+1)*U/n) and is
     bucket i of the table: it lists the candidate edges.  All arrays are
-    immutable.  box_floats is box as (x_min, y_min, x_max, y_max), made
-    once for bucket_of_floats.
+    immutable.  The slabs divide the perimeter of box, the shape's bounding
+    box; box_floats is box as (x_min, y_min, x_max, y_max), made once for
+    bucket_of_floats.
     """
 
-    box: Aabb
     perimeter: float
     n_slabs: int
     box_floats: tuple = field(init=False)
@@ -127,6 +127,10 @@ class PolarIndex2(RadialIndex):
     def __post_init__(self):
         super().__post_init__()
         object.__setattr__(self, "box_floats", (*self.box.lo.tolist(), *self.box.hi.tolist()))
+
+    @property
+    def box(self) -> Aabb:
+        return self.poly.aabb
 
     def slab_of(self, u) -> np.ndarray:
         """Slab of each boundary parameter u in [0, perimeter)."""
@@ -180,8 +184,7 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarI
     # Edge e runs from the slab of vertex e to the slab of vertex e + 1.
     s = _slab_of(u, n_slabs, perimeter)
     return PolarIndex2.from_runs(s, (np.roll(s, -1) - s) % n_slabs + 1, n_slabs,
-                                 poly=poly, x_t=x_t, box=box, perimeter=perimeter,
-                                 n_slabs=n_slabs)
+                                 poly=poly, x_t=x_t, perimeter=perimeter, n_slabs=n_slabs)
 
 
 locate_polar = locate_radial

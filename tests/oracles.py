@@ -431,9 +431,14 @@ def point_types(pts):
 def frame_matrix(idx):
     """A radial index's frame matrix L, lower triangular, rebuilt from
     L_floats, its lower triangle column by column."""
-    dim = len(idx.x_t)
+    return lower_matrix(idx.L_floats, len(idx.x_t))
+
+
+def lower_matrix(columns, dim):
+    """The lower triangular dim x dim matrix whose lower triangle, column by
+    column, is columns: the layout of L_floats."""
     L = np.zeros((dim, dim))
-    L.T[np.triu_indices(dim)] = idx.L_floats
+    L.T[np.triu_indices(dim)] = columns
     return L
 
 

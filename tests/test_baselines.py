@@ -257,7 +257,7 @@ def test_points_beyond_a_thin_slab_are_outside(vertices, points, build, locate):
 @pytest.mark.xfail(strict=True, reason=(
     "defect: a sorted y-slab lists one edge per chain, and in a slab thinner than "
     "eps_q the near-horizontal edge's line is evaluated beyond that edge's end, so "
-    "points 0.358 outside are OnBoundary (ROADMAP item 2)"))
+    "points 0.358 outside are OnBoundary (ROADMAP item 3)"))
 @pytest.mark.parametrize("vertices, points", THIN_SLAB_CASES)
 def test_points_beyond_a_thin_sorted_slab_are_outside(vertices, points):
     codes = _thin_slab_codes(vertices, points, build_sorted_slabs, locate_sorted_slabs_batch)

@@ -26,10 +26,11 @@ from convexloc import (CapExceeded, Containment, CubeMapIndex3, EvalCounter, Gen
 from convexloc import buckets
 from convexloc.buckets import (BucketTable, bucketed_min, clamp_budget, locate_radial,
                                locate_radial_batch)
+from convexloc.core import query_point
 
 from oracles import (annulus_point, boundary_param_batch_reference, bucketed_min_reference,
                      csr_pack, frame_matrix, frame_points, frame_shapes, least_plane,
-                     locate_radial_batch_reference, nonfinite_rows, point_types,
+                     locate_radial_batch_reference, lower_matrix, nonfinite_rows, point_types,
                      policy_edge_points, radius2_reference, reaches_planes, regular_polygon,
                      runs_pairs, sliver_shapes)
 
@@ -209,12 +210,10 @@ QUERY_FRONT = [
     (build_uniform_slabs, POLYGONS["square"],
      (locate_uniform_slabs, locate_uniform_slabs_batch)),
     (build_polar_index, POLYGONS["square"],
-     (locate_polar, locate_polar_batch, boundary_param_of, PolarIndex2.bucket_of_point,
-      PolarIndex2.bucket_of)),
+     (locate_polar, locate_polar_batch, boundary_param_of, PolarIndex2.bucket_of)),
     (linear_scan, ICOSAHEDRON, (locate_linear_3d, locate_linear_3d_batch)),
     (build_cubemap_index, ICOSAHEDRON,
-     (locate_cubemap, locate_cubemap_batch, cubemap_cell_of, CubeMapIndex3.bucket_of_point,
-      CubeMapIndex3.bucket_of)),
+     (locate_cubemap, locate_cubemap_batch, cubemap_cell_of, CubeMapIndex3.bucket_of)),
 ]
 
 
@@ -250,7 +249,7 @@ def test_query_of_another_dimension_is_rejected(build, shape, locate, points, go
     for locate in front if not locate.__name__.endswith(("_batch", "bucket_of"))
     for n in (0, 1, 4)])
 def test_scalar_query_of_rows_is_rejected(build, shape, locate, rows):
-    """Every scalar locator, bucket_of_point and direction helper takes
+    """Every scalar locator and direction helper takes
     exactly one point: rows of the index's dimension, none, one or many,
     raise the ValueError of core.query_point, which names the dimension and
     the shape given; not a code for row 0, an IndexError or a TypeError."""
@@ -526,6 +525,49 @@ def test_slivers_keep_the_identity_frame(name):
                                              _radius_points(idx, 50, 14)]))
 
 
+def _assert_frame_factors_covariance(shape, x_t):
+    """covariance_frame of the vertices less x_t: U upper triangular with a
+    positive diagonal and U U^T = C to 1e-14 of C's largest entry (a few
+    roundings of its products), and L, rebuilt from the floats, with
+    L^T C L = I to 1e-12 in every entry (the 100:1 shapes, C's condition
+    number 1e4, reach 9e-14)."""
+    v = shape.vertices - x_t
+    c = v.T @ v / len(v)
+    lower, u = buckets.covariance_frame(v)
+    L = lower_matrix(lower, shape.dim)
+    assert {type(x) for x in lower} == {float}
+    assert np.array_equal(u, np.triu(u)) and (np.diag(u) > 0.0).all()
+    assert np.abs(u @ u.T - c).max() <= 1e-14 * np.abs(c).max()
+    assert np.abs(L.T @ c @ L - np.eye(shape.dim)).max() <= 1e-12
+
+
+def test_frame_factors_the_covariance_of_the_corpora(corpus2d, corpus3d):
+    for poly, _, idx in corpus2d[0] + corpus3d[0]:
+        _assert_frame_factors_covariance(poly, idx.x_t)
+
+
+@pytest.mark.parametrize("name", FRAME_SHAPES)
+def test_frame_factors_the_covariance_of_the_frame_shapes(name):
+    shape = frame_shapes()[name]
+    _assert_frame_factors_covariance(shape, buckets.reference_point(shape))
+
+
+@pytest.mark.parametrize("vertices", [
+    pytest.param([(0, 3), (1, 3), (5, 3)], id="2D-horizontal"),
+    pytest.param([(2, 0), (2, 1), (2, 5)], id="2D-vertical"),
+    pytest.param([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 2)], id="3D-x"),
+    pytest.param([(0, 1, 0), (1, 1, 0), (0, 1, 1), (2, 1, 2)], id="3D-y"),
+    pytest.param([(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 2, 1)], id="3D-z")])
+def test_frame_of_flat_vertices_is_nan(vertices):
+    """Collinear 2D and coplanar 3D vertices on an axis-parallel line or
+    plane, whose covariance has an exactly zero row, give NaNs for L and U.
+    (On a slanted line the covariance can round to positive definite.)"""
+    v = np.asarray(vertices, dtype=float)
+    lower, u = buckets.covariance_frame(v - v.mean(axis=0))
+    assert len(lower) == len(v[0]) * (len(v[0]) + 1) // 2
+    assert np.isnan(lower).all() and np.isnan(u).all()
+
+
 @pytest.mark.parametrize("name", FRAME_SHAPES)
 def test_batch_evaluates_only_the_annulus_points(name, monkeypatch):
     """locate_radial_batch hands the kernel exactly the in-box points of
@@ -654,7 +696,7 @@ RADIAL_CASES = [
 def test_radial_scalar_equals_batch(build, poly, spec):
     """Same codes on both paths, also at the edges of the shared policy, and
     the scalar path evaluates exactly the bucket the batch path picks, which
-    bucket_of_point finds as bucket_of does; for tuples and for float64,
+    the float map finds as bucket_of does; for tuples and for float64,
     float32 and int rows alike.  Non-finite points cost no evaluation.  One
     point on the ray to each vertex lies in the annulus of the index's frame
     (oracles.annulus_point), and the size of the shapes (semi-axes 300 and
@@ -676,7 +718,8 @@ def test_radial_scalar_equals_batch(build, poly, spec):
         evals = np.array([c.evals for c in counters])
         np.testing.assert_array_equal(evals, want, err_msg=name)
         assert 0 < reached.sum() < len(q)
-        assert ([idx.bucket_of_point(p) for p, hit in zip(rows, reached) if hit]
+        assert ([idx.bucket_of_floats(query_point(p, poly.dim))
+                 for p, hit in zip(rows, reached) if hit]
                 == idx.bucket_of(q[reached]).tolist()), name
         bad = ~np.isfinite(q).all(axis=1)
         assert (batch[bad] == Containment.OUTSIDE).all() and not evals[bad].any()

@@ -10,7 +10,7 @@ from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpe
                        locate_cubemap, locate_cubemap_batch,
                        locate_linear_3d_batch, project_face_conservative,
                        validate_polyhedron)
-from convexloc.cubemap import default_cubemap_resolution
+from convexloc.cubemap import default_cubemap_resolution, flat_cell
 
 from oracles import brute_exit_edges, loop_build_cubemap_index, prism_mesh
 
@@ -73,7 +73,7 @@ def test_cube_cells_list_exactly_one_face():
         axis, sign = f // 2, (1.0 if f % 2 == 0 else -1.0)
         for i in range(4):
             for j in range(4):
-                (k,) = idx.cell_faces(f, i, j)
+                (k,) = idx.bucket(flat_cell(f, i, j, idx.resolution))
                 assert normals[k][axis] * sign == pytest.approx(-1.0)
 
 
@@ -173,7 +173,7 @@ def test_first_hit_face_always_listed():
         res = idx.resolution
         for k in range(len(dirs)):
             f, i, j = cubemap_cell(idx.x_t, res, idx.x_t + dirs[k])
-            assert hit[k] in idx.cell_faces(f, i, j)
+            assert hit[k] in idx.bucket(flat_cell(f, i, j, res))
 
 
 def test_locate_cube_cases():
