@@ -442,6 +442,31 @@ def lower_matrix(columns, dim):
     return L
 
 
+def covariance_frame_reference(v):
+    """buckets.covariance_frame written out in Python floats: the reversed
+    Cholesky factor U of C = v^T v / len(v) row by row from the last, then
+    U^-1 by back substitution; (L_floats, U as a list of rows), or NaNs
+    when a pivot is not positive."""
+    c = (v.T @ v / len(v)).tolist()
+    n = len(c)
+    u = [[0.0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i, -1, -1):
+            s = c[j][i] - sum(u[j][k] * u[i][k] for k in range(i + 1, n))
+            if j < i:
+                u[j][i] = s / u[i][i]
+            elif s > 0.0:
+                u[i][i] = math.sqrt(s)
+            else:
+                return (math.nan,) * (n * (n + 1) // 2), [[math.nan] * n] * n
+    x = [[0.0] * n for _ in range(n)]
+    for i in reversed(range(n)):
+        x[i][i] = 1.0 / u[i][i]
+        for j in range(i + 1, n):
+            x[i][j] = -sum(u[i][k] * x[k][j] for k in range(i + 1, j + 1)) / u[i][i]
+    return tuple(x[k][j] for k in range(n) for j in range(k, n)), u
+
+
 def frame_radius2(idx, points):
     """r^2 = |L^T (q - x_t)|^2 in a radial index's frame, as one matrix
     product and a row sum."""

@@ -29,7 +29,8 @@ from convexloc.buckets import (BucketTable, bucketed_min, clamp_budget, locate_r
 from convexloc.core import query_point
 
 from oracles import (annulus_point, boundary_param_batch_reference, bucketed_min_reference,
-                     csr_pack, frame_matrix, frame_points, frame_shapes, least_plane,
+                     csr_pack, covariance_frame_reference, frame_matrix,
+                     frame_points, frame_shapes, least_plane,
                      locate_radial_batch_reference, lower_matrix, nonfinite_rows, point_types,
                      policy_edge_points, radius2_reference, reaches_planes, regular_polygon,
                      runs_pairs, sliver_shapes)
@@ -552,12 +553,15 @@ def test_frame_factors_the_covariance_of_the_frame_shapes(name):
     _assert_frame_factors_covariance(shape, buckets.reference_point(shape))
 
 
-@pytest.mark.parametrize("vertices", [
+FLAT_VERTICES = [
     pytest.param([(0, 3), (1, 3), (5, 3)], id="2D-horizontal"),
     pytest.param([(2, 0), (2, 1), (2, 5)], id="2D-vertical"),
     pytest.param([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 2, 2)], id="3D-x"),
     pytest.param([(0, 1, 0), (1, 1, 0), (0, 1, 1), (2, 1, 2)], id="3D-y"),
-    pytest.param([(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 2, 1)], id="3D-z")])
+    pytest.param([(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 2, 1)], id="3D-z")]
+
+
+@pytest.mark.parametrize("vertices", FLAT_VERTICES)
 def test_frame_of_flat_vertices_is_nan(vertices):
     """Collinear 2D and coplanar 3D vertices on an axis-parallel line or
     plane, whose covariance has an exactly zero row, give NaNs for L and U.
@@ -566,6 +570,31 @@ def test_frame_of_flat_vertices_is_nan(vertices):
     lower, u = buckets.covariance_frame(v - v.mean(axis=0))
     assert len(lower) == len(v[0]) * (len(v[0]) + 1) // 2
     assert np.isnan(lower).all() and np.isnan(u).all()
+
+
+def _assert_frame_matches_floats(v):
+    """covariance_frame(v) gives L_floats and U within 1e-13 of the largest
+    entry of the same factorization written out in Python floats
+    (oracles.covariance_frame_reference), and NaNs where it does."""
+    lower, u = buckets.covariance_frame(v)
+    want_lower, want_u = covariance_frame_reference(v)
+    for got, want in ((np.array(lower), np.array(want_lower)), (u, np.array(want_u))):
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        if not np.isnan(want).any():
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", FRAME_SHAPES + list(sliver_shapes()))
+def test_frame_matches_the_factorization_in_floats(name):
+    shape = (frame_shapes() | sliver_shapes())[name]
+    _assert_frame_matches_floats(shape.vertices - buckets.reference_point(shape))
+
+
+@pytest.mark.parametrize("vertices", FLAT_VERTICES)
+def test_frame_of_flat_vertices_matches_the_factorization_in_floats(vertices):
+    v = np.asarray(vertices, dtype=float)
+    _assert_frame_matches_floats(v - v.mean(axis=0))
 
 
 @pytest.mark.parametrize("name", FRAME_SHAPES)

@@ -1,6 +1,7 @@
 """Angular slab index: boundary parameterization, build, queries."""
 
 import collections
+import dataclasses
 import warnings
 
 import numpy as np
@@ -258,6 +259,16 @@ def test_polar_matches_linear():
         pts = gen_query_points(poly.aabb, QuerySpec(800, seed + 60))
         np.testing.assert_array_equal(locate_polar_batch(idx, pts),
                                       locate_linear_2d_batch(poly, pts))
+
+
+def test_box_is_the_shape_bounding_box(corpus2d):
+    """The slabs divide the perimeter of the shape's own bounding box: box
+    reads poly.aabb, not a field of the index, and box_floats is that box as
+    (x_min, y_min, x_max, y_max)."""
+    assert "box" not in {f.name for f in dataclasses.fields(polar.PolarIndex2)}
+    for poly, _, idx in corpus2d[0]:
+        assert idx.box is poly.aabb
+        assert idx.box_floats == (*poly.aabb.lo.tolist(), *poly.aabb.hi.tolist())
 
 
 def test_polar_index_immutable():
