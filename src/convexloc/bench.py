@@ -15,34 +15,33 @@ Timing methodology (single-threaded, perf_counter_ns):
 - mismatches is counted against one untimed linear scan per shape, whose
   codes every method of the shape shares; only disagreements farther than
   2 * eps_q from the boundary count.
+
+METHODS names each method's builder and batch locator by module and
+attribute, and make_locator imports that module when it is called.  So
+importing this module imports no index module, and a `convexloc locate`
+loads only the one index module that its method uses.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import time
 
 import numpy as np
 
-from .baselines import (build_sorted_slabs, build_uniform_slabs,
-                        build_wedge_index, locate_linear_2d_batch,
-                        locate_linear_3d_batch, locate_sorted_slabs_batch,
-                        locate_uniform_slabs_batch, locate_wedge_batch)
-from .cubemap import build_cubemap_index, locate_cubemap_batch
-from .generators import compare_methods
-from .polar import build_polar_index, locate_polar_batch
-
-# (dimension, method name) -> (build(shape) -> index, locate_batch(index,
-# points) -> int8 codes); a linear scan's index is the shape.  Every bucket
-# budget is derived from the shape.
+# (dimension, method name) -> (module, builder, batch locator), the last two
+# attribute names in the module: build(shape) -> index and
+# locate_batch(index, points) -> int8 codes.  A linear scan has no builder;
+# its index is the shape.  Every bucket budget is derived from the shape.
 METHODS = {
-    (2, "linear"): (lambda s: s, locate_linear_2d_batch),
-    (2, "wedge"): (build_wedge_index, locate_wedge_batch),
-    (2, "slabs-sorted"): (build_sorted_slabs, locate_sorted_slabs_batch),
-    (2, "slabs-uniform"): (build_uniform_slabs, locate_uniform_slabs_batch),
-    (2, "polar"): (build_polar_index, locate_polar_batch),
-    (3, "linear"): (lambda s: s, locate_linear_3d_batch),
-    (3, "cubemap"): (build_cubemap_index, locate_cubemap_batch),
+    (2, "linear"): ("baselines", None, "locate_linear_2d_batch"),
+    (2, "wedge"): ("baselines", "build_wedge_index", "locate_wedge_batch"),
+    (2, "slabs-sorted"): ("baselines", "build_sorted_slabs", "locate_sorted_slabs_batch"),
+    (2, "slabs-uniform"): ("baselines", "build_uniform_slabs", "locate_uniform_slabs_batch"),
+    (2, "polar"): ("polar", "build_polar_index", "locate_polar_batch"),
+    (3, "linear"): ("baselines", None, "locate_linear_3d_batch"),
+    (3, "cubemap"): ("cubemap", "build_cubemap_index", "locate_cubemap_batch"),
 }
 METHODS_2D = tuple(name for dim, name in METHODS if dim == 2)
 METHODS_3D = tuple(name for dim, name in METHODS if dim == 3)
@@ -87,7 +86,10 @@ def make_locator(shape, method: str):
     if (dim, method) not in METHODS:
         names = METHODS_2D if dim == 2 else METHODS_3D
         raise ValueError(f"unknown {dim}D method {method!r}; pick from {names}")
-    build_index, locate_batch = METHODS[(dim, method)]
+    module_name, build_name, locate_name = METHODS[(dim, method)]
+    module = importlib.import_module(f".{module_name}", __package__)
+    build_index = getattr(module, build_name) if build_name else (lambda s: s)
+    locate_batch = getattr(module, locate_name)
 
     def build():
         idx = build_index(shape)
@@ -121,6 +123,8 @@ def time_queries(query_fn, points, reps: int):
 def bench_one(shape, method: str, points, reference, reps: int = 3) -> BenchRecord:
     """Time one method on a shape; count its mismatches against reference,
     the codes of an untimed linear scan of the same points."""
+    from .generators import compare_methods
+
     if reps < 1:
         raise ValueError(f"bench needs at least one repetition, got {reps}")
     builder = make_locator(shape, method)

@@ -9,6 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification found mismatches, 2 usage, parse or
 validation errors.
+
+Only the modules that every subcommand needs are imported with this one;
+gen, verify and bench import the generators themselves, and make_locator
+imports the one index module of its method.  So a `locate` loads neither
+the generators nor the index modules that it does not run.
 """
 
 from __future__ import annotations
@@ -16,12 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .bench import METHODS_2D, METHODS_3D, bench_one, make_locator, records_to_csv
 from .core import Containment, ValidationError
-from .generators import (CORPUS_AXES, GenSpec2, GenSpec3, QuerySpec, compare_methods,
-                         gen_convex_polygon, gen_convex_polyhedron, gen_query_points)
 from .io import (ParseError, load_shape, parse_points_file, write_obj_file,
                  write_polygon_file)
 
@@ -107,6 +108,10 @@ def _emit(text: str, out) -> None:
 
 
 def cmd_gen(args) -> int:
+    import numpy as np
+
+    from .generators import GenSpec2, GenSpec3, gen_convex_polygon, gen_convex_polyhedron
+
     if args.polygon:
         poly = gen_convex_polygon(GenSpec2(n=args.n, seed=args.seed,
                                            semi_axes=tuple(args.axes),
@@ -131,6 +136,9 @@ def cmd_locate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .generators import (CORPUS_AXES, GenSpec2, GenSpec3, QuerySpec, compare_methods,
+                             gen_convex_polygon, gen_convex_polyhedron, gen_query_points)
+
     if args.points < 1:
         raise ValueError("verify needs at least one query point per shape")
     jobs = []   # (shape, label, methods)
@@ -166,6 +174,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .generators import (GenSpec2, GenSpec3, QuerySpec, gen_convex_polygon,
+                             gen_convex_polyhedron, gen_query_points)
+
+    if not (args.sizes if args.dim == "2" else args.levels):
+        raise ValueError("bench would time no shape")
     if args.dim == "2":
         # jitter 0 keeps vertices well separated so derived slab budgets
         # stay proportional to N even at large sizes

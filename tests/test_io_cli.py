@@ -14,7 +14,7 @@ from convexloc import (Containment, GenSpec2, GenSpec3, ParseError, gen_convex_p
                        gen_convex_polyhedron, load_shape, parse_obj_file,
                        parse_points_file, parse_polygon_file, validate_polygon,
                        write_obj_file, write_points_file, write_polygon_file)
-from convexloc import bench
+from convexloc import baselines, polar
 from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, BenchRecord, make_locator
 from convexloc.cli import main
 
@@ -321,6 +321,16 @@ def test_make_locator_rejects_an_unknown_shape_type():
         make_locator(np.zeros((3, 2)), "linear")
 
 
+@pytest.mark.parametrize("argv", [["--dim", "2", "--sizes", ""],
+                                  ["--dim", "3", "--levels", ""]])
+def test_cli_bench_of_no_shape_exits_2(argv, capsys):
+    """bench with no size or level writes no CSV and exits 2, as verify does."""
+    assert main(["bench", *argv, "--points", "10", "--reps", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "convexloc: error: bench would time no shape\n"
+
+
 def test_cli_missing_file_error_text(tmp_path, capsys):
     missing = tmp_path / "shape.txt"
     (tmp_path / "shape.txt.gz").write_bytes(gzip.compress(b"0 0\n1 0\n0 1\n"))
@@ -394,9 +404,8 @@ def test_cli_bench_reports_occupancy_of_every_bucketed_method(argv, capsys):
 
 
 def test_cli_bench_counts_a_wrong_method(monkeypatch, capsys):
-    build_polar, _ = bench.METHODS[(2, "polar")]
-    monkeypatch.setitem(bench.METHODS, (2, "polar"), (
-        build_polar, lambda idx, pts: np.full(len(pts), Containment.INSIDE, dtype=np.int8)))
+    monkeypatch.setattr(polar, "locate_polar_batch",
+                        lambda idx, pts: np.full(len(pts), Containment.INSIDE, dtype=np.int8))
     assert main(["bench", "--dim", "2", "--methods", "linear,polar", "--sizes", "16",
                  "--points", "500", "--reps", "1"]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
@@ -408,9 +417,8 @@ def test_cli_bench_counts_a_wrong_method(monkeypatch, capsys):
 def test_cli_verify_prints_a_wrong_method(monkeypatch, capsys):
     """verify reports a method that disagrees with the others, prints up to
     four examples, and exits 1."""
-    build_polar, _ = bench.METHODS[(2, "polar")]
-    monkeypatch.setitem(bench.METHODS, (2, "polar"), (
-        build_polar, lambda idx, pts: np.full(len(pts), Containment.INSIDE, dtype=np.int8)))
+    monkeypatch.setattr(polar, "locate_polar_batch",
+                        lambda idx, pts: np.full(len(pts), Containment.INSIDE, dtype=np.int8))
     assert main(["verify", "--dim", "2", "--sizes", "8", "--shape-seeds", "1",
                  "--points", "200"]) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -430,12 +438,13 @@ def test_cli_bench_scans_each_shape_once(argv, dim, shapes, monkeypatch, capsys)
     """Every method of a shape is checked against one linear scan."""
     n_points = 2000
     full_scans = []
-    build_linear, locate_linear = bench.METHODS[(dim, "linear")]
+    name = f"locate_linear_{dim}d_batch"
+    locate_linear = getattr(baselines, name)
 
     def counting(idx, pts):
         full_scans.append(len(pts) == n_points)
         return locate_linear(idx, pts)
-    monkeypatch.setitem(bench.METHODS, (dim, "linear"), (build_linear, counting))
+    monkeypatch.setattr(baselines, name, counting)
     assert main(["bench", *argv, "--points", str(n_points), "--reps", "1"]) == 0
     capsys.readouterr()
     assert sum(full_scans) == shapes

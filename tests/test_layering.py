@@ -147,3 +147,39 @@ def test_only_core_derives_the_dimension():
                                                            for k in node.keys}:
                 bad.append(f"{path.name}:{node.lineno} maps shape classes to values")
     assert not bad, bad
+
+
+def _module_level_imports(path):
+    """Every module that the file's top-level import statements name, as
+    '.x' for `from .x import` and `from . import x`, else the absolute name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level
+            if node.module:
+                yield prefix + node.module
+            else:
+                yield from (prefix + a.name for a in node.names)
+
+
+def test_cli_and_bench_import_no_unused_module_at_load():
+    """A `convexloc locate` runs one index module and no generator, so cli.py
+    and bench.py name the baselines, the cube map and the generators only
+    inside the functions that use them."""
+    lazy = {"baselines", "cubemap", "generators"}
+    bad = [f"{name} imports {mod} at module level"
+           for name in ("cli.py", "bench.py")
+           for mod in _module_level_imports(SRC / name)
+           if mod.lstrip(".").removeprefix("convexloc.") in lazy]
+    assert not bad, bad
+
+
+def test_package_imports_no_submodule_at_load():
+    """__init__.py names its exports in one table and imports none of them."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    bad = [f"__init__.py:{node.lineno} from .{node.module or ''} import"
+           for node in tree.body
+           if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module == "convexloc")]
+    assert not bad, bad
