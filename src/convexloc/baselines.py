@@ -236,19 +236,18 @@ def _y_slab_of(y, poly: ConvexPolygon, n_slabs: int) -> np.ndarray:
     return np.clip(i, 0, n_slabs - 1).astype(np.int64)
 
 
-def build_uniform_slabs(poly: ConvexPolygon, n_slabs: int | None = None) -> UniformSlabIndex2:
-    if n_slabs is None:
-        ys = np.sort(poly.vertices[:, 1])
-        gaps = np.diff(ys)
-        # Gaps at or below eps_len are coincident ordinates under the
-        # tolerance model (e.g. mirror-symmetric vertices), not real spacing.
-        gaps = gaps[gaps > poly.tol.eps_len]
-        span = float(poly.aabb.hi[1] - poly.aabb.lo[1])
-        want = poly.n if len(gaps) == 0 else int(math.ceil(span / float(gaps.min())))
-        n_slabs = max(poly.n, want)
-    n_slabs = clamp_budget("uniform slab count", n_slabs, SLAB_CAP)
-
+def build_uniform_slabs(poly: ConvexPolygon) -> UniformSlabIndex2:
+    """Build the uniform y-slab index in O(N + n_slabs).  n_slabs is at
+    least N, and no slab is taller than the smallest gap between vertex
+    ordinates, up to SLAB_CAP (clamp_budget warns when it clamps)."""
     y = poly.vertices[:, 1]
+    gaps = np.diff(np.sort(y))
+    # Gaps at or below eps_len are coincident ordinates under the
+    # tolerance model (e.g. mirror-symmetric vertices), not real spacing.
+    gaps = gaps[gaps > poly.tol.eps_len]
+    span = float(poly.aabb.hi[1] - poly.aabb.lo[1])
+    want = poly.n if len(gaps) == 0 else int(math.ceil(span / float(gaps.min())))
+    n_slabs = clamp_budget("uniform slab count", max(poly.n, want), SLAB_CAP)
     y0, y1 = np.sort([y, np.roll(y, -1)], axis=0)
     first = _y_slab_of(y0, poly, n_slabs)
     runs = _y_slab_of(y1, poly, n_slabs) - first + 1

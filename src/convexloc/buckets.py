@@ -38,15 +38,21 @@ from .core import (CapExceeded, Containment, ConvexPolygon, ConvexPolyhedron, Ev
                    query_points)
 
 
+def whole_budget(what: str, n) -> int:
+    """n as an int; raises ValueError naming what unless n is a whole
+    number >= 1 (so not infinite or NaN)."""
+    if not (1 <= n < math.inf and n % 1 == 0):
+        raise ValueError(f"{what} must be >= 1, finite and whole, got {n!r}")
+    return int(n)
+
+
 def clamp_budget(what: str, n, cap: int) -> int:
-    """n as an int, clamped to cap with a CapExceeded warning.
+    """whole_budget(what, n), clamped to cap with a CapExceeded warning.
 
     Every bucket budget, derived or requested, goes through here, so every
-    clamp is reported.  Raises ValueError when n < 1 or is not finite.
+    clamp is reported.
     """
-    if not 1 <= n < math.inf:
-        raise ValueError(f"{what} must be >= 1 and finite, got {n!r}")
-    n = int(n)
+    n = whole_budget(what, n)
     if n > cap:
         warnings.warn(f"{what} {n} clamped to {cap}", CapExceeded, stacklevel=3)
         return cap

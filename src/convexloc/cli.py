@@ -179,6 +179,10 @@ def cmd_bench(args) -> int:
 
     if not (args.sizes if args.dim == "2" else args.levels):
         raise ValueError("bench would time no shape")
+    methods = ((METHODS_2D if args.dim == "2" else METHODS_3D) if args.methods is None
+               else [m for m in args.methods.split(",") if m])
+    if not methods:
+        raise ValueError("bench would time no method")
     if args.dim == "2":
         # jitter 0 keeps vertices well separated so derived slab budgets
         # stay proportional to N even at large sizes
@@ -187,8 +191,6 @@ def cmd_bench(args) -> int:
     else:
         shapes = (gen_convex_polyhedron(GenSpec3(level=level, seed=args.seed))
                   for level in args.levels)
-    methods = (args.methods.split(",") if args.methods
-               else METHODS_2D if args.dim == "2" else METHODS_3D)
     records = []
     for shape in shapes:
         pts = gen_query_points(shape.aabb, QuerySpec(args.points, args.seed + 1))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buckets import (BucketTable, RadialIndex, clamp_budget, locate_radial,
-                      locate_radial_batch, reference_point, run_expand)
+                      locate_radial_batch, reference_point, run_expand, whole_budget)
 from .core import (Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, query_point, query_points,
                    ring_groups)
 
@@ -58,11 +58,11 @@ def cubemap_cell(x_t, resolution: int, p, eps_len: float = 0.0):
     face 0..5 means +X, -X, +Y, -Y, +Z, -Z; the dominant axis is the largest
     absolute component, ties resolved in X, Y, Z order.  i indexes the first
     remaining axis (ascending), j the second, each by floor((s+1)/2 * R)
-    clamped to [0, R-1], R >= 1 (else ValueError).  Raises ZeroDirection when
-    p is no farther than eps_len from x_t or a coordinate of either is not finite.
+    clamped to [0, R-1], R a whole number >= 1 (else ValueError).  Raises
+    ZeroDirection when p is no farther than eps_len from x_t or a coordinate
+    of either is not finite.
     """
-    if not resolution >= 1:
-        raise ValueError(f"cube-map resolution must be >= 1, got {resolution!r}")
+    resolution = whole_budget("cube-map resolution", resolution)
     return _direction_cell([float(b) for b in x_t], resolution, query_point(p, 3), eps_len)
 
 
@@ -178,8 +178,10 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
     clip keeps a margin eps_len > 0 in front of the apex, so projection
     never divides by zero; by default eps_len is that of the Tolerances of
     the box around the ring and x_t.  A batch of one of the index build.
-    Raises ValueError naming a non-finite ring vertex or x_t.
+    Raises ValueError naming a non-finite ring vertex or x_t, or a
+    resolution that is not a whole number >= 1.
     """
+    resolution = whole_budget("cube-map resolution", resolution)
     ring = np.asarray(face_vertices, dtype=float)
     x_t = np.asarray(x_t, dtype=float)
     bad = np.flatnonzero(~np.isfinite(ring).all(axis=1))
@@ -237,16 +239,14 @@ def default_cubemap_resolution(n_faces: int) -> int:
     return max(4, clamp_budget("cube-map resolution", want, RES_CAP))
 
 
-def build_cubemap_index(poly: ConvexPolyhedron, resolution: int | None = None) -> CubeMapIndex3:
-    """Build the cube-map index; O(F + cells) for bounded footprints.
+def build_cubemap_index(poly: ConvexPolyhedron) -> CubeMapIndex3:
+    """Build the cube-map index at default_cubemap_resolution(poly.n_faces);
+    O(F + cells) for bounded footprints.
 
     Raises ReferenceNotInterior when the vertex mean is not strictly inside.
     """
     x_t = reference_point(poly)
-    if resolution is None:
-        resolution = default_cubemap_resolution(poly.n_faces)
-    else:
-        resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
+    resolution = default_cubemap_resolution(poly.n_faces)
 
     # One batch per ring length; the table lists each cell's faces in ring
     # order, as a face-by-face build would.

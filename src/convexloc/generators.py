@@ -54,8 +54,10 @@ def gen_convex_polygon(spec: GenSpec2) -> ConvexPolygon:
     if len(spec.semi_axes) != 2:
         raise ValueError("polygon generator needs exactly two semi-axes")
     a, b = float(spec.semi_axes[0]), float(spec.semi_axes[1])
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("semi-axes must be positive")
+    if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+        raise ValueError(f"semi_axes must be positive and finite, got {spec.semi_axes!r}")
+    if not np.isfinite(spec.rotation):
+        raise ValueError(f"rotation must be finite, got {spec.rotation!r}")
     u = _rng(spec.seed).random(spec.n)
     theta = (np.arange(spec.n) + spec.jitter * (u - 0.5)) * (2.0 * np.pi / spec.n)
     pts = np.column_stack([a * np.cos(theta), b * np.sin(theta)])
@@ -153,6 +155,9 @@ def gen_convex_polyhedron(spec: GenSpec3) -> ConvexPolyhedron:
                            else (np.asarray(spec.matrix, dtype=float), np.zeros(3)))
     if spec.translation is not None:
         translation = np.asarray(spec.translation, dtype=float)
+    for name, value in (("matrix", matrix), ("translation", translation)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
     det = float(np.linalg.det(matrix))
     scale = float(np.linalg.norm(matrix)) / np.sqrt(3.0)
     if det <= 1e-12 * scale ** 3:

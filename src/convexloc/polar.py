@@ -87,7 +87,9 @@ def boundary_param_batch(box: Aabb, x_t, points) -> np.ndarray:
         # ray parallel to the axis (d = +0 or -0) gets +inf from one side.
         tx = np.maximum((hix - xt) / dx, (lox - xt) / dx)
         ty = np.maximum((hiy - yt) / dy, (loy - yt) / dy)
-        # maximum then minimum: np.clip's bits at half its cost per call.
+        # maximum then minimum: np.clip's bits.  On numpy 2.4 it beats
+        # np.clip only below about 512 points (1.4 against 2.5 us at 256);
+        # the two tie at 4096, and at 65536 it is about 8x slower.
         ey = np.minimum(np.maximum(yt + tx * dy, loy), hiy)
         ex = np.minimum(np.maximum(xt + ty * dx, lox), hix)
     u = _select(tx <= ty,

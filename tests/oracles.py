@@ -37,8 +37,7 @@ from convexloc import (Aabb, Containment, ConvexPolyhedron, CubeMapIndex3, Degen
                        Tolerances, TooFewVertices, ValidationError, centroid,
                        gen_convex_polygon, gen_convex_polyhedron, icosphere, plane_eval,
                        validate_polygon, validate_polyhedron)
-from convexloc.buckets import clamp_budget
-from convexloc.cubemap import RES_CAP, default_cubemap_resolution
+from convexloc.cubemap import default_cubemap_resolution
 
 
 def crossing_number_inside(vertices, points):
@@ -249,16 +248,14 @@ def loop_project_face(ring, x_t, resolution, eps_len):
     return cells
 
 
-def loop_build_cubemap_index(poly, resolution=None):
-    """Reference cube-map builder around the vertex mean: loop_project_face
-    on every face in turn, then the CSR packing of
-    convexloc.build_cubemap_index."""
+def loop_build_cubemap_index(poly):
+    """Reference cube-map builder around the vertex mean, at the default
+    resolution: loop_project_face on every face in turn, then the CSR
+    packing of convexloc.build_cubemap_index."""
     x_t = centroid(poly)
     if float(plane_eval(poly.halfspaces, x_t).min()) <= poly.tol.eps_q:
         raise ReferenceNotInterior("reference point must be strictly inside")
-    if resolution is None:
-        resolution = default_cubemap_resolution(poly.n_faces)
-    resolution = clamp_budget("cube-map resolution", resolution, RES_CAP)
+    resolution = default_cubemap_resolution(poly.n_faces)
     cell_ids, face_ids = [], []
     for k, ring in enumerate(poly.faces):
         for face, i, j in loop_project_face(poly.vertices[list(ring)], x_t, resolution,

@@ -269,11 +269,12 @@ def test_points_beyond_a_thin_sorted_slab_are_outside(vertices, points):
 # ---------------------------------------------------------------------------
 
 def test_uniform_slab_arithmetic():
-    idx = build_uniform_slabs(SQUARE, 10)
-    assert int(idx.slab_of(0.35)) == 3
+    idx = build_uniform_slabs(SQUARE)
+    assert idx.n_slabs == 4
+    assert int(idx.slab_of(0.35)) == 1
     assert int(idx.slab_of(0.0)) == 0
-    assert int(idx.slab_of(1.0)) == 9  # y == y_max clamps to the last slab
-    assert int(idx.slab_of(0.999999)) == 9
+    assert int(idx.slab_of(1.0)) == 3  # y == y_max clamps to the last slab
+    assert int(idx.slab_of(0.999999)) == 3
 
 
 def _side_counts(idx, poly):
@@ -285,18 +286,19 @@ def _side_counts(idx, poly):
 
 
 def test_uniform_triangle_side_counts():
-    idx = build_uniform_slabs(TRIANGLE, 4)
+    idx = build_uniform_slabs(TRIANGLE)
     left, right = _side_counts(idx, TRIANGLE)
-    assert list(left) == [1, 1, 1, 1]
-    assert list(right) == [1, 1, 1, 1]
-    assert list(idx.counts - left - right) == [1, 0, 0, 0]
+    assert list(left) == [1, 1, 1]
+    assert list(right) == [1, 1, 1]
+    assert list(idx.counts - left - right) == [1, 0, 0]
 
 
 def test_uniform_edges_cover_their_slab_ranges():
     """Brute-force check: edge e is listed in slab i iff its ordinate range
     maps onto i under the same floor arithmetic."""
     poly = random_polygon(29, 77)
-    idx = build_uniform_slabs(poly, 97)
+    idx = build_uniform_slabs(poly)
+    assert idx.n_slabs == 3771
     v = poly.vertices
     listed = {(int(i), int(e)) for i in range(idx.n_slabs)
               for e in idx.bucket(i)}
@@ -326,8 +328,6 @@ def test_uniform_cap_warning():
     with pytest.warns(CapExceeded):
         idx = build_uniform_slabs(poly)
     assert idx.n_slabs == 1 << 20
-    with pytest.warns(CapExceeded):
-        build_uniform_slabs(SQUARE, (1 << 20) + 1)
 
 
 def test_uniform_mirror_symmetry_keeps_default_sane():
@@ -349,7 +349,8 @@ def test_uniform_matches_linear():
 
 def test_uniform_scalar_equals_batch():
     poly = random_polygon(14, 2)
-    idx = build_uniform_slabs(poly, 50)
+    idx = build_uniform_slabs(poly)
+    assert idx.n_slabs == 121
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(200, 3)),
                      poly.vertices])
     np.testing.assert_array_equal(locate_uniform_slabs_batch(idx, pts),

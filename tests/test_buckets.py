@@ -22,7 +22,8 @@ from convexloc import (CapExceeded, Containment, CubeMapIndex3, EvalCounter, Gen
                        locate_polar, locate_polar_batch,
                        locate_sorted_slabs, locate_sorted_slabs_batch, locate_uniform_slabs,
                        locate_uniform_slabs_batch, locate_wedge, locate_wedge_batch,
-                       polar, validate_polygon, validate_polyhedron)
+                       polar, project_face_conservative, validate_polygon,
+                       validate_polyhedron)
 from convexloc import buckets
 from convexloc.buckets import (BucketTable, bucketed_min, clamp_budget, locate_radial,
                                locate_radial_batch)
@@ -72,6 +73,9 @@ def test_bucket_table_contract(build, shape):
         assert set(padded[b].tolist()) == set(idx.bucket(b).tolist())
 
 
+_RING = [(1.0, -0.5, -0.5), (1.0, 0.5, -0.5), (1.0, 0.5, 0.5), (1.0, -0.5, 0.5)]
+
+
 def test_clamp_budget_rejects_an_empty_budget():
     with pytest.raises(ValueError, match="polar slab count must be >= 1"):
         clamp_budget("polar slab count", 0, 8)
@@ -79,14 +83,22 @@ def test_clamp_budget_rejects_an_empty_budget():
 
 @pytest.mark.parametrize("fn, args, what", [
     pytest.param(cubemap_cell, ((0.0, 0.0, 0.0), r, (1.0, 0.2, 0.3)), "cube-map resolution",
-                 id=f"cubemap_cell-{r}") for r in (0, -2)
+                 id=f"cubemap_cell-{r}") for r in (0, -2, 2.5)
+] + [
+    pytest.param(project_face_conservative, (_RING, (0.0, 0.0, 0.0), r), "cube-map resolution",
+                 id=f"project_face_conservative-{r}") for r in (0, -3, 2.5)
 ] + [
     pytest.param(clamp_budget, ("polar slab count", n, 8), "polar slab count",
-                 id=f"clamp_budget-{n}") for n in (math.inf, -math.inf, math.nan, np.float64("nan"))
+                 id=f"clamp_budget-{n}")
+    for n in (math.inf, -math.inf, math.nan, np.float64("nan"), 7.9)
+] + [
+    pytest.param(build_polar_index, (validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 7.9),
+                 "polar slab count", id="build_polar_index-7.9")
 ])
 def test_budget_below_one_or_not_finite_is_rejected(fn, args, what):
-    """A budget must be a finite number >= 1: a cube-map cell of resolution
-    0 is not cell (face, -1, -1), and an infinite or NaN budget raises the
+    """A budget must be a whole number >= 1: a cube-map cell of resolution
+    0 is not cell (face, -1, -1), a resolution of 2.5 does not pick a cell
+    and 7.9 slabs are not 7, and an infinite or NaN budget raises the
     ValueError that names it, not an OverflowError or a conversion error."""
     with pytest.raises(ValueError, match=f"{what} must be >= 1"):
         fn(*args)

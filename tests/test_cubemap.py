@@ -63,7 +63,8 @@ def test_projection_drops_edge_on_slivers():
 
 
 def test_cube_cells_list_exactly_one_face():
-    idx = build_cubemap_index(CUBE, resolution=4)
+    idx = build_cubemap_index(CUBE)
+    assert idx.resolution == 4
     assert idx.max_occupancy == 1
     assert int(idx.counts.min()) == 1
     # cube-map face f must everywhere list the cube face whose outward
@@ -114,9 +115,7 @@ def test_build_matches_loop_reference(corpus3d):
     for poly, _, idx in entries:
         assert _csr(idx) == _csr(loop_build_cubemap_index(poly))
     for poly in (CUBE, PRISM):
-        for res in (None, 1, 4, 7):
-            assert (_csr(build_cubemap_index(poly, resolution=res))
-                    == _csr(loop_build_cubemap_index(poly, resolution=res)))
+        assert _csr(build_cubemap_index(poly)) == _csr(loop_build_cubemap_index(poly))
 
 
 def test_build_matches_loop_reference_with_wide_caps():
@@ -125,9 +124,7 @@ def test_build_matches_loop_reference_with_wide_caps():
     is still the reference's bit for bit."""
     poly = validate_polyhedron(*prism_mesh(2048))
     assert sorted({len(f) for f in poly.faces}) == [4, 2048]
-    for res in (None, 1):
-        assert (_csr(build_cubemap_index(poly, resolution=res))
-                == _csr(loop_build_cubemap_index(poly, resolution=res)))
+    assert _csr(build_cubemap_index(poly)) == _csr(loop_build_cubemap_index(poly))
 
 
 def test_projection_needs_positive_margin():
@@ -136,14 +133,12 @@ def test_projection_needs_positive_margin():
             project_face_conservative(TOP_RING, (0.5, 0.5, 0.5), 4, eps_len=eps_len)
 
 
-@pytest.mark.parametrize("resolution", [None, 1])
-def test_project_face_is_the_build_for_one_face(corpus3d, resolution):
+def test_project_face_is_the_build_for_one_face(corpus3d):
     """project_face_conservative lists exactly the cells in which the built
     index lists the face, for every face of three corpus3d shapes."""
     entries, _ = corpus3d
-    for poly, _, _ in (entries[25], entries[45], entries[65]):
-        idx = build_cubemap_index(poly, resolution=resolution)
-        r = idx.resolution
+    for _, _, idx in (entries[25], entries[45], entries[65]):
+        poly, r = idx.poly, idx.resolution
         listed = [set() for _ in range(poly.n_faces)]
         cells = np.repeat(np.arange(len(idx.counts)), idx.counts)
         for cell, k in zip(cells.tolist(), idx.faces_flat.tolist()):
@@ -177,7 +172,7 @@ def test_first_hit_face_always_listed():
 
 
 def test_locate_cube_cases():
-    idx = build_cubemap_index(CUBE, resolution=4)
+    idx = build_cubemap_index(CUBE)
     assert locate_cubemap(idx, (0.5, 0.5, 0.5)) == Containment.INSIDE
     assert locate_cubemap(idx, (0.5, 0.5, 1.0)) == Containment.ON_BOUNDARY
     assert locate_cubemap(idx, (0.5, 0.5, 1.5)) == Containment.OUTSIDE

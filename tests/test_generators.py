@@ -69,6 +69,23 @@ def test_polygon_rejects_bad_specs():
         gen_convex_polygon(GenSpec2(8, 0, semi_axes=(0.0, 1.0)))
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: gen_convex_polygon(GenSpec2(8, 0, rotation=np.inf)), "rotation"),
+    (lambda: gen_convex_polygon(GenSpec2(8, 0, rotation=np.nan)), "rotation"),
+    (lambda: gen_convex_polygon(GenSpec2(8, 0, semi_axes=(np.nan, 1.0))), "semi_axes"),
+    (lambda: gen_convex_polygon(GenSpec2(8, 0, semi_axes=(1.0, np.inf))), "semi_axes"),
+    (lambda: gen_convex_polyhedron(GenSpec3(0, 0, matrix=np.diag([np.inf, 1, 1]))), "matrix"),
+    (lambda: gen_convex_polyhedron(GenSpec3(0, 0, matrix=np.full((3, 3), np.nan))), "matrix"),
+    (lambda: gen_convex_polyhedron(GenSpec3(0, 0, translation=(np.nan, 0, 0))), "translation"),
+], ids=["rotation-inf", "rotation-nan", "axes-nan", "axes-inf", "matrix-inf", "matrix-nan",
+        "translation-nan"])
+def test_non_finite_spec_fields_are_named(make, field):
+    """A non-finite spec number raises the ValueError that names its field
+    before any numpy arithmetic warns or a validator rejects the shape."""
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        make()
+
+
 def test_icosphere_counts():
     for level in range(4):
         v, f = icosphere(level)

@@ -321,14 +321,31 @@ def test_make_locator_rejects_an_unknown_shape_type():
         make_locator(np.zeros((3, 2)), "linear")
 
 
-@pytest.mark.parametrize("argv", [["--dim", "2", "--sizes", ""],
-                                  ["--dim", "3", "--levels", ""]])
-def test_cli_bench_of_no_shape_exits_2(argv, capsys):
-    """bench with no size or level writes no CSV and exits 2, as verify does."""
+@pytest.mark.parametrize("argv, what", [(["--dim", "2", "--sizes", ""], "shape"),
+                                        (["--dim", "3", "--levels", ""], "shape"),
+                                        (["--dim", "2", "--sizes", "8", "--methods", ""], "method"),
+                                        (["--dim", "3", "--levels", "0", "--methods", ","],
+                                         "method")])
+def test_cli_bench_of_no_shape_exits_2(argv, what, capsys):
+    """bench with no size, level or method writes no CSV and exits 2, as
+    verify does."""
     assert main(["bench", *argv, "--points", "10", "--reps", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "convexloc: error: bench would time no shape\n"
+    assert captured.err == f"convexloc: error: bench would time no {what}\n"
+
+
+@pytest.mark.parametrize("argv, field", [(["--rotation", "inf"], "rotation"),
+                                         (["--axes", "nan,1"], "semi_axes")])
+def test_cli_gen_of_a_non_finite_spec_exits_2(argv, field, capsys, tmp_path):
+    """A non-finite generator number is one error line naming its field,
+    with no numpy warning before it."""
+    out = tmp_path / "p.txt"
+    assert main(["gen", "--polygon", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"convexloc: error: {field} must be")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_missing_file_error_text(tmp_path, capsys):

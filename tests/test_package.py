@@ -3,6 +3,7 @@ command line loads: `import convexloc.cli` and a `locate` import only what
 they run."""
 
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -52,6 +53,20 @@ LOCATE_2D = {"convexloc", "convexloc.cli", "convexloc.core", "convexloc.io",
 def test_the_exported_names_are_pinned():
     assert len(ALL_NAMES) == 72
     assert sorted(convexloc.__all__) == ALL_NAMES
+
+
+def test_every_builder_takes_only_the_shape():
+    """The shape sizes each index; only the polar builder also takes a slab
+    count, and no other size argument comes back unnoticed."""
+    empty = inspect.Parameter.empty
+    params = {name: [(p.name, p.default)
+                     for p in inspect.signature(getattr(convexloc, name)).parameters.values()]
+              for name in ALL_NAMES if name.startswith("build_")}
+    assert params == {"build_cubemap_index": [("poly", empty)],
+                      "build_polar_index": [("poly", empty), ("n_slabs", None)],
+                      "build_sorted_slabs": [("poly", empty)],
+                      "build_uniform_slabs": [("poly", empty)],
+                      "build_wedge_index": [("poly", empty)]}
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items()
