@@ -8,7 +8,8 @@ Subcommands:
 - bench: time builds and queries, emit CSV.
 
 Exit codes: 0 success, 1 verification found mismatches, 2 usage, parse or
-validation errors.
+validation errors.  Errors and warnings (such as CapExceeded) go to stderr
+as one `convexloc: error: ...` or `convexloc: warning: ...` line each.
 
 Only the modules that every subcommand needs are imported with this one;
 gen, verify and bench import the generators themselves, and make_locator
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .bench import METHODS_2D, METHODS_3D, bench_one, make_locator, records_to_csv
 from .core import Containment, ValidationError
@@ -202,23 +204,25 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """warnings.showwarning without the library path and source line."""
+    print(f"convexloc: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        if args.cmd == "gen":
-            return cmd_gen(args)
-        if args.cmd == "locate":
-            return cmd_locate(args)
-        if args.cmd == "verify":
-            return cmd_verify(args)
-        return cmd_bench(args)
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
-        print(f"convexloc: error: {exc}", file=sys.stderr)
-        return 2
+    commands = {"gen": cmd_gen, "locate": cmd_locate, "verify": cmd_verify, "bench": cmd_bench}
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return commands[args.cmd](args)
+        except (ParseError, ValidationError, ValueError, OSError) as exc:
+            print(f"convexloc: error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

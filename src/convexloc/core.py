@@ -21,6 +21,18 @@ Conventions used throughout the library:
 - Classification is three-valued.  A query is Inside when the minimal signed
   distance over the deciding half-planes exceeds +eps_q, OnBoundary within
   [-eps_q, +eps_q], Outside below.
+- The validators' slack is the same eps_q: a vertex may lie outside a
+  plane, or a face vertex off its own plane, by at most eps_q.  So every
+  vertex of a validated shape locates OnBoundary in every method.  A
+  slack wider than eps_q would accept vertices that locate Outside.
+- The radial locators (polar slabs and the cube map) call a point Outside
+  once it lies beyond the bounding box grown by eps_q, before any plane
+  is evaluated.  Near a sharp vertex a point can lie beyond that box and
+  still within eps_q of every plane there, where the linear scan says
+  OnBoundary; such points lie within about 1.1 eps_q of the boundary.
+  The box test stays for the scalar calls' slow tail: it rejects about
+  one in ten of the points that reach the annulus between the inner and
+  outer ellipses before their bucket is looked up (README, Notes).
 - A query with a non-finite coordinate (NaN, +inf or -inf) is Outside in
   every method, scalar and batch; no locator raises or warns for it.
 """
@@ -34,8 +46,7 @@ from typing import ClassVar
 import numpy as np
 
 LEN_EPS_FACTOR = 1e-12     # degenerate-length threshold, x diagonal
-PLANE_EPS_FACTOR = 1e-9    # planarity / convexity slack, x diagonal
-QUERY_EPS_FACTOR = 1e-9    # boundary classification band, x diagonal
+QUERY_EPS_FACTOR = 1e-9    # boundary band of queries and validation slack, x diagonal
 SLAB_CAP = 1 << 20         # hard upper bound for any subdivision resolution
 _CHUNK_CELLS = 1 << 23     # scratch matrix cells of a chunked scan (~64 MB)
 _COORD_MAX = 1e64          # validation squares Newell normals: coord**4 stays finite
@@ -121,13 +132,11 @@ class Tolerances:
     """Scale-derived epsilons of one shape (see module docstring)."""
 
     eps_len: float
-    eps_plane: float
     eps_q: float
 
     @classmethod
     def from_diag(cls, diag: float) -> "Tolerances":
-        return cls(LEN_EPS_FACTOR * diag, PLANE_EPS_FACTOR * diag,
-                   QUERY_EPS_FACTOR * diag)
+        return cls(LEN_EPS_FACTOR * diag, QUERY_EPS_FACTOR * diag)
 
 
 @dataclass(frozen=True)
@@ -255,17 +264,17 @@ def line_halfplanes(starts: np.ndarray, ends: np.ndarray, eps_len: float) -> np.
     return np.array([a, b, c]).T
 
 
-def _face_planes(rings: np.ndarray, interior: np.ndarray, eps_len: float,
-                 eps_plane: float, eps_q: float):
+def _face_planes(rings: np.ndarray, interior: np.ndarray, tol: Tolerances):
     """Unit-normal planes of F face rings of k vertices each, an (F, k, 3)
     array, oriented toward interior: (planes, flipped, fault, dev).
 
     fault[f] is 0 for a good face, else the first check face f fails: 1
-    collinear, 2 non-planar, 3 interior on the plane; dev[f] is its largest
-    distance from its plane.  The Newell normal sums the cross products of
-    the ring centred on its vertex mean left to right, and norm and offset
-    are stacked dot products, so every row has the bits the same
-    computation on one ring gives.
+    collinear, 2 non-planar (a vertex farther than eps_q from the plane), 3
+    interior within eps_q of the plane; dev[f] is its largest distance from
+    its plane.  The Newell normal sums the cross products of the ring
+    centred on its vertex mean left to right, and norm and offset are
+    stacked dot products, so every row has the bits the same computation
+    on one ring gives.
     """
     mean = rings.mean(axis=1)
     # Centred rings keep the cross products and deviations free of the
@@ -278,12 +287,12 @@ def _face_planes(rings: np.ndarray, interior: np.ndarray, eps_len: float,
         n += cross[:, j]
     norm = np.sqrt((n[:, None, :] @ n[:, :, None])[:, 0, 0])
     perimeter = np.linalg.norm(nxt - ring, axis=2).sum(axis=1)
-    collinear = norm <= 2.0 * eps_len * np.maximum(perimeter, 1e-300)
+    collinear = norm <= 2.0 * tol.eps_len * np.maximum(perimeter, 1e-300)
     n /= np.where(collinear, 1.0, norm)[:, None]
     d = -(n[:, None, :] @ mean[:, :, None])[:, 0, 0]
     dev = np.abs((ring @ n[:, :, None])[:, :, 0]).max(axis=1)
     side = (n[:, None, :] @ interior[:, None])[:, 0, 0] + d
-    fault = np.select([collinear, dev > eps_plane, np.abs(side) < eps_q],
+    fault = np.select([collinear, dev > tol.eps_q, np.abs(side) < tol.eps_q],
                       [1, 2, 3], 0)
     flipped = side < 0.0
     planes = np.column_stack([n, d])
@@ -464,7 +473,7 @@ def validate_polygon(vertices) -> ConvexPolygon:
     a, b, c = halfplanes.T
     for k in range(4):
         w = ring[k:k + len(v)]
-        if (a * w[:, 0] + b * w[:, 1] + c).min() < -tol.eps_plane:
+        if (a * w[:, 0] + b * w[:, 1] + c).min() < -tol.eps_q:
             raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     v.setflags(write=False)
     halfplanes.setflags(write=False)
@@ -475,7 +484,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     """Validate a vertex/face mesh and return an immutable ConvexPolyhedron.
 
     Checks planarity of every face, convexity (every vertex on the interior
-    side of every face plane within eps_plane), closedness via the Euler
+    side of every face plane within eps_q), closedness via the Euler
     relation V - E + F = 2, and repairs per-face winding against the vertex
     centroid.
     """
@@ -511,8 +520,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     dev = np.empty(n_ok)
     oriented = [None] * n_ok
     for ids, idx in groups:
-        halfspaces[ids], flipped, fault[ids], dev[ids] = _face_planes(
-            v[idx], interior, tol.eps_len, tol.eps_plane, tol.eps_q)
+        halfspaces[ids], flipped, fault[ids], dev[ids] = _face_planes(v[idx], interior, tol)
         rows = np.where(flipped[:, None], idx[:, ::-1], idx).tolist()
         for k, ring in zip(ids.tolist(), rows):
             oriented[k] = tuple(ring)
@@ -526,7 +534,7 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
 
     poly = ConvexPolyhedron(vertices=v, faces=tuple(oriented), halfspaces=halfspaces,
                             aabb=aabb, tol=tol)
-    if min_signed_distance(poly, v).min() < -tol.eps_plane:
+    if min_signed_distance(poly, v).min() < -tol.eps_q:
         raise NotConvex("a vertex lies outside a face plane beyond tolerance")
 
     edges = []

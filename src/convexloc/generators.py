@@ -17,6 +17,7 @@ identical shapes bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,15 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def _whole(name: str, value, lo: int, hi: float = np.inf) -> int:
+    """value as an int; raises a ValueError naming name and value unless it
+    is an integer (not a bool) in [lo, hi]."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not lo <= value <= hi:
+        bound = f">= {lo}" if hi == np.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be a whole number {bound}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GenSpec2:
     """Recipe for one random convex polygon (ellipse with jittered angles)."""
@@ -47,8 +57,7 @@ class GenSpec2:
 
 
 def gen_convex_polygon(spec: GenSpec2) -> ConvexPolygon:
-    if spec.n < 3:
-        raise ValueError("polygon generator needs n >= 3")
+    n = _whole("n", spec.n, 3)
     if not 0.0 <= spec.jitter <= 0.9:
         raise ValueError("jitter must lie in [0, 0.9] to bound angular gaps")
     if len(spec.semi_axes) != 2:
@@ -58,8 +67,8 @@ def gen_convex_polygon(spec: GenSpec2) -> ConvexPolygon:
         raise ValueError(f"semi_axes must be positive and finite, got {spec.semi_axes!r}")
     if not np.isfinite(spec.rotation):
         raise ValueError(f"rotation must be finite, got {spec.rotation!r}")
-    u = _rng(spec.seed).random(spec.n)
-    theta = (np.arange(spec.n) + spec.jitter * (u - 0.5)) * (2.0 * np.pi / spec.n)
+    u = _rng(spec.seed).random(n)
+    theta = (np.arange(n) + spec.jitter * (u - 0.5)) * (2.0 * np.pi / n)
     pts = np.column_stack([a * np.cos(theta), b * np.sin(theta)])
     c, s = np.cos(spec.rotation), np.sin(spec.rotation)
     pts = pts @ np.array([[c, s], [-s, c]])
@@ -88,8 +97,7 @@ _ICOSPHERE_CACHE: dict[int, tuple[np.ndarray, list]] = {}
 
 def icosphere(level: int):
     """Unit-sphere triangle mesh with 20 * 4**level faces; memoized."""
-    if not 0 <= level <= MAX_ICOSPHERE_LEVEL:
-        raise ValueError(f"icosphere level must be in [0, {MAX_ICOSPHERE_LEVEL}]")
+    level = _whole("level", level, 0, MAX_ICOSPHERE_LEVEL)
     if level in _ICOSPHERE_CACHE:
         return _ICOSPHERE_CACHE[level]
     if level == 0:
@@ -180,9 +188,12 @@ class QuerySpec:
 
 
 def gen_query_points(aabb: Aabb, spec: QuerySpec) -> np.ndarray:
+    m = _whole("m", spec.m, 0)
+    if not 0.0 < spec.inflation < np.inf:
+        raise ValueError(f"inflation must be positive and finite, got {spec.inflation!r}")
     box = aabb.inflated(spec.inflation)
     dim = len(box.lo)
-    pts = box.lo + _rng(spec.seed).random((spec.m, dim)) * (box.hi - box.lo)
+    pts = box.lo + _rng(spec.seed).random((m, dim)) * (box.hi - box.lo)
     pts.setflags(write=False)
     return pts
 

@@ -105,12 +105,12 @@ def all_pairs_validate_polygon(vertices):
     elen = np.linalg.norm(d, axis=1)
     if not (crosses > tol.eps_len * (elen + np.roll(elen, -1))).all():
         raise NotConvex("non-convex or collinear turn")
-    if (v @ halfplanes[:, :2].T + halfplanes[:, 2]).min() < -tol.eps_plane:
+    if (v @ halfplanes[:, :2].T + halfplanes[:, 2]).min() < -tol.eps_q:
         raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     return v, halfplanes
 
 
-def _loop_face_plane(ring, interior, eps_len, eps_plane, eps_q):
+def _loop_face_plane(ring, interior, eps_len, eps_q):
     """One face's unit-normal plane oriented toward interior, computed ring
     by ring (Newell normal in absolute coordinates); (coeffs, flipped)."""
     nxt = np.roll(ring, -1, axis=0)
@@ -122,7 +122,7 @@ def _loop_face_plane(ring, interior, eps_len, eps_plane, eps_q):
     n = n / norm
     d = -float(n @ ring.mean(axis=0))
     dev = np.abs(ring @ n + d)
-    if float(dev.max()) > eps_plane:
+    if float(dev.max()) > eps_q:
         raise NonPlanarFace(f"face deviates from its plane by {dev.max():g}")
     side = float(interior @ n + d)
     if abs(side) < eps_q:
@@ -166,13 +166,12 @@ def loop_validate_polyhedron(vertices, faces):
     oriented = []
     for k, ring in enumerate(rings):
         try:
-            coeffs, flipped = _loop_face_plane(v[ring], interior, tol.eps_len,
-                                               tol.eps_plane, tol.eps_q)
+            coeffs, flipped = _loop_face_plane(v[ring], interior, tol.eps_len, tol.eps_q)
         except ValidationError as exc:
             raise type(exc)(f"face {k}: {exc}") from None
         halfspaces[k] = coeffs
         oriented.append(tuple(int(i) for i in (ring[::-1] if flipped else ring)))
-    if (v @ halfspaces[:, :3].T + halfspaces[:, 3]).min() < -tol.eps_plane:
+    if (v @ halfspaces[:, :3].T + halfspaces[:, 3]).min() < -tol.eps_q:
         raise NotConvex("a vertex lies outside a face plane beyond tolerance")
     edges = set()
     for ring in oriented:

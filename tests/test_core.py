@@ -5,17 +5,23 @@ import itertools
 import math
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
+from convexloc import (Aabb, CapExceeded, Containment, DegenerateEdge, DegenerateFace,
                        EulerViolation, GenSpec2, NonPlanarFace, NotConvex,
-                       Tolerances, TooFewVertices, ValidationError, centroid,
-                       classify_min, gen_convex_polygon, icosphere, plane_eval,
-                       random_affine, validate_polygon, validate_polyhedron)
+                       Tolerances, TooFewVertices, ValidationError, build_sorted_slabs,
+                       build_uniform_slabs, build_wedge_index, centroid, classify_min,
+                       gen_convex_polygon, icosphere, locate_cubemap, locate_cubemap_batch,
+                       locate_linear_2d, locate_linear_2d_batch, locate_linear_3d,
+                       locate_linear_3d_batch, locate_polar, locate_polar_batch,
+                       locate_sorted_slabs, locate_sorted_slabs_batch, locate_uniform_slabs,
+                       locate_uniform_slabs_batch, locate_wedge, locate_wedge_batch,
+                       plane_eval, random_affine, validate_polygon, validate_polyhedron)
 from convexloc.core import line_halfplanes
 
 from oracles import (all_pairs_validate_polygon, classify_min_reference,
@@ -347,7 +353,44 @@ def test_tolerances_scale_with_diagonal():
     assert small.tol.eps_q == pytest.approx(1e-9 * np.sqrt(2) * 1e-3)
     assert big.tol.eps_q == pytest.approx(1e-9 * np.sqrt(2) * 1e3)
     t = Tolerances.from_diag(2.0)
-    assert (t.eps_len, t.eps_plane, t.eps_q) == (2e-12, 2e-9, 2e-9)
+    assert (t.eps_len, t.eps_q) == (2e-12, 2e-9)
+
+
+def _assert_vertices_on_boundary(shape, idx, locate, locate_batch, scalar_stride):
+    """Every vertex OnBoundary in the batch call, and every scalar_stride-th
+    in the scalar call."""
+    v = shape.vertices
+    codes = locate_batch(idx, v)
+    assert (codes == Containment.ON_BOUNDARY).all(), (locate_batch.__name__, len(v))
+    for p in v[::scalar_stride]:
+        assert locate(idx, p) is Containment.ON_BOUNDARY, (locate.__name__, len(v), p)
+
+
+def test_every_vertex_locates_on_boundary(corpus2d, corpus3d):
+    """The validators' slack is the queries' band, eps_q, so every vertex
+    they accept locates OnBoundary under every locator, batch and scalar.
+    The scalar calls take 16 vertices of each shape; the uniform y-slabs,
+    whose clamped tables take seconds to build, every tenth polygon, two
+    or three of each corpus2d size."""
+    entries, _ = corpus2d
+    for k, (poly, _, polar_idx) in enumerate(entries):
+        stride = max(1, poly.n // 16)
+        methods = [(poly, locate_linear_2d, locate_linear_2d_batch),
+                   (polar_idx, locate_polar, locate_polar_batch),
+                   (build_wedge_index(poly), locate_wedge, locate_wedge_batch),
+                   (build_sorted_slabs(poly), locate_sorted_slabs, locate_sorted_slabs_batch)]
+        if k % 10 == 0:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CapExceeded)
+                methods.append((build_uniform_slabs(poly), locate_uniform_slabs,
+                                locate_uniform_slabs_batch))
+        for idx, locate, locate_batch in methods:
+            _assert_vertices_on_boundary(poly, idx, locate, locate_batch, stride)
+    entries, _ = corpus3d
+    for poly, _, cube_idx in entries:
+        stride = max(1, len(poly.vertices) // 16)
+        _assert_vertices_on_boundary(poly, poly, locate_linear_3d, locate_linear_3d_batch, stride)
+        _assert_vertices_on_boundary(poly, cube_idx, locate_cubemap, locate_cubemap_batch, stride)
 
 
 def test_scale_invariant_classification():

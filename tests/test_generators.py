@@ -1,19 +1,22 @@
 """Instance generators: determinism, structure, comparison harness."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexloc import (GenSpec2, GenSpec3, QuerySpec, SingularAffine,
+from convexloc import (Aabb, GenSpec2, GenSpec3, QuerySpec, SingularAffine,
                        build_polar_index, compare_methods, centroid,
                        gen_convex_polygon, gen_convex_polyhedron,
                        gen_query_points, icosphere, locate_linear_2d_batch,
                        locate_polar_batch, plane_eval, random_affine)
 
 from oracles import dict_icosphere
+
+SQUARE_BOX = Aabb.of_points([(0.0, 0.0), (1.0, 1.0)])
 
 
 def test_polygon_determinism():
@@ -84,6 +87,36 @@ def test_non_finite_spec_fields_are_named(make, field):
     before any numpy arithmetic warns or a validator rejects the shape."""
     with pytest.raises(ValueError, match=f"^{field} must be"):
         make()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_convex_polygon(GenSpec2(8.5, 0)), "n must be a whole number >= 3, got 8.5"),
+    (lambda: icosphere(1.5), "level must be a whole number in [0, 5], got 1.5"),
+    (lambda: gen_convex_polyhedron(GenSpec3(1.5, 0)),
+     "level must be a whole number in [0, 5], got 1.5"),
+    (lambda: gen_query_points(SQUARE_BOX, QuerySpec(-1, 0)), "m must be a whole number >= 0, got -1"),
+    (lambda: gen_query_points(SQUARE_BOX, QuerySpec(2.5, 0)),
+     "m must be a whole number >= 0, got 2.5"),
+    (lambda: gen_query_points(SQUARE_BOX, QuerySpec(3, 0, inflation=np.nan)),
+     "inflation must be positive and finite, got nan"),
+    (lambda: gen_query_points(SQUARE_BOX, QuerySpec(3, 0, inflation=np.inf)),
+     "inflation must be positive and finite, got inf"),
+    (lambda: gen_query_points(SQUARE_BOX, QuerySpec(3, 0, inflation=0.0)),
+     "inflation must be positive and finite, got 0.0"),
+    (lambda: gen_query_points(SQUARE_BOX, QuerySpec(3, 0, inflation=-1.0)),
+     "inflation must be positive and finite, got -1.0"),
+], ids=["n-fraction", "icosphere-level-fraction", "spec-level-fraction", "m-negative",
+        "m-fraction", "inflation-nan", "inflation-inf", "inflation-zero", "inflation-negative"])
+def test_bad_spec_counts_and_inflation_are_named(make, message):
+    """A fractional or negative count, or an inflation that is not a
+    positive finite number, raises the ValueError that names the field and
+    the value given, before numpy raises, warns or returns a bad cloud."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_an_empty_query_cloud_is_valid():
+    assert gen_query_points(SQUARE_BOX, QuerySpec(0, 0)).shape == (0, 2)
 
 
 def test_icosphere_counts():

@@ -200,7 +200,7 @@ def test_sliver_validates_far_from_the_origin():
 @pytest.mark.xfail(strict=True, raises=NotConvex, reason=(
     "position defect: edge planes are computed and evaluated at absolute "
     "coordinates, and 3e7 from the origin their rounding puts a vertex more "
-    "than eps_plane outside an edge half-plane (no local origin yet)"))
+    "than eps_q outside an edge half-plane (no local origin yet)"))
 def test_polygon_validates_far_from_the_origin():
     """The generator's 64-gon moved by 3e7 along both axes validates.  Moves
     of 1e6 and 1e7 do; this one reaches validate_polygon's escape check."""

@@ -3,7 +3,10 @@
 import gzip
 import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,8 @@ from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, BenchRecord, mak
 from convexloc.cli import main
 
 from oracles import line_read_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_polygon_file_round_trip(tmp_path):
@@ -366,6 +371,26 @@ def test_cli_locate_dimension_mismatch(tmp_path, capsys):
     assert main(["locate", "--shape", str(shape), "--points", str(shape),
                  "--method", "cubemap"]) == 2
     capsys.readouterr()
+
+
+def test_cli_prints_each_warning_as_one_line(tmp_path):
+    """A uniform y-slab count clamped to SLAB_CAP reaches stderr as one
+    `convexloc: warning:` line, with no library path or source line, from
+    verify and from locate; their exit codes and stdout are unchanged."""
+    shape, points = tmp_path / "poly.txt", tmp_path / "pts.txt"
+    write_polygon_file(shape, gen_convex_polygon(GenSpec2(4096, 0)))
+    points.write_text("0 0\n9 9\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    runs = {("verify", "--dim", "2", "--sizes", "4096", "--shape-seeds", "1", "--points", "100"):
+            "polygon n=4096 seed=0: 100 points x 5 methods: ok\nverified 1 shapes, 0 mismatches\n",
+            ("locate", "--shape", str(shape), "--points", str(points), "--method", "slabs-uniform"):
+            "0 Inside\n1 Outside\n"}
+    for argv, stdout in runs.items():
+        run = subprocess.run([sys.executable, "-m", "convexloc.cli", *argv], env=env, cwd=ROOT,
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stdout) == (0, stdout), argv
+        assert run.stderr == ("convexloc: warning: uniform slab count 700625921 "
+                              "clamped to 1048576\n"), argv
 
 
 def test_cli_verify_small_corpus(capsys):

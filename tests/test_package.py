@@ -2,6 +2,7 @@
 command line loads: `import convexloc.cli` and a `locate` import only what
 they run."""
 
+import dataclasses
 import importlib
 import inspect
 import json
@@ -67,6 +68,13 @@ def test_every_builder_takes_only_the_shape():
                       "build_sorted_slabs": [("poly", empty)],
                       "build_uniform_slabs": [("poly", empty)],
                       "build_wedge_index": [("poly", empty)]}
+
+
+def test_the_tolerance_model_has_one_band():
+    """A shape has one length epsilon and one band, eps_q, which both the
+    validators' slack and the queries' OnBoundary band read; a second band
+    does not come back unnoticed."""
+    assert [f.name for f in dataclasses.fields(convexloc.Tolerances)] == ["eps_len", "eps_q"]
 
 
 @pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items()
