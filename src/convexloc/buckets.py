@@ -23,6 +23,10 @@ RadialIndex.radius2 is the one batch r^2, in every dimension; it also
 makes the outer bound from the vertices.  Only the points in the annulus
 between the two bounds reach the box test (Aabb.contains in a batch), the
 direction map and bucketed_min.
+
+LeafMap maps a parameter to the rows of a table in two levels: equal
+coarse slabs, each cut into as many equal leaves as its own crowding needs
+(the polar slabs).
 """
 
 from __future__ import annotations
@@ -66,6 +70,109 @@ def run_expand(starts: np.ndarray, counts: np.ndarray):
     np.cumsum(counts[:-1], out=first[1:])
     within = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
     return np.repeat(starts, counts) + within
+
+
+@dataclass(frozen=True)
+class LeafMap:
+    """A two-level map of a parameter x in [0, length) to the rows (leaves)
+    of a bucket table: n coarse slabs of equal width, coarse slab i cut
+    into s_i = leaf_base[i + 1] - leaf_base[i] equal leaves.
+
+    x maps to t = x * scale (scale = n / length), to coarse slab
+    i = trunc(t) and to frac = t - i, which is exact; the one t that rounds
+    up to n wraps to slab 0, as floor-and-modulo would send it.  Its leaf is
+    leaf_base[i] + trunc(frac * s_i), which is at most leaf_base[i] + s_i - 1:
+    frac <= 1 - 2^-53, and (1 - 2^-53) * s rounds below s for every whole
+    s < 2^53, so no clamp to s_i - 1 is needed.  The map never decreases
+    as x grows, short of that wrap, so an item spanning [x0, x1] spans the
+    leaves from the leaf of x0 to the leaf of x1.  With every s_i = 1
+    (uniform) the leaf is the coarse slab, truncation with the one wrap.
+    leaf_base, the running sum of the s_i from 0, is read-only.
+    """
+
+    scale: float
+    leaf_base: np.ndarray
+
+    @classmethod
+    def uniform(cls, n: int, length: float) -> LeafMap:
+        """n slabs of width length / n, one leaf each."""
+        return cls._of(n / length, np.ones(n, dtype=np.int64))
+
+    @classmethod
+    def split(cls, x: np.ndarray, length: float, cap: int) -> LeafMap:
+        """One coarse slab per point of x, in [0, length) and cyclically
+        non-decreasing; a slab holding k >= 2 points is cut into
+        ceil(1 / g) + 1 leaves, g its least gap in t between consecutive
+        points, so that no leaf holds two, and no slab into more than
+        cap + 1 (g == 0 asks for that).  Cyclically consecutive points of
+        one slab are consecutive in t: the points of a slab are one cyclic
+        run of x, and no other gap within it is smaller."""
+        n = len(x)
+        scale = n / length
+        # x[0] again at the end, so that the pairs (k, k + 1) run round.
+        i, frac = cls._coarse(np.concatenate((x, x[:1])), scale, n)
+        same = i[1:] == i[:-1]
+        gap = frac[1:].compress(same)
+        gap -= frac[:-1].compress(same)
+        np.abs(gap, out=gap)
+        np.maximum(gap, 1.0 / cap, out=gap)
+        np.divide(1.0, gap, out=gap)
+        np.ceil(gap, out=gap)
+        leaves = np.zeros(n, dtype=np.int64)
+        np.maximum.at(leaves, i[:-1].compress(same), gap.astype(np.int64))
+        leaves += 1
+        return cls._of(scale, leaves)
+
+    @classmethod
+    def _of(cls, scale: float, leaves: np.ndarray) -> LeafMap:
+        """The map with leaves[i] leaves in coarse slab i.  leaf_base is
+        summed in int64 and kept in int32, the table's ids, when its total
+        fits there, as that of every map within a bucket cap does."""
+        leaf_base = np.zeros(len(leaves) + 1, dtype=np.int64)
+        np.cumsum(leaves, out=leaf_base[1:])
+        if leaf_base[-1] <= np.iinfo(np.int32).max:
+            leaf_base = leaf_base.astype(np.int32)
+        leaf_base.setflags(write=False)
+        return cls(scale=scale, leaf_base=leaf_base)
+
+    @staticmethod
+    def _coarse(x, scale: float, n: int):
+        """(i, frac) of each x: out= keeps a 0-d x a 0-d array, which the
+        masked wrap can write to."""
+        x = np.asarray(x, dtype=float)
+        t = np.multiply(x, scale, out=np.empty_like(x))
+        i = t.astype(np.int64)
+        t -= i
+        i[i >= n] -= n
+        return i, t
+
+    @property
+    def n_leaves(self) -> int:
+        return int(self.leaf_base[-1])
+
+    def leaf_of(self, x) -> np.ndarray:
+        """int64 leaf of each x in [0, length), for an array or a 0-d x."""
+        i, frac = self._coarse(x, self.scale, len(self.leaf_base) - 1)
+        first = self.leaf_base.take(i)
+        frac *= self.leaf_base.take(i + 1) - first
+        leaf = frac.astype(np.int64)
+        leaf += first
+        return leaf
+
+    def leaf_of_float(self, x: float) -> int:
+        """leaf_of for one Python float x, with the same arithmetic."""
+        base = self.leaf_base
+        t = x * self.scale
+        i = int(t)
+        frac = t - i
+        n = len(base) - 1
+        if i >= n:
+            i -= n
+        first = base.item(i)
+        s = base.item(i + 1) - first
+        if s == 1:      # frac * 1 truncates to 0: skip it, as most slabs can
+            return first
+        return first + int(frac * s)
 
 
 @dataclass(frozen=True)

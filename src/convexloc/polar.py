@@ -3,20 +3,24 @@
 The polygon boundary is radially monotone around any strictly interior
 reference point x_T: every ray from x_T crosses exactly one edge.  Rays are
 keyed by where they exit the polygon's bounding box, measured as arc length
-u along the box perimeter.  Dividing [0, U) into n_slabs equal intervals and
-listing, per interval, every edge whose angular span touches it yields an
-index with O(1) expected candidates per query: one multiply-and-floor finds
-the slab, and only its few listed edges are evaluated.
+u along the box perimeter.  Cutting [0, U) into slabs and listing, per slab,
+every edge whose angular span touches it yields an index with O(1)
+candidates per query: two multiply-and-floors find the slab, and only its
+few listed edges are evaluated.
 
-Build cost is O(N + n_slabs).  The default slab count makes every slab
-narrower than the smallest gap between the vertices' boundary parameters,
-so no slab holds two vertices and none lists more than two candidate edges.
+By default the slabs are sized by local need (buckets.LeafMap.split): one
+coarse slab of width U/N per vertex, and a coarse slab that holds k >= 2
+vertices cut into equal slabs narrower than the least gap between its own
+vertices' boundary parameters.  So no slab holds two vertices, none lists
+more than two candidate edges, and the slab count is O(N) unless vertices
+crowd.  Build cost is O(N + n_slabs), n_slabs the slabs built.  An explicit
+n_slabs cuts [0, U) into that many equal slabs.
 
 The batch map picks the box side of each ray by integer masking (_select),
 not by nested np.where, which branches per point and mispredicts on random
-sides, and it truncates u * (n_slabs / U) to the slab, wrapping the one
-value that rounds up to n_slabs without a %.  Both give the bits of the
-masked np.where form and of floor-and-modulo.
+sides, and it gives the bits of the masked np.where form.  The coarse slab
+of u truncates u * (N / U), wrapping the one value that rounds up to N
+without a %, which gives the bits of floor-and-modulo.
 
 The index is a buckets.BucketTable, one bucket per slab, around the x_t of
 buckets.reference_point.  It maps queries to their slabs (bucket_of, and
@@ -31,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .buckets import (RadialIndex, clamp_budget, locate_radial, locate_radial_batch,
+from .buckets import (LeafMap, RadialIndex, clamp_budget, locate_radial, locate_radial_batch,
                       reference_point)
 from .core import Aabb, ConvexPolygon, SLAB_CAP, ZeroDirection, query_point, query_points
 
@@ -115,15 +119,15 @@ def _select(mask: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PolarIndex2(RadialIndex):
     """Angular slab index of the polygon poly around reference point x_t.
 
-    Slab i covers boundary-parameter interval [i*U/n, (i+1)*U/n) and is
-    bucket i of the table: it lists the candidate edges.  All arrays are
-    immutable.  The slabs divide the perimeter of box, the shape's bounding
-    box; box_floats is box as (x_min, y_min, x_max, y_max), made once for
-    bucket_of_floats.
+    The slabs divide the perimeter of box, the shape's bounding box, and
+    leaves (a buckets.LeafMap) maps a boundary parameter u in
+    [0, perimeter) to its slab, a leaf of the map and a bucket of the table,
+    which lists the candidate edges.  All arrays are immutable.  box_floats
+    is box as (x_min, y_min, x_max, y_max), made once for bucket_of_floats.
     """
 
     perimeter: float
-    n_slabs: int
+    leaves: LeafMap
     box_floats: tuple = field(init=False)
 
     def __post_init__(self):
@@ -134,9 +138,14 @@ class PolarIndex2(RadialIndex):
     def box(self) -> Aabb:
         return self.poly.aabb
 
+    @property
+    def n_slabs(self) -> int:
+        """The number of slabs, the rows of the table."""
+        return self.leaves.n_leaves
+
     def slab_of(self, u) -> np.ndarray:
         """Slab of each boundary parameter u in [0, perimeter)."""
-        return _slab_of(u, self.n_slabs, self.perimeter)
+        return self.leaves.leaf_of(u)
 
     def bucket_of(self, points) -> np.ndarray:
         """Slabs of the directions x_t -> points[k] for an (n, 2) array;
@@ -147,28 +156,25 @@ class PolarIndex2(RadialIndex):
         """Slab of the direction x_t -> q for q a pair of floats, found as
         bucket_of finds it; raises ZeroDirection as boundary_param does."""
         u = _exit_param(self.box_floats, self.x_t_floats, q, self.poly.tol.eps_len)
-        return int(u * (self.n_slabs / self.perimeter)) % self.n_slabs
-
-
-def _slab_of(u, n_slabs: int, perimeter: float) -> np.ndarray:
-    """Slab of each u in [0, perimeter): truncation is floor there, and only
-    u * (n_slabs / perimeter) rounded up to n_slabs needs the wrap to 0."""
-    u = np.asarray(u, dtype=float)
-    # out= keeps a 0-d u a 0-d array, which the masked wrap can write to.
-    i = np.multiply(u, n_slabs / perimeter, out=np.empty_like(u)).astype(np.int64)
-    i[i >= n_slabs] -= n_slabs
-    return i
+        return self.leaves.leaf_of_float(u)
 
 
 def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarIndex2:
-    """Build the angular slab index in O(N + n_slabs).
+    """Build the angular slab index in O(N + n_slabs), n_slabs the number of
+    slabs built.
 
     Vertices are mapped to boundary parameters with the same code path used
     by queries, so an edge's slab interval (closed, endpoints included) is
     guaranteed to cover every slab a query ray hitting that edge can map to.
-    The default n_slabs is ceil(U / g) + 1 for the smallest cyclic gap g
-    between vertex parameters; g == 0 asks for more than SLAB_CAP.
-    Raises ReferenceNotInterior when the vertex mean is not strictly inside.
+    By default the perimeter is cut into one coarse slab per vertex, and a
+    coarse slab holding k >= 2 vertices into ceil((U/N) / g) + 1 equal
+    slabs, g the least gap between its own vertices' parameters
+    (LeafMap.split): no slab holds two vertices, so none lists more than two
+    candidate edges, and the slab count stays O(N) unless vertices crowd.
+    An explicit n_slabs cuts the perimeter into that many equal slabs.
+    Either count goes through clamp_budget; a clamped default gives
+    SLAB_CAP equal slabs.  Raises ReferenceNotInterior when the vertex mean
+    is not strictly inside.
     """
     x_t = reference_point(poly)
     box = poly.aabb
@@ -178,15 +184,24 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarI
 
     u = boundary_param_batch(box, x_t, poly.vertices)
     if n_slabs is None:
-        us = np.sort(u)
-        gap = float(np.diff(us, append=us[0] + perimeter).min())
-        n_slabs = math.ceil(perimeter / gap) + 1 if gap > 0.0 else SLAB_CAP + 1
-    n_slabs = clamp_budget("polar slab count", n_slabs, SLAB_CAP)
+        leaves = LeafMap.split(u, perimeter, SLAB_CAP)
+        n_slabs = clamp_budget("polar slab count", leaves.n_leaves, SLAB_CAP)
+        if n_slabs < leaves.n_leaves:
+            leaves = LeafMap.uniform(n_slabs, perimeter)
+    else:
+        n_slabs = clamp_budget("polar slab count", n_slabs, SLAB_CAP)
+        leaves = LeafMap.uniform(n_slabs, perimeter)
 
-    # Edge e runs from the slab of vertex e to the slab of vertex e + 1.
-    s = _slab_of(u, n_slabs, perimeter)
-    return PolarIndex2.from_runs(s, (np.roll(s, -1) - s) % n_slabs + 1, n_slabs,
-                                 poly=poly, x_t=x_t, perimeter=perimeter, n_slabs=n_slabs)
+    # Edge e runs from the slab of vertex e to the slab of vertex e + 1:
+    # np.roll(s, -1) - s, mod n_slabs, in place, which costs a small polygon
+    # less than np.roll does.
+    s = leaves.leaf_of(u)
+    runs = np.concatenate((s[1:], s[:1]))
+    runs -= s
+    runs %= n_slabs
+    runs += 1
+    return PolarIndex2.from_runs(s, runs, n_slabs,
+                                 poly=poly, x_t=x_t, perimeter=perimeter, leaves=leaves)
 
 
 locate_polar = locate_radial

@@ -15,7 +15,8 @@ boundary_param_batch_reference and locate_radial_batch_reference are the
 batch query path as it was before the bucket kernel worked on table
 columns: whole-row gathers, a row minimum and boolean row compression;
 classify_min_reference is the batch classification as nested np.where,
-slab_of_reference the polar slab map as floor and modulo, and
+slab_of_reference the uniform polar slab map as floor and modulo,
+slab_of_leaf_reference the two-level one as a loop with floor, and
 near_reference the near-x_t mask as a loop over the columns.
 frame_matrix rebuilds a radial index's frame matrix L from its floats,
 frame_radius2 is its r^2 as one matrix product and a row sum,
@@ -622,6 +623,24 @@ def slab_of_reference(u, n_slabs, perimeter):
     """polar's slab map as floor and %: the slab of each u in [0, perimeter)."""
     i = np.floor(np.asarray(u, dtype=float) * (n_slabs / perimeter))
     return i.astype(np.int64) % n_slabs
+
+
+def slab_of_leaf_reference(u, leaf_base, perimeter):
+    """buckets.LeafMap.leaf_of as a loop with floor and %: u's coarse slab i
+    of the n = len(leaf_base) - 1 over [0, perimeter), then the leaf
+    leaf_base[i] + min(floor(frac * s), s - 1) of the s = leaf_base[i + 1] -
+    leaf_base[i] that cut slab i, clamped as the map's definition states it
+    (the library shows the clamp is never needed).  A 0-d u gives a 0-d
+    array."""
+    n = len(leaf_base) - 1
+    out = []
+    for x in np.asarray(u, dtype=float).reshape(-1).tolist():
+        t = x * (n / perimeter)
+        i = math.floor(t)
+        frac = t - i
+        first, s = int(leaf_base[i % n]), int(leaf_base[i % n + 1] - leaf_base[i % n])
+        out.append(first + min(math.floor(frac * s), s - 1))
+    return np.array(out, dtype=np.int64).reshape(np.shape(u))
 
 
 def classify_min_reference(m, eps_q):

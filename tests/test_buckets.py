@@ -184,9 +184,9 @@ def test_clamped_uniform_table_matches_reference(reference_tables):
 
 
 def test_polar_index_keeps_one_table():
-    """A 16384-gon polar index (about 2.2e5 slabs, two edges per slab at
-    most) retains its padded table and counts, about 2.7 MB; a second, CSR
-    copy of the lists would add about as much again."""
+    """A 16384-gon polar index (about 2.5e4 slabs, two edges per slab at
+    most) retains its padded table, counts and leaf offsets, about 0.44 MB;
+    a second, CSR copy of the lists would add about 0.37 MB."""
     poly = gen_convex_polygon(GenSpec2(n=16384, seed=0, jitter=0.9, semi_axes=(1.5, 1.0)))
     gc.collect()
     tracemalloc.start()
@@ -197,8 +197,8 @@ def test_polar_index_keeps_one_table():
         retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert idx.max_occupancy == 2 and len(idx.counts) > 200_000
-    assert retained < 4e6
+    assert idx.max_occupancy == 2 and len(idx.counts) > 20_000
+    assert retained < 6e5
 
 
 def linear_scan(shape):
@@ -458,14 +458,10 @@ def test_radial_codes_match_reference_with_no_point_or_every_point_near_x_t(buil
 
 @functools.cache
 def _frame_index(name):
-    """The radial index of frame_shapes()[name]; the 100:1 4096-gons need
-    1,995,114 slabs, so their polar budget clamps, with its warning."""
+    """The radial index of frame_shapes()[name].  None clamps, the 100:1
+    4096-gons included: pytest.ini makes a CapExceeded an error."""
     shape = frame_shapes()[name]
-    build = build_polar_index if shape.dim == 2 else build_cubemap_index
-    if not name.startswith("100to1"):
-        return build(shape)
-    with pytest.warns(CapExceeded):
-        return build(shape)
+    return (build_polar_index if shape.dim == 2 else build_cubemap_index)(shape)
 
 
 FRAME_SHAPES = list(frame_shapes())

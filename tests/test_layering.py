@@ -49,8 +49,9 @@ def test_one_radial_and_one_y_slab_query_implementation():
 
 def test_only_buckets_reads_the_bucket_table_format():
     """The layout of a bucket table is packed and read in buckets.py alone:
-    no other module reads .padded_edges or the derived .offsets and .edges,
-    except the cube map's padded_faces and faces_flat aliases."""
+    no other module reads .padded_edges, the derived .offsets and .edges or
+    the leaf offsets .leaf_base of a LeafMap, except the cube map's
+    padded_faces and faces_flat aliases."""
     aliases = {"padded_faces", "faces_flat"}
     bad = []
     for path in sorted(SRC.glob("*.py")):
@@ -64,7 +65,7 @@ def test_only_buckets_reads_the_bucket_table_format():
                    for node in ast.walk(alias)}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute)
-                    and node.attr in ("padded_edges", "offsets", "edges")
+                    and node.attr in ("padded_edges", "offsets", "edges", "leaf_base")
                     and id(node) not in allowed):
                 bad.append(f"{path.name}:{node.lineno} reads .{node.attr}")
     assert not bad, bad

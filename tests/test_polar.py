@@ -15,7 +15,10 @@ from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
                        locate_linear_2d_batch, locate_polar,
                        locate_polar_batch, polar, validate_polygon)
 
-from oracles import boundary_param_batch_reference, brute_exit_edges, slab_of_reference
+from convexloc.buckets import LeafMap
+
+from oracles import (boundary_param_batch_reference, brute_exit_edges, slab_of_leaf_reference,
+                     slab_of_reference)
 
 UNIT_BOX = Aabb(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -119,26 +122,73 @@ def test_select_equals_where_bit_for_bit():
 
 
 def test_slab_of_equals_floor_and_modulo(corpus2d):
-    """The truncating slab map with its single wrap gives the floor-and-%
-    slab: on the u of every corpus polygon's points, at 0 and at the
-    largest u below U, for an array and for a Python float (a 0-d result).
-    At n = 3 and U = 7.3 the largest u below U maps to 3.0, the one value
-    the wrap sends to slab 0."""
+    """With an explicit n_slabs, the truncating slab map with its single
+    wrap gives the floor-and-% slab: on the u of every corpus polygon's
+    points, at 0 and at the largest u below U, for an array and for a Python
+    float (a 0-d result).  A default build gives slab_of_leaf_reference's
+    slab on the same u.  At n = 3 and U = 7.3 the largest u below U maps to
+    3.0, the one value the wrap sends to slab 0."""
     entries, _ = corpus2d
     for poly, pts, idx in entries:
+        uniform = build_polar_index(poly, n_slabs=8 * poly.n + 1)
         directed = np.linalg.norm(pts - idx.x_t, axis=1) > poly.tol.eps_len
         u = boundary_param_batch(idx.box, idx.x_t, pts[directed])
         ends = np.array([0.0, np.nextafter(idx.perimeter, 0.0)])
         for v in (u, ends, *ends.tolist(), *u[:3].tolist()):
-            got = idx.slab_of(v)
-            want = slab_of_reference(v, idx.n_slabs, idx.perimeter)
-            assert got.dtype == np.int64 and got.shape == np.shape(v)
-            assert np.array_equal(got, want)
+            for got, want in (
+                    (uniform.slab_of(v), slab_of_reference(v, uniform.n_slabs, idx.perimeter)),
+                    (idx.slab_of(v),
+                     slab_of_leaf_reference(v, idx.leaves.leaf_base, idx.perimeter))):
+                assert got.dtype == np.int64 and got.shape == np.shape(v)
+                assert np.array_equal(got, want)
     top = np.nextafter(7.3, 0.0)
     assert top * (3 / 7.3) == 3.0
+    leaves = LeafMap.uniform(3, 7.3)
     for v in (top, np.array([0.0, top])):
-        assert np.array_equal(polar._slab_of(v, 3, 7.3), slab_of_reference(v, 3, 7.3))
-    assert int(polar._slab_of(top, 3, 7.3)) == 0
+        assert np.array_equal(leaves.leaf_of(v), slab_of_reference(v, 3, 7.3))
+    assert int(leaves.leaf_of(top)) == 0
+
+
+def leaf_edges(leaves, perimeter):
+    """Every coarse-slab and leaf edge of a leaf map as u, with the float
+    on either side of it, inside [0, perimeter)."""
+    base = leaves.leaf_base
+    n = len(base) - 1
+    s = np.diff(base)
+    coarse = np.repeat(np.arange(n), s)
+    within = np.arange(base[-1]) - np.repeat(base[:-1], s)
+    u = (coarse + within / np.repeat(s, s)) * (perimeter / n)
+    u = np.concatenate([u, np.nextafter(u, -np.inf), np.nextafter(u, np.inf),
+                        [np.nextafter(perimeter, 0.0)]])
+    return u[(u >= 0.0) & (u < perimeter)]
+
+
+def test_leaf_map_equals_reference_bit_for_bit(corpus2d):
+    """slab_of, bucket_of and bucket_of_floats of every default corpus
+    build give slab_of_leaf_reference's slab bit for bit: on the corpus
+    points, at every coarse-slab and leaf edge and on either side of it, at
+    the largest u below U (the wrap), and for Python floats (0-d); so does
+    the float map behind bucket_of_floats at every edge."""
+    entries, _ = corpus2d
+    split = 0
+    for poly, pts, idx in entries:
+        base, U = idx.leaves.leaf_base, idx.perimeter
+        split += int((np.diff(base) > 1).sum())
+        directed = pts[np.linalg.norm(pts - idx.x_t, axis=1) > poly.tol.eps_len]
+        u = boundary_param_batch(idx.box, idx.x_t, directed)
+        assert np.array_equal(idx.bucket_of(directed), slab_of_leaf_reference(u, base, U))
+        edges = leaf_edges(idx.leaves, U)
+        want = slab_of_leaf_reference(edges, base, U)
+        assert np.array_equal(idx.slab_of(edges), want)
+        assert [idx.leaves.leaf_of_float(x) for x in edges.tolist()] == want.tolist()
+        for x in (*edges[:40].tolist(), *edges[-40:].tolist()):
+            got = idx.slab_of(x)
+            assert got.shape == () and got.dtype == np.int64
+            assert int(got) == int(slab_of_leaf_reference(x, base, U))
+        for q in directed[:50].tolist():
+            x = boundary_param(idx.box, idx.x_t, q, poly.tol.eps_len)
+            assert idx.bucket_of_floats(q) == int(slab_of_leaf_reference(x, base, U))
+    assert split > 100
 
 
 def test_occupancy_multiset_square_and_diamond():
@@ -187,12 +237,48 @@ def test_default_slab_count_fits_eccentric_ellipse():
     assert idx.n_slabs < 2 ** 18
 
 
+def crowded_64gon(f):
+    """The regular 64-gon on the unit circle with one more vertex f of an
+    edge's angle past vertex 0: the two crowd one coarse slab."""
+    th = np.sort(np.append(np.arange(64), f) * (2 * np.pi / 64))
+    return validate_polygon(np.column_stack([np.cos(th), np.sin(th)]))
+
+
+def exit_edges_unlisted(idx, n_dirs=4096):
+    """How many of n_dirs directions from x_t exit through an edge their
+    slab does not list."""
+    th = np.arange(n_dirs) * (2 * np.pi / n_dirs)
+    dirs = np.column_stack([np.cos(th), np.sin(th)])
+    exit_edge = brute_exit_edges(idx.poly.halfplanes, idx.x_t, dirs)
+    slabs = idx.slab_of(boundary_param_batch(idx.box, idx.x_t, idx.x_t + dirs))
+    return int((~(idx.padded_edges[slabs] == exit_edge[:, None]).any(axis=1)).sum())
+
+
+@pytest.mark.parametrize("poly, max_bytes", [
+    (gen_convex_polygon(GenSpec2(n=4096, seed=0, jitter=0.9, semi_axes=(100, 1))), 256e3),
+    (crowded_64gon(1e-3), 24e3),
+    (crowded_64gon(1e-5), 2e6)], ids=["ellipse-100-to-1", "64-gon+1e-3", "64-gon+1e-5"])
+def test_crowded_vertices_split_only_their_slab(poly, max_bytes):
+    """Shapes whose closest vertices crowd one part of the perimeter: a
+    100:1 ellipse and a 64-gon with one vertex 1e-3 or 1e-5 of an edge gap
+    from its neighbour.  Each builds with no clamp, lists at most two edges
+    per slab and every exit edge of a 4096-direction sweep, and keeps a
+    table (with its counts and leaf offsets) within max_bytes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", CapExceeded)
+        idx = build_polar_index(poly)
+    assert idx.max_occupancy <= 2
+    kept = idx.padded_edges.nbytes + idx.counts.nbytes + idx.leaves.leaf_base.nbytes
+    assert kept < max_bytes
+    assert exit_edges_unlisted(idx) == 0
+
+
 def test_slab_count_clamp_warns():
-    """Derived and requested budgets both warn when clamped to SLAB_CAP."""
-    ellipse = gen_convex_polygon(GenSpec2(n=4096, seed=0, jitter=0.9,
-                                          semi_axes=(100, 1)))
+    """Derived and requested budgets both warn when clamped to SLAB_CAP: a
+    64-gon with one vertex 1e-7 of an edge gap from its neighbour asks for
+    about 1e7 slabs."""
     with pytest.warns(CapExceeded):
-        assert build_polar_index(ellipse).n_slabs == SLAB_CAP
+        assert build_polar_index(crowded_64gon(1e-7)).n_slabs == SLAB_CAP
     with pytest.warns(CapExceeded):
         assert build_polar_index(SQUARE, n_slabs=SLAB_CAP + 1).n_slabs == SLAB_CAP
 
