@@ -7,12 +7,15 @@ onto the cube faces it is visible on and listed in every cell its footprint
 can touch; a query then maps its direction to one cell with a handful of
 arithmetic operations and evaluates only that cell's candidate faces.
 
-The projection is conservative: each clipped footprint is covered by the
-full rectangle of cells spanning its (s, t) extent, padded by a small
-constant.  Footprints whose clipped area vanishes are dropped; any direction
-through such a sliver lies on the shared edge of adjacent faces, and the
-neighbouring face that shares that edge has a non-degenerate footprint
-there, so the deciding boundary plane is still listed.
+The projection is conservative, and exact up to a small padding: each
+clipped footprint is covered row by row (conservative rasterization, as in
+Hasselgren, Akenine-Moller & Ohlsson, GPU Gems 2, 2005).  Every cell row
+its padded s-extent reaches lists the cells of the footprint's t-extent
+within the row's band, the band and the extent each padded by a small
+constant.  Footprints whose clipped area vanishes are dropped; any
+direction through such a sliver lies on the shared edge of adjacent faces,
+and the neighbouring face that shares that edge has a non-degenerate
+footprint there, so the deciding boundary plane is still listed.
 
 The index is a buckets.BucketTable, one bucket per cell, around the x_t of
 buckets.reference_point.  It maps queries to their cells (bucket_of, and
@@ -35,11 +38,14 @@ from .core import (Aabb, ConvexPolyhedron, Tolerances, ZeroDirection, query_poin
 FACE_NAMES = ("+X", "-X", "+Y", "-Y", "+Z", "-Z")
 RES_CAP = 1024
 RES_PER_FACE = 4.0         # target cells per polyhedron face
-_RECT_PAD = 1e-9           # cell-cover padding in (s, t) units
+_COVER_PAD = 1e-9          # cell-cover padding in (s, t) units
 _AREA_DROP = 1e-15         # clipped footprints below this area are slivers
 
 # For dominant axis a, the (u, v) axes forming the face coordinates.
 _UV = ((1, 2), (0, 2), (0, 1))
+# (dominant axis, u, v) and the sign of the dominant axis of each cube face.
+_AXES = np.array([(0, 1, 2), (0, 1, 2), (1, 0, 2), (1, 0, 2), (2, 0, 1), (2, 0, 1)])
+_SIGN = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
 
 
 def _cell_of(s: float, resolution: int) -> int:
@@ -86,33 +92,44 @@ def _cells(s, resolution: int) -> np.ndarray:
 
 
 def _clip(pts: np.ndarray, counts: np.ndarray, f: np.ndarray):
-    """One Sutherland-Hodgman pass over every row: keep the f >= 0 side.
+    """One Sutherland-Hodgman pass over every ring: keep the f >= 0 side.
 
-    Row r of pts (M, W, 3) is a ring of counts[r] vertices, f (M, W) its
-    clip function.  Vertex k of a ring emits itself when f >= 0 and the
-    crossing point of the edge k -> k+1 when the edge changes side, in that
-    order; returns the clipped (pts, counts), rows as wide as needed.
+    pts (3, W, M) holds M rings vertex-major, pts[:, k, r] vertex k of ring
+    r, which has counts[r] vertices; f (W, M) is their clip function.
+    Vertex k of a ring emits itself when f >= 0 and the crossing point of
+    the edge k -> k+1 when the edge changes side, in that order.  A ring
+    wholly on one side keeps all its vertices or none, so only the rings
+    the plane cuts are rewritten.  Returns the (pts, counts) of the rings
+    left with any vertex, as wide as needed with padding that is never
+    read, and the indices of those rings.
     """
-    m, w = f.shape
-    col = np.arange(w)
-    nxt = np.where(col + 1 < counts[:, None], col + 1, 0)
+    w, m = f.shape
+    vert = np.arange(w)[:, None]
     inside = f >= 0.0
-    valid = col < counts[:, None]
-    keep = valid & inside
-    cross = valid & (inside != inside[np.arange(m)[:, None], nxt])
+    n_in = (inside & (vert < counts)).sum(axis=0)
+    cut = ((n_in > 0) & (n_in < counts)).nonzero()[0]
+    c, ins = counts[cut], inside[:, cut]
+    valid = vert < c
+    keep = valid & ins
+    cross = valid & (ins != np.where(vert + 1 < c, np.concatenate([ins[1:], ins[:1]]), ins[:1]))
     emit = keep.astype(np.int64) + cross
-    pos = np.cumsum(emit, axis=1) - emit
-    counts = emit.sum(axis=1)
-    out = np.zeros((m, int(counts.max(initial=0)), 3))
-    rows, cols = np.nonzero(keep)
-    out[rows, pos[rows, cols]] = pts[rows, cols]
-    rows, cols = np.nonzero(cross)
-    ends = nxt[rows, cols]
-    fa, fb = f[rows, cols], f[rows, ends]
-    t = (fa / (fa - fb))[:, None]
-    pa, pb = pts[rows, cols], pts[rows, ends]
-    out[rows, pos[rows, cols] + keep[rows, cols]] = pa + t * (pb - pa)
-    return out, counts
+    pos = np.cumsum(emit, axis=0) - emit
+    n_in[cut] = emit.sum(axis=0)
+    live = n_in > 0
+    col = (np.cumsum(live) - 1)[cut]        # output column of each cut ring
+    live = live.nonzero()[0]
+    width = int(n_in.max(initial=0))
+    out = np.zeros((3, width, len(live)))
+    out[:, :w] = pts[:, :width, live]
+    k, r = np.nonzero(keep)
+    out[:, pos[k, r], col[r]] = pts[:, k, cut[r]]
+    k, r = np.nonzero(cross)
+    ends, g = np.where(k + 1 < c[r], k + 1, 0), cut[r]
+    fa, fb = f[k, g], f[ends, g]
+    t = fa / (fa - fb)
+    pa, pb = pts[:, k, g], pts[:, ends, g]
+    out[:, pos[k, r] + keep[k, r], col[r]] = pa + t * (pb - pa)
+    return out, n_in[live], live
 
 
 def _footprints(rel: np.ndarray, resolution: int, eps_len: float):
@@ -120,52 +137,79 @@ def _footprints(rel: np.ndarray, resolution: int, eps_len: float):
 
     rel (F, k, 3) holds F face rings of k vertices each, relative to x_t.
     Every (cube face, ring) pair is clipped against the cube face's frustum
-    in one batch, with the arithmetic of a per-ring loop.  Returns (ring
-    index, cube face, i, j) arrays, cube-face-major and in ring order within
-    a cube face, each footprint's cells i-major.
+    in one batch, with the arithmetic of a per-ring loop, and each kept
+    footprint is covered row by row: each cell row its padded s-extent
+    reaches lists the padded t-extent of the footprint within the row's
+    padded band.  Returns (ring index, cube face, i, j) arrays,
+    cube-face-major and in ring order within a cube face, each footprint's
+    cells i-major.
     """
     n, k = rel.shape[:2]
-    cube = np.repeat(np.arange(6), n)
-    owner = np.tile(np.arange(n), 6)
-    # Columns permuted to (dominant axis, u, v) of each cube face.
-    pts = np.concatenate([rel[:, :, [a, *_UV[a]]] for a in (0, 0, 1, 1, 2, 2)])
-    sigma = np.where(cube % 2 == 0, 1.0, -1.0)
+    # Coordinates (dominant axis, u, v) on each cube face, vertex-major so
+    # that every per-ring step runs along the long axis; ring r of the
+    # batch is face ring r % n on cube face r // n.
+    pts = rel.T[_AXES].transpose(1, 2, 0, 3).reshape(3, k, 6 * n)
+    ids = np.arange(6 * n)
+    sigma = np.repeat(_SIGN, n)
     cnt = np.full(6 * n, k)
     for coeff_u, coeff_v, off in ((0.0, 0.0, -eps_len), (-1.0, 0.0, 0.0),
                                   (1.0, 0.0, 0.0), (0.0, -1.0, 0.0),
                                   (0.0, 1.0, 0.0)):
-        f = (sigma[:, None] * pts[:, :, 0] + coeff_u * pts[:, :, 1]
-             + coeff_v * pts[:, :, 2] + off)
-        pts, cnt = _clip(pts, cnt, f)
-        live = cnt >= 3
-        pts, cnt, sigma, cube, owner = pts[live], cnt[live], sigma[live], cube[live], owner[live]
-    valid = np.arange(pts.shape[1]) < cnt[:, None]
+        f = sigma * pts[0] + coeff_u * pts[1] + coeff_v * pts[2] + off
+        pts, cnt, live = _clip(pts, cnt, f)
+        sigma, ids = sigma[live], ids[live]
+    m = len(ids)
+    vert = np.arange(pts.shape[1])[:, None]
+    valid = vert < cnt
     # The clip leaves every vertex at least eps_len in front of the apex;
     # padding divides by 1 and is never read.
-    dom = np.where(valid, sigma[:, None] * pts[:, :, 0], 1.0)
-    s, t = pts[:, :, 1] / dom, pts[:, :, 2] / dom
-    rows = np.arange(len(pts))
-    area2 = np.zeros(len(pts))
-    for c in range(pts.shape[1]):
-        nc = np.where(c + 1 < cnt, c + 1, 0)
-        area2 = np.where(valid[:, c], area2 + (s[:, c] * t[rows, nc] - s[rows, nc] * t[:, c]),
-                         area2)
+    st = pts[1:] / np.where(valid, sigma * pts[0], 1.0)
+    stn = st[:, np.where(vert + 1 < cnt, vert + 1, 0), np.arange(m)]
+    # Twice the signed area, summed vertex by vertex in ring order.
+    area2 = np.cumsum(st[0] * stn[1] - stn[0] * st[1], axis=0)[cnt - 1, np.arange(m)]
     kept = ~(np.abs(area2) < 2.0 * _AREA_DROP)
-    valid = valid[kept]
+    st, stn, valid, ids = st[:, :, kept], stn[:, :, kept], valid[:, kept], ids[kept]
 
-    def cover(x):
-        """First and last cell of each kept footprint's padded extent in x."""
-        lo = np.where(valid, x[kept], np.inf).min(axis=1, initial=np.inf)
-        hi = np.where(valid, x[kept], -np.inf).max(axis=1, initial=-np.inf)
-        return _cells(lo - _RECT_PAD, resolution), _cells(hi + _RECT_PAD, resolution)
-
-    (i0, i1), (j0, j1) = cover(s), cover(t)
-    nj = j1 - j0 + 1
-    size = (i1 - i0 + 1) * nj
-    within = run_expand(np.zeros_like(size), size)
-    rep = np.repeat(np.arange(len(size)), size)
-    return (owner[kept][rep], cube[kept][rep], i0[rep] + within // nj[rep],
-            j0[rep] + within % nj[rep])
+    # One (footprint, row) pair per row of the padded s-extent.
+    i0, i1 = _cells(np.array([np.where(valid, st[0], np.inf).min(axis=0, initial=np.inf)
+                              - _COVER_PAD,
+                              np.where(valid, st[0], -np.inf).max(axis=0, initial=-np.inf)
+                              + _COVER_PAD]), resolution)
+    rows = i1 - i0 + 1
+    # Each ring edge a -> b (sa, ta) -> (sb, tb) meets the rows its s-span
+    # reaches; a margin of two pads keeps every row whose band holds a or
+    # whose band lines cross the edge, however those round.
+    fp = np.flatnonzero(valid) % len(ids)
+    sa, ta, sb, tb = np.concatenate([st[:, valid], stn[:, valid]])
+    r0, r1 = _cells(np.array([np.minimum(sa, sb) - 2.0 * _COVER_PAD,
+                              np.maximum(sa, sb) + 2.0 * _COVER_PAD]), resolution)
+    r0, r1 = np.maximum(r0, i0[fp]), np.minimum(r1, i1[fp])
+    edge = np.repeat(np.arange(len(sa)), r1 - r0 + 1)
+    row = run_expand(r0, r1 - r0 + 1)
+    pair = np.repeat((np.cumsum(rows) - rows - i0)[fp], r1 - r0 + 1) + row
+    # Row i's band, padded; the first and last rows are unbounded, as
+    # _cells clamps into them.
+    lines = -1.0 + 2.0 * np.arange(resolution + 1) / resolution
+    band = np.array([lines[:-1] - _COVER_PAD, lines[1:] + _COVER_PAD])
+    band[0, 0], band[1, -1] = -np.inf, np.inf
+    band = band[:, row]
+    sa, ta, sb, tb = sa[edge], ta[edge], sb[edge], tb[edge]
+    # A pair's t-extent spans vertex a where the band holds it and the
+    # edge's crossings with the two band lines.
+    cross = (sa - band) * (sb - band) < 0.0
+    hits = np.concatenate([ta[None], ta + np.divide(band - sa, sb - sa, out=np.zeros(cross.shape),
+                                                    where=cross) * (tb - ta)])
+    use = np.concatenate([((sa >= band[0]) & (sa <= band[1]))[None], cross])
+    lo = np.full(int(rows.sum()), np.inf)
+    hi = np.full(len(lo), -np.inf)
+    np.minimum.at(lo, pair, np.where(use, hits, np.inf).min(axis=0))
+    np.maximum.at(hi, pair, np.where(use, hits, -np.inf).max(axis=0))
+    j0, j1 = _cells(np.array([lo - 2.0 * _COVER_PAD, hi + 2.0 * _COVER_PAD]), resolution)
+    # _cells can round a footprint's padded s-extent into a row whose band
+    # it misses by an ulp; that row finds no point and lists no cell.
+    size = np.maximum(j1 - j0 + 1, 0)
+    ring = np.repeat(np.repeat(ids, rows), size)
+    return ring % n, ring // n, np.repeat(run_expand(i0, rows), size), run_expand(j0, size)
 
 
 def project_face_conservative(face_vertices, x_t, resolution: int,
@@ -173,11 +217,12 @@ def project_face_conservative(face_vertices, x_t, resolution: int,
     """Cube-map cells that the face can decide queries for, as (face, i, j).
 
     The face ring is clipped against each cube-face frustum (apex x_t); the
-    surviving part is projected to (s, t) face coordinates and covered by the
-    rectangle of cells spanning its extent, padded by a small constant.  The
-    clip keeps a margin eps_len > 0 in front of the apex, so projection
-    never divides by zero; by default eps_len is that of the Tolerances of
-    the box around the ring and x_t.  A batch of one of the index build.
+    surviving part is projected to (s, t) face coordinates and covered row
+    by row: each cell row its padded s-extent reaches lists the cells of
+    its t-extent within the row's padded band, padded in turn.  The clip
+    keeps a margin eps_len > 0 in front of the apex, so projection never
+    divides by zero; by default eps_len is that of the Tolerances of the
+    box around the ring and x_t.  A batch of one of the index build.
     Raises ValueError naming a non-finite ring vertex or x_t, or a
     resolution that is not a whole number >= 1.
     """

@@ -5,7 +5,10 @@ library result is the thing under test: the crossing-number test works on
 raw coordinates, and the qhull oracle gets its plane equations from
 scipy.spatial.ConvexHull.  The loop_* references are the polyhedron
 validator and cube-map builder written face by face in Python loops, the
-form the batched library code must reproduce; csr_pack is the bucket-table
+form the batched library code must reproduce (row_cover is the cube map's
+per-row cover, rect_cover the bounding rectangle that must hold it, and
+listed_cells, cell_edge_dirs and direction_cells read an index's cells
+per face and aim rays at its cell edges); csr_pack is the bucket-table
 packing in two passes, a CSR sort and then a padding pass, which
 buckets.BucketTable.pack does in one; wedge_fan_lines is the wedge
 builder's own former fan-line formula on line_halfplanes_reference, the
@@ -210,9 +213,47 @@ def _loop_clip(pts, fvals):
     return out
 
 
-def loop_project_face(ring, x_t, resolution, eps_len):
+def rect_cover(proj, resolution):
+    """Cells (i, j) of the rectangle spanning a footprint's (s, t) extent,
+    padded by 1e-9: the cube map's cover before the per-row rule, which
+    must list a superset of the per-row cells."""
+    ss = [q[0] for q in proj]
+    tt = [q[1] for q in proj]
+    i0 = _loop_cell_of(min(ss) - 1e-9, resolution)
+    i1 = _loop_cell_of(max(ss) + 1e-9, resolution)
+    j0 = _loop_cell_of(min(tt) - 1e-9, resolution)
+    j1 = _loop_cell_of(max(tt) + 1e-9, resolution)
+    return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+
+
+def row_cover(proj, resolution):
+    """Cells (i, j) of a footprint row by row: each row of its padded
+    s-extent lists the padded t-extent of the ring vertices in the row's
+    band and of the ring edges' crossings with the band lines."""
+    m = len(proj)
+    ss = [q[0] for q in proj]
+    cells = []
+    for i in range(_loop_cell_of(min(ss) - 1e-9, resolution),
+                   _loop_cell_of(max(ss) + 1e-9, resolution) + 1):
+        lo = -1.0 + 2.0 * i / resolution - 1e-9 if i > 0 else -math.inf
+        hi = -1.0 + 2.0 * (i + 1) / resolution + 1e-9 if i < resolution - 1 else math.inf
+        tt = [t for s, t in proj if lo <= s <= hi]
+        for k in range(m):
+            (sa, ta), (sb, tb) = proj[k], proj[(k + 1) % m]
+            for line in (lo, hi):
+                if (sa - line) * (sb - line) < 0.0:
+                    tt.append(ta + (line - sa) / (sb - sa) * (tb - ta))
+        if not tt:
+            continue
+        cells += [(i, j) for j in range(_loop_cell_of(min(tt) - 2e-9, resolution),
+                                        _loop_cell_of(max(tt) + 2e-9, resolution) + 1)]
+    return cells
+
+
+def loop_project_face(ring, x_t, resolution, eps_len, cover=row_cover):
     """Cube-map cells (face, i, j) of one face ring, clipped vertex by
-    vertex in Python floats against each cube-face frustum."""
+    vertex in Python floats against each cube-face frustum, each kept
+    footprint's cells listed by cover."""
     base = [tuple(q) for q in (np.asarray(ring, dtype=float) - x_t)]
     cells = []
     for face in range(6):
@@ -238,13 +279,7 @@ def loop_project_face(ring, x_t, resolution, eps_len):
             area2 += s1 * t2 - s2 * t1
         if abs(area2) < 2.0 * 1e-15:
             continue
-        ss = [q[0] for q in proj]
-        tt = [q[1] for q in proj]
-        i0 = _loop_cell_of(min(ss) - 1e-9, resolution)
-        i1 = _loop_cell_of(max(ss) + 1e-9, resolution)
-        j0 = _loop_cell_of(min(tt) - 1e-9, resolution)
-        j1 = _loop_cell_of(max(tt) + 1e-9, resolution)
-        cells += [(face, i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+        cells += [(face, i, j) for i, j in cover(proj, resolution)]
     return cells
 
 
@@ -373,15 +408,63 @@ def regular_polygon(n, radius=1.0):
     return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
 
 
-def prism_mesh(k):
-    """Raw (vertices, faces) of a k-gon prism: two k-gon caps and k quads;
-    the bottom cap is wound inward, so validation reverses it."""
+def prism_mesh(k, z0=0.0, z1=1.0):
+    """Raw (vertices, faces) of a k-gon prism: two k-gon caps on the unit
+    circle at heights z0 and z1, and k quads; the bottom cap is wound
+    inward, so validation reverses it."""
     ring = regular_polygon(k)
-    v = np.vstack([np.column_stack([ring, np.zeros(k)]),
-                   np.column_stack([ring, np.ones(k)])])
+    v = np.vstack([np.column_stack([ring, np.full(k, z0)]),
+                   np.column_stack([ring, np.full(k, z1)])])
     f = [tuple(range(k)), tuple(range(k, 2 * k))]
     f += [(i, (i + 1) % k, k + (i + 1) % k, k + i) for i in range(k)]
     return v, f
+
+
+def cell_edge_dirs(resolution):
+    """Directions through every cell corner and every cell-edge midpoint
+    of the cube map at resolution R, on all six cube faces: the points
+    (s, t) of the cube face with s and t on the cell lines -1 + 2i/R, or
+    one on a line and the other halfway between two."""
+    lines = -1.0 + 2.0 * np.arange(resolution + 1) / resolution
+    mids = -1.0 + (2.0 * np.arange(resolution) + 1.0) / resolution
+    st = np.vstack([np.array(np.meshgrid(a, b)).reshape(2, -1).T
+                    for a, b in ((lines, lines), (lines, mids), (mids, lines))])
+    dirs = []
+    for face in range(6):
+        axis = face >> 1
+        d = np.zeros((len(st), 3))
+        d[:, axis] = 1.0 if face % 2 == 0 else -1.0
+        d[:, _UV[axis][0]], d[:, _UV[axis][1]] = st[:, 0], st[:, 1]
+        dirs.append(d)
+    return np.vstack(dirs)
+
+
+def direction_cells(resolution, dirs):
+    """Flat cube-map cell of each raw direction, restated from
+    cubemap_cell: dominant axis with ties in X, Y, Z order, then
+    floor((s + 1)/2 * R) clamped to [0, R - 1]."""
+    dirs = np.asarray(dirs, dtype=float)
+    axis = np.argmax(np.abs(dirs), axis=1)
+    rows = np.arange(len(dirs))
+    dom = dirs[rows, axis]
+    face = 2 * axis + (dom < 0.0)
+    uv = np.asarray(_UV)[axis]
+    s = dirs[rows, uv[:, 0]] / np.abs(dom)
+    t = dirs[rows, uv[:, 1]] / np.abs(dom)
+    i, j = (np.clip(np.floor((x + 1.0) * 0.5 * resolution), 0, resolution - 1).astype(np.int64)
+            for x in (s, t))
+    return (face * resolution + i) * resolution + j
+
+
+def listed_cells(idx):
+    """For each polyhedron face of a cube-map index, the set of cells
+    (face, i, j) whose buckets list it."""
+    r = idx.resolution
+    listed = [set() for _ in range(idx.poly.n_faces)]
+    cells = np.repeat(np.arange(len(idx.counts)), idx.counts)
+    for cell, k in zip(cells.tolist(), idx.faces_flat.tolist()):
+        listed[k].add((cell // (r * r), cell // r % r, cell % r))
+    return listed
 
 
 def policy_edge_points(shape, x_t):

@@ -33,8 +33,8 @@ from oracles import (annulus_point, boundary_param_batch_reference, bucketed_min
                      csr_pack, covariance_frame_reference, frame_matrix,
                      frame_points, frame_shapes, least_plane,
                      locate_radial_batch_reference, lower_matrix, nonfinite_rows, point_types,
-                     policy_edge_points, radius2_reference, reaches_planes, regular_polygon,
-                     runs_pairs, sliver_shapes)
+                     policy_edge_points, prism_mesh, radius2_reference, reaches_planes,
+                     regular_polygon, runs_pairs, sliver_shapes)
 
 POLYGONS = {
     "triangle": validate_polygon([(0, 0), (1, 0), (0.5, 1)]),
@@ -412,8 +412,12 @@ def test_polygon_kernel_matches_reference(build, corpus2d, monkeypatch):
 
 
 def test_cubemap_kernel_matches_reference(corpus3d, monkeypatch):
-    """The corpus3d cube maps hold 5 to 9 planes in their widest cell."""
+    """The corpus3d cube maps hold 5 to 7 planes in their widest cell, and
+    a 512-gon prism with caps at z = +-1 holds 14."""
     entries, _ = corpus3d
+    prism = validate_polyhedron(*prism_mesh(512, -1.0, 1.0))
+    entries = [*entries, (prism, gen_query_points(prism.aabb, QuerySpec(1000, 9)),
+                          build_cubemap_index(prism))]
     widths = set()
     for poly, pts, idx in entries:
         widths.add(idx.max_occupancy)

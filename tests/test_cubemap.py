@@ -12,7 +12,8 @@ from convexloc import (CapExceeded, Containment, EvalCounter, GenSpec3, QuerySpe
                        validate_polyhedron)
 from convexloc.cubemap import default_cubemap_resolution, flat_cell
 
-from oracles import brute_exit_edges, loop_build_cubemap_index, prism_mesh
+from oracles import (brute_exit_edges, cell_edge_dirs, direction_cells, listed_cells,
+                     loop_build_cubemap_index, loop_project_face, prism_mesh, rect_cover)
 
 CUBE = validate_polyhedron(
     [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0),
@@ -125,6 +126,94 @@ def test_build_matches_loop_reference_with_wide_caps():
     poly = validate_polyhedron(*prism_mesh(2048))
     assert sorted({len(f) for f in poly.faces}) == [4, 2048]
     assert _csr(build_cubemap_index(poly)) == _csr(loop_build_cubemap_index(poly))
+
+
+# Its edges lie in the coordinate planes, so on cell lines of every even
+# resolution: its footprints end exactly on cell lines.
+OCTAHEDRON = validate_polyhedron(
+    [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4), (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)])
+
+
+def _cover_shapes(corpus3d):
+    """The corpus3d indexes and those of a 64-gon prism and the octahedron."""
+    entries, _ = corpus3d
+    return [idx for _, _, idx in entries] + [
+        build_cubemap_index(validate_polyhedron(*prism_mesh(64))),
+        build_cubemap_index(OCTAHEDRON)]
+
+
+def test_row_cover_lies_within_the_rectangle(corpus3d):
+    """Every face's cells lie within the padded bounding rectangle of its
+    footprints, the cover the per-row rule replaced, and in all they are
+    fewer: every corpus3d shape, a 64-gon prism and the octahedron."""
+    n_rows = n_rect = 0
+    for idx in _cover_shapes(corpus3d):
+        poly = idx.poly
+        for k, cells in enumerate(listed_cells(idx)):
+            rect = set(loop_project_face(poly.vertices[list(poly.faces[k])], idx.x_t,
+                                         idx.resolution, poly.tol.eps_len, cover=rect_cover))
+            assert cells <= rect, (k, sorted(cells - rect))
+            n_rows, n_rect = n_rows + len(cells), n_rect + len(rect)
+    assert n_rows < n_rect
+
+
+def test_cell_edge_rays_find_their_first_hit_face(corpus3d):
+    """Rays through every cell corner and cell-edge midpoint, where the
+    padding decides whether a footprint that ends on a cell line is listed
+    on both sides: the first face each ray hits is listed in its cell, by
+    the raw direction map and by bucket_of.  On the octahedron a cover
+    that stops 1e-9 short of its footprints misses 28 of them."""
+    missing = 0
+    for idx in _cover_shapes(corpus3d):
+        dirs = cell_edge_dirs(idx.resolution)
+        hit = brute_exit_edges(idx.poly.halfspaces, idx.x_t, dirs)
+        for flat in (direction_cells(idx.resolution, dirs), idx.bucket_of(idx.x_t + dirs)):
+            missing += int((idx.padded_faces[flat] != hit[:, None]).all(axis=1).sum())
+    assert missing == 0
+
+
+def test_corpus3d_occupancy(corpus3d):
+    """The per-row cover keeps corpus3d at max occupancy 7 and a mean
+    over the shapes of at most 2.6 (the bounding rectangle read 9 and
+    3.35)."""
+    entries, _ = corpus3d
+    assert max(idx.max_occupancy for _, _, idx in entries) <= 7
+    assert np.mean([idx.mean_occupancy for _, _, idx in entries]) <= 2.6
+
+
+@pytest.mark.parametrize("k, bound", [(512, 14), (4096, 37)])
+def test_prism_occupancy(k, bound):
+    """A k-gon prism with caps at z = +-1: the side quads' footprints on
+    the +-Z cube faces are thin radial wedges.  Their bounding rectangles
+    gave max occupancy 27 (k = 512) and 167 (k = 4096); the per-row cover
+    gives 14 and 37."""
+    idx = build_cubemap_index(validate_polyhedron(*prism_mesh(k, -1.0, 1.0)))
+    assert idx.max_occupancy <= bound
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "about 1450 face footprints of the stretched icosphere really do meet one "
+    "cell of a uniform direction grid around x_t, so no cover can lower its "
+    "max occupancy; the per-row cover cuts only the mean, 7.90 -> 2.57"))
+def test_stretched_icosphere_occupancy():
+    """The level-4 icosphere under diag(100, 1, 1) at a tenth of its max
+    occupancy, 1450, under the bounding rectangle."""
+    v, f = icosphere(4)
+    idx = build_cubemap_index(validate_polyhedron(v * np.array([100.0, 1.0, 1.0]), f))
+    assert idx.max_occupancy <= 145
+
+
+def test_row_missed_by_rounding_lists_no_cell():
+    """At R = 22 the triangle's least s is an ulp past row 14's padded
+    band, yet _cells rounds its padded s-extent into row 14: that row
+    finds no vertex or crossing and lists nothing, as in the loop
+    reference, instead of an empty cell range."""
+    s0 = 0.3636363646363636
+    ring = np.array([(1.0, s0, -0.5), (1.0, s0 + 0.3, 0.0), (1.0, s0, 0.5)])
+    cells = project_face_conservative(ring, (0.0, 0.0, 0.0), 22, 1e-12)
+    assert cells == loop_project_face(ring, np.zeros(3), 22, 1e-12)
+    assert sorted({i for _, i, _ in cells}) == [15, 16, 17, 18]
 
 
 def test_projection_needs_positive_margin():
