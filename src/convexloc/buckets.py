@@ -64,12 +64,27 @@ def clamp_budget(what: str, n, cap: int) -> int:
 
 
 def run_expand(starts: np.ndarray, counts: np.ndarray):
-    """Per-run aranges: run j contributes starts[j] + (0..counts[j]-1)."""
-    total = int(counts.sum())
-    first = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=first[1:])
-    within = np.arange(total, dtype=np.int64) - np.repeat(first, counts)
-    return np.repeat(starts, counts) + within
+    """Per-run aranges: run j contributes starts[j] + (0..counts[j]-1), as
+    one int64 array.
+
+    A running sum of ones, with each nonempty run's first entry set to the
+    step from the previous run's last value: no np.repeat, which copies
+    each run's value out one run at a time.  Runs of length 0 add nothing.
+    """
+    if not counts.all():
+        keep = counts > 0
+        starts, counts = starts.compress(keep), counts.compress(keep)
+    steps = np.ones(int(counts.sum()), dtype=np.int64)
+    if len(steps):
+        steps[0] = starts[0]
+        ends = np.cumsum(counts[:-1])
+        # Run j - 1 ends at starts[j - 1] + counts[j - 1] - 1.
+        jump = np.subtract(starts[1:], starts[:-1], dtype=np.int64)
+        jump -= counts[:-1]
+        jump += 1
+        steps[ends] = jump
+        np.cumsum(steps, out=steps)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -192,37 +207,67 @@ class BucketTable:
 
     @classmethod
     def pack(cls, bucket_ids: np.ndarray, item_ids: np.ndarray, n_buckets: int, **fields):
-        """Index listing item_ids[k] in bucket bucket_ids[k], in input order
-        within a bucket, plus the subclass's fields.  Raises AssertionError
-        if a bucket stays empty."""
-        counts = np.bincount(bucket_ids, minlength=n_buckets).astype(np.int32)
-        if int(counts.min()) < 1:
+        """Index listing item_ids[k] in bucket bucket_ids[k], each bucket's
+        items in ascending order, plus the subclass's fields.  Raises
+        AssertionError if a bucket stays empty."""
+        keys = np.left_shift(bucket_ids, 32, dtype=np.int64)
+        keys |= item_ids
+        return cls._pack_keys(keys, n_buckets, fields)
+
+    @classmethod
+    def from_runs(cls, first: np.ndarray, runs: np.ndarray, n_buckets: int, **fields):
+        """pack listing item e in the runs[e] <= n_buckets buckets from
+        first[e] on, wrapping past the last bucket to bucket 0.
+
+        One run_expand of e * 2^32 + first[e] makes the item and bucket ids
+        of every entry at once, in its high and low 32 bits; the halves are
+        then swapped into pack's keys, and the buckets past the last wrap
+        by a compare, not an integer %.
+        """
+        keys = run_expand((np.arange(len(first), dtype=np.int64) << 32) + first, runs)
+        item_ids = np.right_shift(keys, 32, out=np.empty(len(keys), dtype=np.int32),
+                                  casting="unsafe")
+        np.left_shift(keys, 32, out=keys)
+        past = n_buckets << 32
+        np.subtract(keys, past, out=keys, where=keys >= past)
+        keys |= item_ids
+        return cls._pack_keys(keys, n_buckets, fields)
+
+    @classmethod
+    def _pack_keys(cls, keys: np.ndarray, n_buckets: int, fields: dict):
+        """pack of the entries bucket * 2^32 + item in keys, an int64 array
+        that it sorts and then reuses.
+
+        One sort of the keys orders the entries by bucket and item, and
+        each entry's place in the column-major table is a gather by its
+        bucket: no argsort, no gather by it and no np.repeat of per-bucket
+        values.
+        """
+        keys.sort(kind="stable")        # timsort: most builders hand in long sorted runs
+        items = np.bitwise_and(keys, 0xFFFFFFFF, out=np.empty(len(keys), dtype=np.int32),
+                               casting="unsafe")
+        sizes = np.bincount(np.right_shift(keys, 32, out=keys), minlength=n_buckets)
+        if int(sizes.min()) < 1:
             raise AssertionError(f"{cls.__name__} construction produced an empty bucket")
-        items = item_ids[np.argsort(bucket_ids, kind="stable")].astype(np.int32)
-        first = np.cumsum(counts, dtype=np.int64) - counts
-        occ = int(counts.max())
-        # Filled as its C-order transpose, so the table is column-major.
-        columns = np.empty((occ, n_buckets), dtype=np.int32)
-        columns[:] = items[first]
+        counts = sizes.astype(np.int32)
+        first = np.cumsum(sizes)
+        first -= sizes
+        # Filled as its C-order transpose, so the table is column-major;
+        # every row starts as the bucket's first item, its padding.
+        columns = np.empty((int(sizes.max()), n_buckets), dtype=np.int32)
+        np.take(items, first, out=columns[0])
+        columns[1:] = columns[0]
         # Entry k of the sorted items is entry k - first[b] of its bucket b,
         # which is flat entry (k - first[b]) * n_buckets + b of the transpose.
-        shift = np.arange(n_buckets) - first * n_buckets
-        columns.reshape(-1)[np.repeat(shift, counts)
-                            + np.arange(0, len(items) * n_buckets, n_buckets)] = items
+        first *= -n_buckets
+        first += np.arange(n_buckets)
+        flat = first.take(keys)
+        flat += np.arange(0, len(keys) * n_buckets, n_buckets)
+        columns.reshape(-1)[flat] = items
         padded = columns.T
         for arr in (padded, counts):
             arr.setflags(write=False)
         return cls(padded_edges=padded, counts=counts, **fields)
-
-    @classmethod
-    def from_runs(cls, first: np.ndarray, runs: np.ndarray, n_buckets: int, **fields):
-        """pack listing item e in the runs[e] buckets from first[e] on,
-        wrapping past the last bucket to bucket 0."""
-        item_ids = np.repeat(np.arange(len(first), dtype=np.int32), runs)
-        bucket_ids = run_expand(first, runs)
-        if int((first + runs).max()) > n_buckets:
-            bucket_ids %= n_buckets
-        return cls.pack(bucket_ids, item_ids, n_buckets, **fields)
 
     def bucket(self, i: int) -> np.ndarray:
         """Plane ids listed in bucket i."""

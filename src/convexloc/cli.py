@@ -48,12 +48,24 @@ def _csv_floats(text: str):
     return vals
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="convexloc",
-                                 description="constant-time convex point location")
-    sub = ap.add_subparsers(dest="cmd", required=True)
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, whose arguments are added by its arguments
+    function when it first parses.  argparse parses a subcommand's
+    arguments, --help and usage errors included, only when that subcommand
+    is invoked, so a run adds the arguments of one subcommand, not four."""
 
-    g = sub.add_parser("gen", help="generate a shape file")
+    def __init__(self, *args, arguments, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._arguments = arguments
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._arguments is not None:
+            self._arguments(self)
+            self._arguments = None
+        return super().parse_known_args(args, namespace)
+
+
+def _gen_arguments(g: argparse.ArgumentParser) -> None:
     kind = g.add_mutually_exclusive_group(required=True)
     kind.add_argument("--polygon", action="store_true")
     kind.add_argument("--icosphere", action="store_true")
@@ -68,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="icosphere: skip the random affine map")
     g.add_argument("--out", required=True)
 
-    lo = sub.add_parser("locate", help="classify points against a shape")
+
+def _locate_arguments(lo: argparse.ArgumentParser) -> None:
     lo.add_argument("--shape", required=True,
                     help="shape file (.obj = polyhedron, otherwise polygon)")
     lo.add_argument("--points", required=True, help="text file of query points")
@@ -76,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="|".join(sorted(set(METHODS_2D + METHODS_3D))))
     lo.add_argument("--out", default=None, help="write results here instead of stdout")
 
-    ve = sub.add_parser("verify", help="cross-check methods on a generated corpus")
+
+def _verify_arguments(ve: argparse.ArgumentParser) -> None:
     ve.add_argument("--dim", choices=["2", "3", "both"], default="both")
     ve.add_argument("--sizes", type=_csv_ints, default=[8, 64, 512],
                     help="2D polygon vertex counts")
@@ -87,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--points", type=int, default=1000)
     ve.add_argument("--seed", type=int, default=0)
 
-    be = sub.add_parser("bench", help="time builds and queries, emit CSV")
+
+def _bench_arguments(be: argparse.ArgumentParser) -> None:
     be.add_argument("--dim", choices=["2", "3"], required=True)
     be.add_argument("--methods", default=None,
                     help="comma-separated; default: all for the dimension")
@@ -97,6 +112,20 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--reps", type=int, default=3)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--out", default=None)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The convexloc parser; each subcommand's arguments are added when it
+    is invoked (_Subcommand)."""
+    ap = argparse.ArgumentParser(prog="convexloc",
+                                 description="constant-time convex point location")
+    sub = ap.add_subparsers(dest="cmd", required=True, parser_class=_Subcommand)
+    sub.add_parser("gen", help="generate a shape file", arguments=_gen_arguments)
+    sub.add_parser("locate", help="classify points against a shape",
+                   arguments=_locate_arguments)
+    sub.add_parser("verify", help="cross-check methods on a generated corpus",
+                   arguments=_verify_arguments)
+    sub.add_parser("bench", help="time builds and queries, emit CSV", arguments=_bench_arguments)
     return ap
 
 

@@ -40,6 +40,7 @@ Conventions used throughout the library:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -148,9 +149,12 @@ class Aabb:
 
     @classmethod
     def of_points(cls, points: np.ndarray) -> "Aabb":
+        """The box of an (N, d) array's rows, reduced one column at a time:
+        numpy reduces many rows of 2 or 3 slowly, and a column of
+        column-major vertices is contiguous."""
         points = np.asarray(points, dtype=float)
-        lo = points.min(axis=0).copy()
-        hi = points.max(axis=0).copy()
+        lo = np.array([col.min() for col in points.T])
+        hi = np.array([col.max() for col in points.T])
         lo.setflags(write=False)
         hi.setflags(write=False)
         return cls(lo, hi)
@@ -253,15 +257,26 @@ def line_halfplanes(starts: np.ndarray, ends: np.ndarray, eps_len: float) -> np.
     positive on the left, as an (N, 3) column-major array (the layout the
     bucket kernel reads); a one-row array broadcasts.  Raises DegenerateEdge
     when a line is shorter than eps_len or of zero length."""
-    d = ends - starts
-    length = np.hypot(d[:, 0], d[:, 1])
+    return _column_halfplanes(starts[:, 0], starts[:, 1], ends[:, 0] - starts[:, 0],
+                              ends[:, 1] - starts[:, 1], eps_len)
+
+
+def _column_halfplanes(x, y, dx, dy, eps_len: float) -> np.ndarray:
+    """line_halfplanes of the lines from (x, y) along (dx, dy), given as
+    coordinate columns, each coefficient written into its own column."""
+    length = np.hypot(dx, dy)
     if (length < eps_len).any() or (length == 0.0).any():
         bad = int(np.argmin(length))
         raise DegenerateEdge(f"edge {bad} has near-zero length {length[bad]:g}")
-    a = -d[:, 1] / length
-    b = d[:, 0] / length
-    c = -(a * starts[:, 0] + b * starts[:, 1])
-    return np.array([a, b, c]).T
+    planes = np.empty((3, len(length)))
+    a, b, c = planes
+    # -(dy / length) has the bits of -dy / length: negation is exact.
+    np.negative(np.divide(dy, length, out=a), out=a)
+    np.divide(dx, length, out=b)
+    np.multiply(a, x, out=c)
+    c += np.multiply(b, y, out=length)
+    np.negative(c, out=c)
+    return planes.T
 
 
 def _face_planes(rings: np.ndarray, interior: np.ndarray, tol: Tolerances):
@@ -307,10 +322,15 @@ def ring_groups(rings) -> list:
     Each table is exactly as wide as its rings, so the groups together hold
     one entry per ring vertex however much the ring lengths differ.
     """
-    if not len(rings):
-        return []
     lens = np.fromiter(map(len, rings), dtype=np.int64, count=len(rings))
-    flat = np.concatenate(rings).astype(np.int64, copy=False)
+    flat = np.fromiter(itertools.chain.from_iterable(rings), dtype=np.int64,
+                       count=int(lens.sum()))
+    return _length_groups(lens, flat)
+
+
+def _length_groups(lens: np.ndarray, flat: np.ndarray) -> list:
+    """ring_groups of the rings of lengths lens whose vertex indices,
+    ring after ring, are flat."""
     starts = np.cumsum(lens) - lens
     groups = []
     for k in np.unique(lens):
@@ -320,16 +340,23 @@ def ring_groups(rings) -> list:
 
 
 def centroid(shape_or_vertices) -> np.ndarray:
-    """Vertex mean; strictly interior for any validated strictly convex shape."""
-    v = getattr(shape_or_vertices, "vertices", shape_or_vertices)
-    return np.asarray(v, dtype=float).mean(axis=0)
+    """Vertex mean; strictly interior for any validated strictly convex shape.
+
+    Each column is summed in row order, with a running sum: the bits of
+    mean(axis=0) on row-major vertices, which numpy sums row after row,
+    where on a column-major array it sums each contiguous column pairwise.
+    """
+    v = np.asarray(getattr(shape_or_vertices, "vertices", shape_or_vertices), dtype=float)
+    return np.array([np.cumsum(col)[-1] for col in v.T]) / len(v)
 
 
 @dataclass(frozen=True)
 class ConvexPolygon:
     """Validated strictly convex CCW polygon; dim is 2.
 
-    vertices   -- (N, 2) float64, counter-clockwise, immutable
+    vertices   -- (N, 2) float64, counter-clockwise, immutable; stored
+                  column-major, like halfplanes, so each coordinate column
+                  is one contiguous array that the O(N) set-up passes read
     halfplanes -- (N, 3) unit-normal inward half-planes, row i for edge
                   (vertices[i], vertices[i+1 mod N]); stored column-major,
                   so each coefficient column is one contiguous array that
@@ -355,8 +382,8 @@ class ConvexPolyhedron:
     """Validated convex polyhedron with outward-CCW planar faces; dim is 3.
 
     faces stores vertex-index rings; halfspaces holds one unit-normal inward
-    half-space (a, b, c, d) per face, same order, stored column-major like
-    ConvexPolygon.halfplanes.
+    half-space (a, b, c, d) per face, same order.  vertices, (V, 3) float64,
+    and halfspaces are stored column-major like ConvexPolygon's.
     """
 
     vertices: np.ndarray
@@ -409,17 +436,25 @@ def min_signed_distance(shape, points) -> np.ndarray:
 def _vertex_array(vertices, dim: int, name: str, form: str):
     """(float vertices, AABB, tolerances) after the checks both validators
     share, in order: form, finiteness, magnitude, dim + 1 vertices, nonzero
-    diagonal."""
-    v = np.array(vertices, dtype=float)
+    diagonal.
+
+    The one owner of the vertex layout: the vertices are copied
+    column-major, as the planes are stored, so that every O(N) set-up pass
+    reads contiguous coordinate columns.
+    """
+    v = np.array(vertices, dtype=float, order="F")
     if v.ndim != 2 or v.shape[1] != dim:
         raise ValidationError(f"{name} vertices must form {form} array")
-    if not np.isfinite(v).all():
-        raise ValidationError(f"{name} coordinates must be finite")
-    if np.abs(v).max(initial=0.0) > _COORD_MAX:
+    # min and max propagate NaN, so the vertices are finite and within
+    # _COORD_MAX exactly when the box corners are; no vertex, no corner.
+    aabb = Aabb.of_points(v) if len(v) else None
+    corners = [] if aabb is None else [*aabb.lo.tolist(), *aabb.hi.tolist()]
+    if not all(abs(c) <= _COORD_MAX for c in corners):
+        if not np.isfinite(v).all():
+            raise ValidationError(f"{name} coordinates must be finite")
         raise ValidationError(f"{name} coordinates must be at most {_COORD_MAX:g} in magnitude")
     if len(v) <= dim:
         raise TooFewVertices(f"{name} needs >= {dim + 1} vertices, got {len(v)}")
-    aabb = Aabb.of_points(v)
     diag = aabb.diagonal
     if diag == 0.0:
         raise DegenerateEdge("all vertices coincide")
@@ -435,49 +470,93 @@ def validate_polygon(vertices) -> ConvexPolygon:
     ValidationError subclass naming the first violated invariant.
     """
     v, aabb, tol = _vertex_array(vertices, 2, "polygon", "an (N, 2)")
+    # Every pass reads the contiguous coordinate columns x and y.
+    x, y = v.T
     # Winding repair: negative shoelace area means clockwise input.  Summed
     # on the vertices less the first, so that far from the origin the
     # products do not round by more than the area.
-    x, y = (v - v[0]).T
-    area2 = float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    # Each fresh N-array costs page faults on top of its arithmetic, so the
+    # passes below write into the arrays made before them where they can.
+    x0, y0 = x - x[0], y - y[0]
+    fold = _next(y0)
+    fold *= x0
+    fold -= np.multiply(_next(x0), y0, out=x0)
+    area2 = float(np.sum(fold))
     if area2 < 0.0:
-        v = v[::-1].copy()
+        v = v[::-1].copy(order="F")
+        x, y = v.T
     # Degenerate edges are reported before convexity so that a repeated
     # vertex names the real problem, not the zero cross product it causes.
-    nxt = np.roll(v, -1, axis=0)
-    halfplanes = line_halfplanes(v, nxt, tol.eps_len)
-    d = nxt - v
-    dn = np.roll(d, -1, axis=0)
-    crosses = d[:, 0] * dn[:, 1] - d[:, 1] * dn[:, 0]
+    dx, dy = _next(x), _next(y)
+    dx -= x
+    dy -= y
+    halfplanes = _column_halfplanes(x, y, dx, dy, tol.eps_len)
+    dxn, dyn = _next(dx), _next(dy)
+    crosses = dx * dyn
+    crosses -= np.multiply(dy, dxn, out=y0)
     # The convexity floor scales with the incident edge lengths: the cross
     # product's rounding noise is ~eps_mach * coord_scale * edge_length, so
     # this clears it by orders of magnitude while still admitting the tiny
-    # turn angles of finely tessellated shapes (large N).
-    elen = np.linalg.norm(d, axis=1)
-    area_floor = tol.eps_len * (elen + np.roll(elen, -1))
+    # turn angles of finely tessellated shapes (large N).  The lengths have
+    # the bits of np.linalg.norm's.
+    elen = np.multiply(dx, dx, out=fold)
+    elen += np.multiply(dy, dy, out=x0)
+    np.sqrt(elen, out=elen)
+    area_floor = _next(elen)
+    area_floor += elen
+    area_floor *= tol.eps_len
     if not (crosses > area_floor).all():
         bad = int(np.argmin(crosses))
         raise NotConvex(f"non-convex or collinear turn at vertex {(bad + 1) % len(v)}")
     # Every turn is strictly left, so the exterior angles sum to 2*pi*k for a
     # vertex order that winds k times; only k == 1 is a convex polygon.
-    turning = float(np.arctan2(crosses, d[:, 0] * dn[:, 0] + d[:, 1] * dn[:, 1]).sum())
+    dot = np.multiply(dx, dxn, out=dxn)
+    dot += np.multiply(dy, dyn, out=dyn)
+    turning = float(np.arctan2(crosses, dot, out=dot).sum())
     if turning > 3.0 * np.pi:
         raise NotConvex(f"vertex order winds {round(turning / (2.0 * np.pi))} "
                         "times around the interior")
     # Numeric sanity: on a convex polygon the distance to an edge line grows
     # away from the edge in both directions, so rounding can only push the
     # edge's own endpoints or the nearest vertex on either side out of its
-    # half-plane.  Row i of ring[k:k + N] is vertex i - 1 + k, so edge i is
+    # half-plane.  Entry i of rx[k:k + N] is vertex i - 1 + k, so edge i is
     # checked at vertices i-1, i, i+1 and i+2.
-    ring = np.concatenate([v[-1:], v, v[:2]])
+    n = len(v)
+    rx, ry = (np.concatenate((col[-1:], col, col[:2])) for col in (x, y))
     a, b, c = halfplanes.T
+    dist, term = dx, dy        # no longer read
     for k in range(4):
-        w = ring[k:k + len(v)]
-        if (a * w[:, 0] + b * w[:, 1] + c).min() < -tol.eps_q:
+        np.multiply(a, rx[k:k + n], out=dist)
+        dist += np.multiply(b, ry[k:k + n], out=term)
+        dist += c
+        if dist.min() < -tol.eps_q:
             raise NotConvex("vertex escapes an edge half-plane beyond tolerance")
     v.setflags(write=False)
     halfplanes.setflags(write=False)
     return ConvexPolygon(vertices=v, halfplanes=halfplanes, aabb=aabb, tol=tol)
+
+
+def _next(col: np.ndarray) -> np.ndarray:
+    """np.roll(col, -1) of a 1-D array: entry i is col[i + 1], cyclically."""
+    return np.concatenate((col[1:], col[:1]))
+
+
+def _int_rings(faces):
+    """(ring lengths, vertex indices ring after ring) as int64 arrays, read
+    in one pass, when faces is a tuple or list of tuples or lists of ints
+    (Python or int64) that fit int64; None for any other faces, which
+    validate_polyhedron reads ring by ring.  np.asarray reads each such
+    face as a 1-D int64 array, so both readings check the same rings."""
+    if not isinstance(faces, (tuple, list)) or not set(map(type, faces)) <= {tuple, list}:
+        return None
+    flat = list(itertools.chain.from_iterable(faces))
+    if not set(map(type, flat)) <= {int, np.int64}:
+        return None
+    try:
+        flat = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        return None
+    return np.fromiter(map(len, faces), dtype=np.int64, count=len(faces)), flat
 
 
 def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
@@ -489,17 +568,30 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
     centroid.
     """
     v, aabb, tol = _vertex_array(vertices, 3, "polyhedron", "a (V, 3)")
-    interior = v.mean(axis=0)
+    interior = centroid(v)
 
     # Faces are checked in numpy passes, one per ring length; each check
     # reports the lowest face that fails it, as a face-by-face loop would.
-    rings = [np.asarray(face) for face in faces]
-    n_ok = next((k for k, ring in enumerate(rings) if ring.ndim != 1 or len(ring) < 3),
-                len(rings))
-    k = next((k for k, ring in enumerate(rings[:n_ok]) if ring.dtype.kind not in "iu"), None)
-    if k is not None:
-        raise ValidationError(f"face {k} has non-integer vertex indices")
-    groups = ring_groups(rings[:n_ok])
+    ragged = _int_rings(faces)
+    if ragged is None:
+        rings = [np.asarray(face) for face in faces]
+        n_faces = len(rings)
+        n_ok = next((k for k, ring in enumerate(rings) if ring.ndim != 1 or len(ring) < 3),
+                    n_faces)
+        k = next((k for k, ring in enumerate(rings[:n_ok]) if ring.dtype.kind not in "iu"),
+                 None)
+        if k is not None:
+            raise ValidationError(f"face {k} has non-integer vertex indices")
+        lens = np.fromiter(map(len, rings[:n_ok]), dtype=np.int64, count=n_ok)
+        flat = (np.concatenate(rings[:n_ok]).astype(np.int64, copy=False) if n_ok
+                else np.zeros(0, dtype=np.int64))
+    else:
+        lens, flat = ragged
+        n_faces = len(lens)
+        short = lens < 3
+        n_ok = int(np.argmax(short)) if short.any() else n_faces
+        lens = lens[:n_ok]
+    groups = _length_groups(lens, flat)
     bad = np.zeros(n_ok, dtype=np.int64)     # 1: out of range, 2: repeats
     for ids, idx in groups:
         ordered = np.sort(idx, axis=1)
@@ -510,10 +602,10 @@ def validate_polyhedron(vertices, faces) -> ConvexPolyhedron:
         if bad[k] == 1:
             raise ValidationError(f"face {k} references a vertex out of range")
         raise DegenerateFace(f"face {k} repeats a vertex")
-    if n_ok < len(rings):
+    if n_ok < n_faces:
         raise TooFewVertices(f"face {n_ok} has fewer than 3 vertices")
-    if len(rings) < 4:
-        raise TooFewVertices(f"polyhedron needs >= 4 faces, got {len(rings)}")
+    if n_faces < 4:
+        raise TooFewVertices(f"polyhedron needs >= 4 faces, got {n_faces}")
 
     halfspaces = np.empty((n_ok, 4), order="F")
     fault = np.empty(n_ok, dtype=np.int64)

@@ -116,6 +116,22 @@ def test_from_runs_wraps_past_the_last_bucket():
     assert [table.bucket(b).tolist() for b in range(4)] == [[0], [0, 1], [1], [0]]
 
 
+@pytest.mark.parametrize("counts", [[], [0], [0, 0], [3], [2, 0, 3], [0, 4, 0, 0, 1, 0],
+                                    [1, 1, 1, 1], "random"])
+def test_run_expand_is_the_repeat_formula(counts):
+    """run_expand equals starts repeated per run plus each entry's offset in
+    its run, both by np.repeat, with zero-length runs (the cube map's
+    footprint rows can have them) and with no runs."""
+    rng = np.random.default_rng(5)
+    counts = (rng.integers(0, 5, size=2000) if counts == "random"
+              else np.array(counts, dtype=np.int64))
+    starts = rng.integers(-1000, 1000, size=len(counts))
+    first = np.cumsum(counts) - counts
+    want = np.repeat(starts, counts) + np.arange(counts.sum()) - np.repeat(first, counts)
+    got = buckets.run_expand(starts, counts)
+    assert got.dtype == np.int64 and got.tobytes() == want.astype(np.int64).tobytes()
+
+
 @pytest.fixture
 def reference_tables(monkeypatch):
     """csr_pack of the pairs handed to every outermost BucketTable.pack or

@@ -347,6 +347,58 @@ def test_line_halfplanes_are_column_major():
         assert np.array_equal(h, line_halfplanes_reference(starts, ends))
 
 
+def _layouts(v):
+    """v as a list, a C-order array and an F-order array."""
+    return {"list": np.asarray(v).tolist(), "C": np.ascontiguousarray(v),
+            "F": np.asfortranarray(v)}
+
+
+def test_validators_store_vertices_column_major():
+    """Both validators return F-contiguous, read-only vertices, and the same
+    vertices and planes bit for bit, from a list, a C-order or an F-order
+    array, and from clockwise input, whose reversal keeps the layout."""
+    poly_v = np.asarray(gen_convex_polygon(GenSpec2(64, 7)).vertices)
+    mesh_v, faces = _affine_icosphere(1, 3)
+    polygons = [validate_polygon(v) for v in _layouts(poly_v).values()]
+    polygons += [validate_polygon(v[::-1]) for v in _layouts(poly_v).values()]
+    # Reversed faces are repaired, to planes that may round differently.
+    groups = [(polygons, poly_v)]
+    for f in (faces, [face[::-1] for face in faces]):
+        groups.append(([validate_polyhedron(v, f) for v in _layouts(mesh_v).values()], mesh_v))
+    for shapes, want in groups:
+        for shape in shapes:
+            assert shape.vertices.flags.f_contiguous and not shape.vertices.flags.writeable
+            assert shape.vertices.tobytes(order="A") == np.asfortranarray(want).tobytes(order="A")
+            assert shape.planes.tobytes(order="A") == shapes[0].planes.tobytes(order="A")
+
+
+@given(st.integers(3, 70000), st.integers(-300, 300), st.floats(-1e9, 1e9),
+       st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_box_and_centroid_are_the_row_major_reductions(n, exponent, shift, seed, dim, grid):
+    """Aabb.of_points and centroid reduce column by column, with the bits of
+    min, max and mean(axis=0) on a C-order copy, which numpy reduces row by
+    row: at scales 1e-300 to 1e300, translations up to 1e9 and 3 to 70000
+    points, from either layout.  Grid points repeat coordinates and, at no
+    translation, hold zeros of both signs; min and max may return either
+    zero for those, so the bounds compare after adding +0.0."""
+    rng = np.random.default_rng(seed)
+    if grid:
+        raw = rng.integers(-3, 4, size=(n, dim)).astype(float)
+        raw[raw == 0.0] *= rng.choice([-1.0, 1.0], size=int((raw == 0.0).sum()))
+    else:
+        raw = rng.normal(size=(n, dim))
+    pts = np.asfortranarray(raw * 10.0 ** exponent + shift)
+    rows = np.ascontiguousarray(pts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = rows.mean(axis=0)
+        for p in (pts, rows):
+            box = Aabb.of_points(p)
+            assert (box.lo + 0.0).tobytes() == (rows.min(axis=0) + 0.0).tobytes()
+            assert (box.hi + 0.0).tobytes() == (rows.max(axis=0) + 0.0).tobytes()
+            assert centroid(p).tobytes() == want.tobytes()
+
+
 def test_tolerances_scale_with_diagonal():
     small = validate_polygon(np.asarray(SQUARE) * 1e-3)
     big = validate_polygon(np.asarray(SQUARE) * 1e3)

@@ -19,6 +19,7 @@ from convexloc import (Containment, GenSpec2, GenSpec3, ParseError, gen_convex_p
                        write_obj_file, write_points_file, write_polygon_file)
 from convexloc import baselines, polar
 from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, BenchRecord, make_locator
+from convexloc import cli
 from convexloc.cli import main
 
 from oracles import line_read_rows
@@ -319,6 +320,46 @@ def test_cli_error_exit_codes(argv, capsys, tmp_path):
 def test_cli_rejects_malformed_lists(argv, message, capsys):
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+class _EagerSubcommand(cli._Subcommand):
+    """A subcommand parser that adds its arguments when it is made, as
+    build_parser did for every subcommand before they were added lazily."""
+
+    def __init__(self, *args, arguments, **kwargs):
+        super().__init__(*args, arguments=None, **kwargs)
+        arguments(self)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["frobnicate"], ["-x"], ["-", "locate"], ["--bogus", "gen"],
+    ["gen", "--help"], ["locate", "--help"], ["verify", "--help"], ["bench", "--help"],
+    ["locate", "-h", "--shape"], ["bench", "--dim", "2", "--help"],
+    ["gen"], ["gen", "--polygon"], ["gen", "--polygon", "--icosphere", "--out", "x"],
+    ["gen", "--polygon", "-n", "x", "--out", "y"], ["gen", "locate"],
+    ["locate"], ["locate", "--shape", "a"], ["locate", "--shape", "a", "--points", "b", "-q"],
+    ["verify", "--dim", "4"], ["verify", "--sizes", "a,b"], ["bench"], ["bench", "--dim", "5"],
+])
+def test_cli_help_and_usage_errors_match_the_eager_parser(argv, monkeypatch, capsys):
+    """Every --help and usage error prints the bytes, and exits with the
+    code, of the parser that adds all four subcommands' arguments up
+    front."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = main(list(argv)), capsys.readouterr()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_Subcommand", _EagerSubcommand)
+        want = main(list(argv)), capsys.readouterr()
+    assert got == want
+
+
+def test_cli_adds_only_the_invoked_subcommands_arguments():
+    """Parsing `locate` adds its four arguments to -h; the other
+    subcommands keep -h alone."""
+    parser = cli.build_parser()
+    parser.parse_args(["locate", "--shape", "a", "--points", "b"])
+    subparsers = parser._subparsers._group_actions[0].choices
+    assert {name: len(sub._actions) for name, sub in subparsers.items()} == {
+        "gen": 1, "locate": 5, "verify": 1, "bench": 1}
 
 
 def test_make_locator_rejects_an_unknown_shape_type():
