@@ -5,8 +5,8 @@ Four classic strategies, ordered by per-query cost:
 - linear scan of all half-planes/half-spaces, O(N) per query;
 - wedge bisection around a fan apex, O(log N) per query;
 - sorted y-slabs (binary search on distinct vertex ordinates), O(log N);
-- uniform y-slabs (direct index arithmetic), O(1) per query after an
-  O(N + n_slabs) build.
+- uniform y-slabs (the polar slabs' two-level map, buckets.LeafMap, over
+  the ordinates), O(1) per query after an O(N) build.
 
 The wedge and both y-slab indexes are buckets.BucketTable subclasses (a
 wedge or a slab is a bucket) and evaluate their candidate edges with the
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .buckets import BucketTable, bucketed_min, clamp_budget, row_norm2
-from .core import (Containment, ConvexPolygon, EvalCounter, SLAB_CAP, classify_min,
+from .buckets import BucketTable, LeafMap, bucketed_min, row_norm2
+from .core import (Containment, ConvexPolygon, EvalCounter, classify_min,
                    line_halfplanes, min_signed_distance, plane_eval, query_point, query_points)
 
 
@@ -216,42 +216,35 @@ def build_sorted_slabs(poly: ConvexPolygon) -> SortedSlabIndex2:
 
 @dataclass(frozen=True)
 class UniformSlabIndex2(BucketTable):
-    """Equal-height y-slabs, one bucket of candidate edges each.
-
-    Slab i covers [y_min + i*h, y_min + (i+1)*h) with h = span / n_slabs; a
-    query maps to its slab by one floor division.  Every edge is listed in
-    every slab its y-extent overlaps.
+    """Y-slabs sized by local need, one bucket of candidate edges each:
+    leaves, a clipped buckets.LeafMap over [y_min, y_max], splits it at the
+    vertex ordinates as the polar slabs split the perimeter.  Every edge is
+    listed in every slab its y-extent overlaps.
     """
 
     poly: ConvexPolygon
-    n_slabs: int
+    leaves: LeafMap
+
+    @property
+    def n_slabs(self) -> int:
+        return self.leaves.n_leaves
 
     def slab_of(self, y) -> np.ndarray:
-        return _y_slab_of(y, self.poly, self.n_slabs)
-
-
-def _y_slab_of(y, poly: ConvexPolygon, n_slabs: int) -> np.ndarray:
-    lo = poly.aabb.lo[1]
-    i = np.floor((np.asarray(y, dtype=float) - lo) / (poly.aabb.hi[1] - lo) * n_slabs)
-    return np.clip(i, 0, n_slabs - 1).astype(np.int64)
+        """Slab of each finite y: the first at and below y_min, the last at and above y_max."""
+        return self.leaves.leaf_of(np.subtract(y, self.poly.aabb.lo[1]))
 
 
 def build_uniform_slabs(poly: ConvexPolygon) -> UniformSlabIndex2:
-    """Build the uniform y-slab index in O(N + n_slabs).  n_slabs is at
-    least N, and no slab is taller than the smallest gap between vertex
-    ordinates, up to SLAB_CAP (clamp_budget warns when it clamps)."""
+    """Build the uniform y-slab index in O(N): LeafMap.split of the sorted
+    vertex ordinates, at most (LEAVES_PER_POINT + 1) * N slabs."""
     y = poly.vertices[:, 1]
-    gaps = np.diff(np.sort(y))
-    # Gaps at or below eps_len are coincident ordinates under the
-    # tolerance model (e.g. mirror-symmetric vertices), not real spacing.
-    gaps = gaps[gaps > poly.tol.eps_len]
-    span = float(poly.aabb.hi[1] - poly.aabb.lo[1])
-    want = poly.n if len(gaps) == 0 else int(math.ceil(span / float(gaps.min())))
-    n_slabs = clamp_budget("uniform slab count", max(poly.n, want), SLAB_CAP)
-    y0, y1 = np.sort([y, np.roll(y, -1)], axis=0)
-    first = _y_slab_of(y0, poly, n_slabs)
-    runs = _y_slab_of(y1, poly, n_slabs) - first + 1
-    return UniformSlabIndex2.from_runs(first, runs, n_slabs, poly=poly, n_slabs=n_slabs)
+    lo = poly.aabb.lo[1]
+    leaves = LeafMap.split(np.sort(y) - lo, float(poly.aabb.hi[1] - lo), "uniform slab count",
+                           cyclic=False)
+    # Edge k spans the slabs from that of its lower end to that of its upper end.
+    first, last = leaves.leaf_of(np.sort([y, np.roll(y, -1)], axis=0) - lo)
+    return UniformSlabIndex2.from_runs(first, last - first + 1, leaves.n_leaves,
+                                       poly=poly, leaves=leaves)
 
 
 locate_sorted_slabs = locate_uniform_slabs = locate_y_slabs

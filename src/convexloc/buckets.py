@@ -24,9 +24,9 @@ makes the outer bound from the vertices.  Only the points in the annulus
 between the two bounds reach the box test (Aabb.contains in a batch), the
 direction map and bucketed_min.
 
-LeafMap maps a parameter to the rows of a table in two levels: equal
-coarse slabs, each cut into as many equal leaves as its own crowding needs
-(the polar slabs).
+LeafMap, the map of the polar slabs (cyclic) and the uniform y-slabs
+(clipped), maps a parameter to table rows in two levels: equal coarse
+slabs, each cut into as many equal leaves as its own crowding needs.
 """
 
 from __future__ import annotations
@@ -38,8 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (CapExceeded, Containment, ConvexPolygon, ConvexPolyhedron, EvalCounter,
-                   ReferenceNotInterior, centroid, classify_min, plane_eval, query_point,
-                   query_points)
+                   ReferenceNotInterior, SLAB_CAP, centroid, classify_min, plane_eval,
+                   query_point, query_points)
+
+# LeafMap.split's cap on a coarse slab's leaves, per point in the slab: the
+# least of 2, 4, 8, 16 and 32 that caps no corpus2d polar table.
+LEAVES_PER_POINT = 8
 
 
 def whole_budget(what: str, n) -> int:
@@ -89,57 +93,67 @@ def run_expand(starts: np.ndarray, counts: np.ndarray):
 
 @dataclass(frozen=True)
 class LeafMap:
-    """A two-level map of a parameter x in [0, length) to the rows (leaves)
-    of a bucket table: n coarse slabs of equal width, coarse slab i cut
-    into s_i = leaf_base[i + 1] - leaf_base[i] equal leaves.
+    """A two-level map of a parameter x to the rows (leaves) of a bucket
+    table: n coarse slabs of equal width over [0, length), coarse slab i
+    cut into s_i = leaf_base[i + 1] - leaf_base[i] equal leaves.
 
     x maps to t = x * scale (scale = n / length), to coarse slab
-    i = trunc(t) and to frac = t - i, which is exact; the one t that rounds
-    up to n wraps to slab 0, as floor-and-modulo would send it.  Its leaf is
+    i = trunc(t) and to frac = t - i, which is exact.  Its leaf is
     leaf_base[i] + trunc(frac * s_i), which is at most leaf_base[i] + s_i - 1:
     frac <= 1 - 2^-53, and (1 - 2^-53) * s rounds below s for every whole
-    s < 2^53, so no clamp to s_i - 1 is needed.  The map never decreases
-    as x grows, short of that wrap, so an item spanning [x0, x1] spans the
-    leaves from the leaf of x0 to the leaf of x1.  With every s_i = 1
-    (uniform) the leaf is the coarse slab, truncation with the one wrap.
-    leaf_base, the running sum of the s_i from 0, is read-only.
+    s < 2^53, so no clamp to s_i - 1 is needed.  A cyclic map (x in
+    [0, length)) wraps the one t that rounds up to n to slab 0, as
+    floor-and-modulo would; any other first clips t into [0, n), so x <= 0
+    maps to the first leaf and x >= length to the last.  The map never
+    decreases as x grows, short of the wrap, so an item spanning [x0, x1]
+    spans the leaves from the leaf of x0 to the leaf of x1.  leaf_base,
+    the running sum of the s_i from 0, is read-only.
     """
 
     scale: float
     leaf_base: np.ndarray
+    cyclic: bool = True
 
     @classmethod
-    def uniform(cls, n: int, length: float) -> LeafMap:
+    def uniform(cls, n: int, length: float, cyclic: bool = True) -> LeafMap:
         """n slabs of width length / n, one leaf each."""
-        return cls._of(n / length, np.ones(n, dtype=np.int64))
+        return cls._of(n / length, np.ones(n, dtype=np.int64), cyclic)
 
     @classmethod
-    def split(cls, x: np.ndarray, length: float, cap: int) -> LeafMap:
-        """One coarse slab per point of x, in [0, length) and cyclically
-        non-decreasing; a slab holding k >= 2 points is cut into
-        ceil(1 / g) + 1 leaves, g its least gap in t between consecutive
-        points, so that no leaf holds two, and no slab into more than
-        cap + 1 (g == 0 asks for that).  Cyclically consecutive points of
-        one slab are consecutive in t: the points of a slab are one cyclic
-        run of x, and no other gap within it is smaller."""
+    def split(cls, x: np.ndarray, length: float, what: str, cyclic: bool = True) -> LeafMap:
+        """One coarse slab per point of x, non-decreasing in [0, length]
+        (cyclically in [0, length), for a cyclic map); a slab holding k >= 2
+        points is cut into min(ceil(1 / g) + 1, LEAVES_PER_POINT * k)
+        leaves, g its least gap in t between consecutive points, so that no
+        leaf holds two unless the cap cuts, and there are at most
+        (LEAVES_PER_POINT + 1) * n.  Cyclically consecutive points of one
+        slab are consecutive in t.  The count goes through
+        clamp_budget(what, ..., SLAB_CAP); a clamped map is SLAB_CAP
+        uniform slabs."""
         n = len(x)
         scale = n / length
         # x[0] again at the end, so that the pairs (k, k + 1) run round.
-        i, frac = cls._coarse(np.concatenate((x, x[:1])), scale, n)
+        i, frac = cls._coarse(np.concatenate((x, x[:1])), scale, n, cyclic)
         same = i[1:] == i[:-1]
         gap = frac[1:].compress(same)
         gap -= frac[:-1].compress(same)
         np.abs(gap, out=gap)
-        np.maximum(gap, 1.0 / cap, out=gap)
+        # 1 / g up to LEAVES_PER_POINT * n, past every cap: finite at g == 0.
+        np.maximum(gap, 1.0 / (LEAVES_PER_POINT * n), out=gap)
         np.divide(1.0, gap, out=gap)
         np.ceil(gap, out=gap)
+        slabs = i[:-1].compress(same)
         leaves = np.zeros(n, dtype=np.int64)
-        np.maximum.at(leaves, i[:-1].compress(same), gap.astype(np.int64))
+        np.maximum.at(leaves, slabs, gap.astype(np.int64))
         leaves += 1
-        return cls._of(scale, leaves)
+        # A slab of k points holds k - 1 of the pairs.
+        np.minimum(leaves, LEAVES_PER_POINT * (np.bincount(slabs, minlength=n) + 1), out=leaves)
+        split = cls._of(scale, leaves, cyclic)
+        n_leaves = clamp_budget(what, split.n_leaves, SLAB_CAP)
+        return split if n_leaves == split.n_leaves else cls.uniform(n_leaves, length, cyclic)
 
     @classmethod
-    def _of(cls, scale: float, leaves: np.ndarray) -> LeafMap:
+    def _of(cls, scale: float, leaves: np.ndarray, cyclic: bool) -> LeafMap:
         """The map with leaves[i] leaves in coarse slab i.  leaf_base is
         summed in int64 and kept in int32, the table's ids, when its total
         fits there, as that of every map within a bucket cap does."""
@@ -148,14 +162,16 @@ class LeafMap:
         if leaf_base[-1] <= np.iinfo(np.int32).max:
             leaf_base = leaf_base.astype(np.int32)
         leaf_base.setflags(write=False)
-        return cls(scale=scale, leaf_base=leaf_base)
+        return cls(scale=scale, leaf_base=leaf_base, cyclic=cyclic)
 
     @staticmethod
-    def _coarse(x, scale: float, n: int):
+    def _coarse(x, scale: float, n: int, cyclic: bool):
         """(i, frac) of each x: out= keeps a 0-d x a 0-d array, which the
-        masked wrap can write to."""
+        masked wrap can write to.  A clipped t is below n: no wrap."""
         x = np.asarray(x, dtype=float)
         t = np.multiply(x, scale, out=np.empty_like(x))
+        if not cyclic:
+            np.clip(t, 0.0, np.nextafter(n, 0.0), out=t)
         i = t.astype(np.int64)
         t -= i
         i[i >= n] -= n
@@ -166,8 +182,9 @@ class LeafMap:
         return int(self.leaf_base[-1])
 
     def leaf_of(self, x) -> np.ndarray:
-        """int64 leaf of each x in [0, length), for an array or a 0-d x."""
-        i, frac = self._coarse(x, self.scale, len(self.leaf_base) - 1)
+        """int64 leaf of each x in [0, length) (any finite x if clipped),
+        for an array or a 0-d x."""
+        i, frac = self._coarse(x, self.scale, len(self.leaf_base) - 1, self.cyclic)
         first = self.leaf_base.take(i)
         frac *= self.leaf_base.take(i + 1) - first
         leaf = frac.astype(np.int64)
@@ -175,7 +192,8 @@ class LeafMap:
         return leaf
 
     def leaf_of_float(self, x: float) -> int:
-        """leaf_of for one Python float x, with the same arithmetic."""
+        """leaf_of of a cyclic map for one Python float x, with the same
+        arithmetic."""
         base = self.leaf_base
         t = x * self.scale
         i = int(t)

@@ -215,8 +215,6 @@ def cmd_bench(args) -> int:
     if not methods:
         raise ValueError("bench would time no method")
     if args.dim == "2":
-        # jitter 0 keeps vertices well separated so derived slab budgets
-        # stay proportional to N even at large sizes
         shapes = (gen_convex_polygon(GenSpec2(n=n, seed=args.seed, jitter=0.0))
                   for n in args.sizes)
     else:

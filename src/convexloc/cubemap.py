@@ -293,7 +293,7 @@ def build_cubemap_index(poly: ConvexPolyhedron) -> CubeMapIndex3:
     x_t = reference_point(poly)
     resolution = default_cubemap_resolution(poly.n_faces)
 
-    # One batch per ring length; the table lists each cell's faces in ring
+    # One batch per ring length; pack lists each cell's faces in ascending
     # order, as a face-by-face build would.
     parts = []
     for ids, idx in ring_groups(poly.faces):
@@ -301,8 +301,7 @@ def build_cubemap_index(poly: ConvexPolyhedron) -> CubeMapIndex3:
                                         poly.tol.eps_len)
         parts.append((ids[owner], flat_cell(face, i, j, resolution)))
     face_ids, cell_ids = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((face_ids, cell_ids))
-    return CubeMapIndex3.pack(cell_ids[order], face_ids[order], 6 * resolution * resolution,
+    return CubeMapIndex3.pack(cell_ids, face_ids, 6 * resolution * resolution,
                               poly=poly, x_t=x_t, resolution=resolution)
 
 

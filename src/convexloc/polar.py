@@ -11,9 +11,9 @@ few listed edges are evaluated.
 By default the slabs are sized by local need (buckets.LeafMap.split): one
 coarse slab of width U/N per vertex, and a coarse slab that holds k >= 2
 vertices cut into equal slabs narrower than the least gap between its own
-vertices' boundary parameters.  So no slab holds two vertices, none lists
-more than two candidate edges, and the slab count is O(N) unless vertices
-crowd.  Build cost is O(N + n_slabs), n_slabs the slabs built.  An explicit
+vertices' boundary parameters, up to LEAVES_PER_POINT * k of them.  So
+there are at most (LEAVES_PER_POINT + 1) * N slabs, and only a capped one
+lists more than two candidate edges.  Build cost is O(N).  An explicit
 n_slabs cuts [0, U) into that many equal slabs.
 
 The batch map picks the box side of each ray by integer masking (_select),
@@ -167,14 +167,12 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarI
     by queries, so an edge's slab interval (closed, endpoints included) is
     guaranteed to cover every slab a query ray hitting that edge can map to.
     By default the perimeter is cut into one coarse slab per vertex, and a
-    coarse slab holding k >= 2 vertices into ceil((U/N) / g) + 1 equal
-    slabs, g the least gap between its own vertices' parameters
-    (LeafMap.split): no slab holds two vertices, so none lists more than two
-    candidate edges, and the slab count stays O(N) unless vertices crowd.
-    An explicit n_slabs cuts the perimeter into that many equal slabs.
-    Either count goes through clamp_budget; a clamped default gives
-    SLAB_CAP equal slabs.  Raises ReferenceNotInterior when the vertex mean
-    is not strictly inside.
+    coarse slab holding k >= 2 vertices into min(ceil((U/N) / g) + 1,
+    LEAVES_PER_POINT * k) equal slabs, g the least gap between its own
+    vertices' parameters (LeafMap.split).  An explicit n_slabs cuts the
+    perimeter into that many equal slabs.  Either count goes through
+    clamp_budget; a clamped one gives SLAB_CAP equal slabs.  Raises
+    ReferenceNotInterior when the vertex mean is not strictly inside.
     """
     x_t = reference_point(poly)
     box = poly.aabb
@@ -183,14 +181,9 @@ def build_polar_index(poly: ConvexPolygon, n_slabs: int | None = None) -> PolarI
     perimeter = 2.0 * (w + h)
 
     u = boundary_param_batch(box, x_t, poly.vertices)
-    if n_slabs is None:
-        leaves = LeafMap.split(u, perimeter, SLAB_CAP)
-        n_slabs = clamp_budget("polar slab count", leaves.n_leaves, SLAB_CAP)
-        if n_slabs < leaves.n_leaves:
-            leaves = LeafMap.uniform(n_slabs, perimeter)
-    else:
-        n_slabs = clamp_budget("polar slab count", n_slabs, SLAB_CAP)
-        leaves = LeafMap.uniform(n_slabs, perimeter)
+    leaves = (LeafMap.split(u, perimeter, "polar slab count") if n_slabs is None
+              else LeafMap.uniform(clamp_budget("polar slab count", n_slabs, SLAB_CAP), perimeter))
+    n_slabs = leaves.n_leaves
 
     # Edge e runs from the slab of vertex e to the slab of vertex e + 1:
     # np.roll(s, -1) - s, wrapped into [0, n_slabs) by a compare, in place,

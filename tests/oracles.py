@@ -19,8 +19,9 @@ batch query path as it was before the bucket kernel worked on table
 columns: whole-row gathers, a row minimum and boolean row compression;
 classify_min_reference is the batch classification as nested np.where,
 slab_of_reference the uniform polar slab map as floor and modulo,
-slab_of_leaf_reference the two-level one as a loop with floor, and
-near_reference the near-x_t mask as a loop over the columns.
+slab_of_leaf_reference the two-level one as a loop with floor,
+y_slab_of_leaf_reference the uniform y-slabs' two-level map as a loop with
+floor and clamps, and near_reference the near-x_t mask as a loop over the columns.
 frame_matrix rebuilds a radial index's frame matrix L from its floats,
 frame_radius2 is its r^2 as one matrix product and a row sum,
 radius2_reference the batch r^2 as it was unrolled for 2D and 3D, and
@@ -306,13 +307,13 @@ def loop_build_cubemap_index(poly):
 
 def csr_pack(bucket_ids, item_ids, n_buckets):
     """(offsets, edges, counts, padded_edges) of the (bucket, item) pairs:
-    the CSR lists, items kept in input order within a bucket, and then the
+    the CSR lists, items in ascending order within a bucket, and then the
     (n_buckets, max count) table whose short rows repeat their first entry."""
     counts = np.bincount(bucket_ids, minlength=n_buckets)
     offsets = np.empty(n_buckets + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
-    order = np.argsort(bucket_ids, kind="stable")
+    order = np.lexsort((item_ids, bucket_ids))
     edges, counts = item_ids[order].astype(np.int32), counts.astype(np.int32)
     occ, first = int(counts.max()), offsets[:-1]
     padded = np.repeat(edges[first], occ).reshape(n_buckets, occ)
@@ -406,6 +407,15 @@ def dict_icosphere(level):
 def regular_polygon(n, radius=1.0):
     th = np.arange(n) * (2.0 * np.pi / n)
     return np.column_stack([radius * np.cos(th), radius * np.sin(th)])
+
+
+def crowded_ngon(n, f, every):
+    """The regular n-gon on the unit circle, validated, with one more
+    vertex f of an edge's angle past every every-th vertex from vertex 0:
+    each such pair crowds one slab of a map sized by vertex count."""
+    k = np.arange(n)
+    th = np.sort(np.concatenate([k, k[::every] + f])) * (2 * np.pi / n)
+    return validate_polygon(np.column_stack([np.cos(th), np.sin(th)]))
 
 
 def prism_mesh(k, z0=0.0, z1=1.0):
@@ -724,6 +734,25 @@ def slab_of_leaf_reference(u, leaf_base, perimeter):
         first, s = int(leaf_base[i % n]), int(leaf_base[i % n + 1] - leaf_base[i % n])
         out.append(first + min(math.floor(frac * s), s - 1))
     return np.array(out, dtype=np.int64).reshape(np.shape(u))
+
+
+def y_slab_of_leaf_reference(y, leaf_base, y_min, y_max):
+    """baselines.UniformSlabIndex2.slab_of as a loop with floor and
+    clamps: y clipped into [y_min, y_max], its coarse slab
+    i = min(floor(t), n - 1) of the n = len(leaf_base) - 1 over that range,
+    then the leaf leaf_base[i] + min(floor(frac * s), s - 1) of the
+    s = leaf_base[i + 1] - leaf_base[i] that cut slab i.  So y_min and
+    below map to the first leaf, y_max and above to the last.  A 0-d y
+    gives a 0-d array."""
+    n = len(leaf_base) - 1
+    out = []
+    for v in np.asarray(y, dtype=float).reshape(-1).tolist():
+        t = (min(max(v, y_min), y_max) - y_min) * (n / (y_max - y_min))
+        i = min(math.floor(t), n - 1)
+        frac = t - i
+        first, s = int(leaf_base[i]), int(leaf_base[i + 1] - leaf_base[i])
+        out.append(first + min(math.floor(frac * s), s - 1))
+    return np.array(out, dtype=np.int64).reshape(np.shape(y))
 
 
 def classify_min_reference(m, eps_q):

@@ -1,7 +1,6 @@
 """Linear, wedge and slab reference locators."""
 
 import math
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,9 +17,10 @@ from convexloc import (CapExceeded, Containment, EvalCounter, build_polar_index,
                        locate_wedge, locate_wedge_batch, min_signed_distance,
                        validate_polygon, validate_polyhedron)
 from convexloc.baselines import near
+from convexloc.buckets import LEAVES_PER_POINT
 
-from oracles import (crossing_number_inside, near_reference, nonfinite_rows,
-                     qhull_min_signed_distance, wedge_fan_lines)
+from oracles import (crossing_number_inside, crowded_ngon, near_reference, nonfinite_rows,
+                     qhull_min_signed_distance, wedge_fan_lines, y_slab_of_leaf_reference)
 
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = validate_polygon([(0, 0), (1, 0), (0.5, 1)])
@@ -239,9 +239,7 @@ def _thin_slab_codes(vertices, points, build, locate):
     poly = validate_polygon(vertices)
     pts = np.array(points, dtype=float)
     np.testing.assert_allclose(min_signed_distance(poly, pts), -0.35777, atol=1e-5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", CapExceeded)   # the uniform budget clamps
-        return locate(build(poly), pts)
+    return locate(build(poly), pts)
 
 
 @pytest.mark.parametrize("vertices, points", THIN_SLAB_CASES)
@@ -269,12 +267,18 @@ def test_points_beyond_a_thin_sorted_slab_are_outside(vertices, points):
 # ---------------------------------------------------------------------------
 
 def test_uniform_slab_arithmetic():
+    """The square's ordinates 0, 0, 1, 1 crowd the first and the last of
+    its four coarse slabs, which are cut into LEAVES_PER_POINT * 2 = 16
+    slabs each."""
     idx = build_uniform_slabs(SQUARE)
-    assert idx.n_slabs == 4
-    assert int(idx.slab_of(0.35)) == 1
+    assert idx.n_slabs == 34
+    assert idx.leaves.leaf_base.tolist() == [0, 16, 17, 18, 34]
+    assert int(idx.slab_of(0.35)) == 16
     assert int(idx.slab_of(0.0)) == 0
-    assert int(idx.slab_of(1.0)) == 3  # y == y_max clamps to the last slab
-    assert int(idx.slab_of(0.999999)) == 3
+    assert int(idx.slab_of(-1.0)) == 0   # y <= y_min clips to the first slab
+    assert int(idx.slab_of(1.0)) == 33   # y >= y_max clips to the last slab
+    assert int(idx.slab_of(2.0)) == 33
+    assert int(idx.slab_of(0.999999)) == 33
 
 
 def _side_counts(idx, poly):
@@ -286,19 +290,21 @@ def _side_counts(idx, poly):
 
 
 def test_uniform_triangle_side_counts():
+    """The two ordinates 0 crowd the first coarse slab, cut into 16: the
+    horizontal bottom edge is listed in the first of those only."""
     idx = build_uniform_slabs(TRIANGLE)
     left, right = _side_counts(idx, TRIANGLE)
-    assert list(left) == [1, 1, 1]
-    assert list(right) == [1, 1, 1]
-    assert list(idx.counts - left - right) == [1, 0, 0]
+    assert list(left) == [1] * 18
+    assert list(right) == [1] * 18
+    assert list(idx.counts - left - right) == [1] + [0] * 17
 
 
 def test_uniform_edges_cover_their_slab_ranges():
     """Brute-force check: edge e is listed in slab i iff its ordinate range
-    maps onto i under the same floor arithmetic."""
+    maps onto i under the same slab map."""
     poly = random_polygon(29, 77)
     idx = build_uniform_slabs(poly)
-    assert idx.n_slabs == 3771
+    assert idx.n_slabs == 115
     v = poly.vertices
     listed = {(int(i), int(e)) for i in range(idx.n_slabs)
               for e in idx.bucket(i)}
@@ -324,10 +330,12 @@ def test_uniform_per_side_occupancy_invariant():
 
 
 def test_uniform_cap_warning():
-    poly = validate_polygon([(0, 0), (1, 5e-10), (1.2, 0.6), (0.3, 1)])
-    with pytest.warns(CapExceeded):
-        idx = build_uniform_slabs(poly)
+    """65,536 pairs of vertices, each 1e-3 of an edge gap apart, ask for
+    1,146,311 y-slabs: clamped to SLAB_CAP equal slabs, with a warning."""
+    with pytest.warns(CapExceeded, match="uniform slab count 1146311 clamped to 1048576"):
+        idx = build_uniform_slabs(crowded_ngon(65536, 1e-3, 1))
     assert idx.n_slabs == 1 << 20
+    assert np.array_equal(idx.leaves.leaf_base, np.arange((1 << 20) + 1))
 
 
 def test_uniform_mirror_symmetry_keeps_default_sane():
@@ -336,6 +344,68 @@ def test_uniform_mirror_symmetry_keeps_default_sane():
     poly = random_polygon(64, 0, jitter=0.0)
     idx = build_uniform_slabs(poly)
     assert idx.n_slabs < 10000
+
+
+def _bound_shapes(corpus2d):
+    """(name, polygon) of every shape the bound on default 1D tables is
+    checked on: corpus2d, the crowded 64-gons, the 100:1 ellipse 4096-gon,
+    the thin-slab quads and regular (jitter 0) n-gons."""
+    entries, _ = corpus2d
+    yield from ((f"corpus2d[{k}]", poly) for k, (poly, _, _) in enumerate(entries))
+    for f in (1e-3, 1e-5, 1e-7):
+        yield f"64-gon+{f}", crowded_ngon(64, f, 64)
+    yield "ellipse-100-to-1", random_polygon(4096, 0, jitter=0.9, semi_axes=(100, 1))
+    for case in THIN_SLAB_CASES:
+        yield f"thin-{case.id}", validate_polygon(case.values[0])
+    for n in (64, 1024, 16384):
+        yield f"regular-{n}", random_polygon(n, 0, jitter=0.0)
+
+
+def test_default_1d_tables_keep_the_leaf_bound(corpus2d):
+    """Every default polar and uniform y-slab table has at most
+    (LEAVES_PER_POINT + 1) * N rows, and none clamps: pytest.ini makes a
+    CapExceeded an error."""
+    for name, poly in _bound_shapes(corpus2d):
+        for build in (build_polar_index, build_uniform_slabs):
+            idx = build(poly)
+            assert idx.n_slabs <= (LEAVES_PER_POINT + 1) * poly.n, (name, build.__name__)
+
+
+def test_uniform_slab_map_equals_reference_bit_for_bit(corpus2d):
+    """slab_of of every default uniform y-slab index gives
+    y_slab_of_leaf_reference's slab bit for bit, as an array and for
+    Python floats (0-d): on the ordinates of the shape's vertices and of
+    200 points over its box, at its coarse-slab and leaf edges (at most
+    about 2048, evenly chosen) and on either side of them, and at y_min,
+    y_max and the band beyond them, which map to the first and the last
+    slab."""
+    split = 0
+    for name, poly in _bound_shapes(corpus2d):
+        idx = build_uniform_slabs(poly)
+        base = idx.leaves.leaf_base
+        lo, hi = float(poly.aabb.lo[1]), float(poly.aabb.hi[1])
+        split += int((np.diff(base) > 1).sum())
+        n, s = len(base) - 1, np.diff(base)
+        coarse = np.repeat(np.arange(n), s)
+        within = np.arange(base[-1]) - np.repeat(base[:-1], s)
+        edges = lo + (coarse + within / np.repeat(s, s)) * ((hi - lo) / n)
+        edges = edges[::len(edges) // 2048 + 1]
+        eps_q = poly.tol.eps_q
+        ends = np.array([lo, hi, lo - eps_q, hi + eps_q, np.nextafter(lo, -np.inf),
+                         np.nextafter(hi, np.inf), lo - 1.0, hi + 1.0])
+        pts = gen_query_points(poly.aabb, QuerySpec(200, 1))
+        y = np.concatenate([poly.vertices[:, 1], pts[:, 1],
+                            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                            ends])
+        got = idx.slab_of(y)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, y_slab_of_leaf_reference(y, base, lo, hi)), name
+        for v in (*ends.tolist(), *y[:20].tolist()):
+            got = idx.slab_of(v)
+            assert got.shape == () and got.dtype == np.int64
+            assert int(got) == int(y_slab_of_leaf_reference(v, base, lo, hi)), (name, v)
+        assert idx.slab_of(ends).tolist() == [0, idx.n_slabs - 1] * 4, name
+    assert split > 100
 
 
 def test_uniform_matches_linear():
@@ -350,7 +420,7 @@ def test_uniform_matches_linear():
 def test_uniform_scalar_equals_batch():
     poly = random_polygon(14, 2)
     idx = build_uniform_slabs(poly)
-    assert idx.n_slabs == 121
+    assert idx.n_slabs == 41
     pts = np.vstack([gen_query_points(poly.aabb, QuerySpec(200, 3)),
                      poly.vertices])
     np.testing.assert_array_equal(locate_uniform_slabs_batch(idx, pts),

@@ -30,7 +30,7 @@ from convexloc.buckets import (BucketTable, bucketed_min, clamp_budget, locate_r
 from convexloc.core import query_point
 
 from oracles import (annulus_point, boundary_param_batch_reference, bucketed_min_reference,
-                     csr_pack, covariance_frame_reference, frame_matrix,
+                     crowded_ngon, csr_pack, covariance_frame_reference, frame_matrix,
                      frame_points, frame_shapes, least_plane,
                      locate_radial_batch_reference, lower_matrix, nonfinite_rows, point_types,
                      policy_edge_points, prism_mesh, radius2_reference, reaches_planes,
@@ -173,12 +173,10 @@ def _assert_reference_table(idx, ref):
                                    build_sorted_slabs, build_uniform_slabs])
 def test_polygon_tables_match_reference(build, corpus2d, reference_tables):
     """Every 2D builder on every corpus2d polygon packs the reference's
-    table; uniform slabs clamp on some of them, which is not at issue here."""
+    table."""
     entries, _ = corpus2d
     for poly, _, _ in entries:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CapExceeded)
-            idx = build(poly)
+        idx = build(poly)
         assert len(reference_tables) == 1
         _assert_reference_table(idx, reference_tables.pop())
 
@@ -192,9 +190,10 @@ def test_cubemap_tables_match_reference(corpus3d, reference_tables):
 
 
 def test_clamped_uniform_table_matches_reference(reference_tables):
-    """A uniform y-slab index clamped to 2^20 slabs, about 2.1e6 entries."""
+    """A uniform y-slab index clamped to 2^20 slabs, about 1.2e6 entries:
+    that of 65,536 pairs of vertices, each 1e-3 of an edge gap apart."""
     with pytest.warns(CapExceeded):
-        idx = build_uniform_slabs(gen_convex_polygon(GenSpec2(n=4096, seed=0)))
+        idx = build_uniform_slabs(crowded_ngon(65536, 1e-3, 1))
     assert len(reference_tables) == 1
     _assert_reference_table(idx, reference_tables.pop())
 
@@ -420,9 +419,7 @@ def _assert_codes_match_reference(idx, locate, shape, pts, monkeypatch):
 def test_polygon_kernel_matches_reference(build, corpus2d, monkeypatch):
     entries, _ = corpus2d
     for poly, pts, _ in entries:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", CapExceeded)
-            idx = build(poly)
+        idx = build(poly)
         _assert_kernel_matches_reference(poly, idx)
         _assert_codes_match_reference(idx, LOCATORS[build], poly, pts, monkeypatch)
 

@@ -5,14 +5,13 @@ import itertools
 import math
 import re
 import time
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexloc import (Aabb, CapExceeded, Containment, DegenerateEdge, DegenerateFace,
+from convexloc import (Aabb, Containment, DegenerateEdge, DegenerateFace,
                        EulerViolation, GenSpec2, NonPlanarFace, NotConvex,
                        Tolerances, TooFewVertices, ValidationError, build_sorted_slabs,
                        build_uniform_slabs, build_wedge_index, centroid, classify_min,
@@ -421,21 +420,15 @@ def _assert_vertices_on_boundary(shape, idx, locate, locate_batch, scalar_stride
 def test_every_vertex_locates_on_boundary(corpus2d, corpus3d):
     """The validators' slack is the queries' band, eps_q, so every vertex
     they accept locates OnBoundary under every locator, batch and scalar.
-    The scalar calls take 16 vertices of each shape; the uniform y-slabs,
-    whose clamped tables take seconds to build, every tenth polygon, two
-    or three of each corpus2d size."""
+    The scalar calls take 16 vertices of each shape."""
     entries, _ = corpus2d
-    for k, (poly, _, polar_idx) in enumerate(entries):
+    for poly, _, polar_idx in entries:
         stride = max(1, poly.n // 16)
         methods = [(poly, locate_linear_2d, locate_linear_2d_batch),
                    (polar_idx, locate_polar, locate_polar_batch),
                    (build_wedge_index(poly), locate_wedge, locate_wedge_batch),
-                   (build_sorted_slabs(poly), locate_sorted_slabs, locate_sorted_slabs_batch)]
-        if k % 10 == 0:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", CapExceeded)
-                methods.append((build_uniform_slabs(poly), locate_uniform_slabs,
-                                locate_uniform_slabs_batch))
+                   (build_sorted_slabs(poly), locate_sorted_slabs, locate_sorted_slabs_batch),
+                   (build_uniform_slabs(poly), locate_uniform_slabs, locate_uniform_slabs_batch)]
         for idx, locate, locate_batch in methods:
             _assert_vertices_on_boundary(poly, idx, locate, locate_batch, stride)
     entries, _ = corpus3d

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexloc import (Aabb, CapExceeded, Containment, GenSpec2, NotConvex, QuerySpec,
+from convexloc import (Aabb, Containment, GenSpec2, NotConvex, QuerySpec,
                        ValidationError, ZeroDirection, boundary_param, build_cubemap_index,
                        build_polar_index, cubemap_cell, gen_convex_polygon, gen_query_points,
                        project_face_conservative, validate_polygon, validate_polyhedron)
@@ -142,10 +142,7 @@ def _check_similar(shape, exp, move, turn, seed):
         shape = _similar(shape, exp, move, turn)
     except ValidationError:
         assume(False)
-    with warnings.catch_warnings():
-        # A polar budget may clamp; test_polar checks that warning.
-        warnings.simplefilter("ignore", CapExceeded)
-        idx = (build_polar_index if shape.dim == 2 else build_cubemap_index)(shape)
+    idx = (build_polar_index if shape.dim == 2 else build_cubemap_index)(shape)
     radii = (math.sqrt(idx.inner2), math.sqrt(idx.outer2))
     huge = np.repeat(idx.x_t[None, :], 2 * shape.dim + 1, axis=0)
     for k in range(shape.dim):

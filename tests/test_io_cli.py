@@ -22,7 +22,7 @@ from convexloc.bench import CSV_HEADER, METHODS_2D, METHODS_3D, BenchRecord, mak
 from convexloc import cli
 from convexloc.cli import main
 
-from oracles import line_read_rows
+from oracles import crowded_ngon, line_read_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -415,23 +415,24 @@ def test_cli_locate_dimension_mismatch(tmp_path, capsys):
 
 
 def test_cli_prints_each_warning_as_one_line(tmp_path):
-    """A uniform y-slab count clamped to SLAB_CAP reaches stderr as one
+    """A slab count clamped to SLAB_CAP reaches stderr as one
     `convexloc: warning:` line, with no library path or source line, from
-    verify and from locate; their exit codes and stdout are unchanged."""
+    locate with the uniform y-slabs and with the polar slabs; their exit
+    codes and stdout are unchanged.  The shape is 65,536 pairs of vertices,
+    each 1e-3 of an edge gap apart.  main prints the warnings of every
+    subcommand through the same hook, and no shape that verify makes
+    clamps."""
     shape, points = tmp_path / "poly.txt", tmp_path / "pts.txt"
-    write_polygon_file(shape, gen_convex_polygon(GenSpec2(4096, 0)))
+    write_polygon_file(shape, crowded_ngon(65536, 1e-3, 1))
     points.write_text("0 0\n9 9\n")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    runs = {("verify", "--dim", "2", "--sizes", "4096", "--shape-seeds", "1", "--points", "100"):
-            "polygon n=4096 seed=0: 100 points x 5 methods: ok\nverified 1 shapes, 0 mismatches\n",
-            ("locate", "--shape", str(shape), "--points", str(points), "--method", "slabs-uniform"):
-            "0 Inside\n1 Outside\n"}
-    for argv, stdout in runs.items():
+    runs = {"slabs-uniform": "uniform slab count 1146311", "polar": "polar slab count 1112192"}
+    for method, count in runs.items():
+        argv = ("locate", "--shape", str(shape), "--points", str(points), "--method", method)
         run = subprocess.run([sys.executable, "-m", "convexloc.cli", *argv], env=env, cwd=ROOT,
                              capture_output=True, text=True, timeout=120)
-        assert (run.returncode, run.stdout) == (0, stdout), argv
-        assert run.stderr == ("convexloc: warning: uniform slab count 700625921 "
-                              "clamped to 1048576\n"), argv
+        assert (run.returncode, run.stdout) == (0, "0 Inside\n1 Outside\n"), argv
+        assert run.stderr == f"convexloc: warning: {count} clamped to 1048576\n", argv
 
 
 def test_cli_verify_small_corpus(capsys):

@@ -17,8 +17,8 @@ from convexloc import (Aabb, CapExceeded, Containment, EvalCounter, GenSpec2,
 
 from convexloc.buckets import LeafMap
 
-from oracles import (boundary_param_batch_reference, brute_exit_edges, slab_of_leaf_reference,
-                     slab_of_reference)
+from oracles import (boundary_param_batch_reference, brute_exit_edges, crowded_ngon,
+                     slab_of_leaf_reference, slab_of_reference)
 
 UNIT_BOX = Aabb(np.array([0.0, 0.0]), np.array([1.0, 1.0]))
 SQUARE = validate_polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -237,13 +237,6 @@ def test_default_slab_count_fits_eccentric_ellipse():
     assert idx.n_slabs < 2 ** 18
 
 
-def crowded_64gon(f):
-    """The regular 64-gon on the unit circle with one more vertex f of an
-    edge's angle past vertex 0: the two crowd one coarse slab."""
-    th = np.sort(np.append(np.arange(64), f) * (2 * np.pi / 64))
-    return validate_polygon(np.column_stack([np.cos(th), np.sin(th)]))
-
-
 def exit_edges_unlisted(idx, n_dirs=4096):
     """How many of n_dirs directions from x_t exit through an edge their
     slab does not list."""
@@ -254,20 +247,24 @@ def exit_edges_unlisted(idx, n_dirs=4096):
     return int((~(idx.padded_edges[slabs] == exit_edge[:, None]).any(axis=1)).sum())
 
 
-@pytest.mark.parametrize("poly, max_bytes", [
-    (gen_convex_polygon(GenSpec2(n=4096, seed=0, jitter=0.9, semi_axes=(100, 1))), 256e3),
-    (crowded_64gon(1e-3), 24e3),
-    (crowded_64gon(1e-5), 2e6)], ids=["ellipse-100-to-1", "64-gon+1e-3", "64-gon+1e-5"])
-def test_crowded_vertices_split_only_their_slab(poly, max_bytes):
+@pytest.mark.parametrize("poly, max_occupancy, max_bytes", [
+    (gen_convex_polygon(GenSpec2(n=4096, seed=0, jitter=0.9, semi_axes=(100, 1))), 2, 190e3),
+    (crowded_ngon(64, 1e-3, 64), 3, 2e3),
+    (crowded_ngon(64, 1e-5, 64), 3, 2e3),
+    (crowded_ngon(64, 1e-7, 64), 3, 2e3)],
+    ids=["ellipse-100-to-1", "64-gon+1e-3", "64-gon+1e-5", "64-gon+1e-7"])
+def test_crowded_vertices_split_only_their_slab(poly, max_occupancy, max_bytes):
     """Shapes whose closest vertices crowd one part of the perimeter: a
-    100:1 ellipse and a 64-gon with one vertex 1e-3 or 1e-5 of an edge gap
-    from its neighbour.  Each builds with no clamp, lists at most two edges
-    per slab and every exit edge of a 4096-direction sweep, and keeps a
-    table (with its counts and leaf offsets) within max_bytes."""
+    100:1 ellipse and a 64-gon with one vertex 1e-3, 1e-5 or 1e-7 of an
+    edge gap from its neighbour.  Each builds with no clamp, lists at most
+    max_occupancy edges per slab (3 where a crowded slab reaches its cap of
+    LEAVES_PER_POINT leaves per vertex) and every exit edge of a
+    4096-direction sweep, and keeps a table (with its counts and leaf
+    offsets) within max_bytes."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", CapExceeded)
         idx = build_polar_index(poly)
-    assert idx.max_occupancy <= 2
+    assert idx.max_occupancy <= max_occupancy
     kept = idx.padded_edges.nbytes + idx.counts.nbytes + idx.leaves.leaf_base.nbytes
     assert kept < max_bytes
     assert exit_edges_unlisted(idx) == 0
@@ -275,10 +272,10 @@ def test_crowded_vertices_split_only_their_slab(poly, max_bytes):
 
 def test_slab_count_clamp_warns():
     """Derived and requested budgets both warn when clamped to SLAB_CAP: a
-    64-gon with one vertex 1e-7 of an edge gap from its neighbour asks for
-    about 1e7 slabs."""
-    with pytest.warns(CapExceeded):
-        assert build_polar_index(crowded_64gon(1e-7)).n_slabs == SLAB_CAP
+    131,072-gon of 65,536 pairs of vertices, each 1e-3 of an edge gap
+    apart, asks for about 1.1e6 slabs."""
+    with pytest.warns(CapExceeded, match="polar slab count"):
+        assert build_polar_index(crowded_ngon(65536, 1e-3, 1)).n_slabs == SLAB_CAP
     with pytest.warns(CapExceeded):
         assert build_polar_index(SQUARE, n_slabs=SLAB_CAP + 1).n_slabs == SLAB_CAP
 
